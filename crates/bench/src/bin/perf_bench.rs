@@ -60,7 +60,6 @@ fn entry_json(label: &str, scale: Scale, report: &RunReport, arena: Json) -> Jso
         )
         .with("total_sim_cycles", report.total_sim_cycles())
         .with("sim_cycles_per_sec", report.sim_cycles_per_sec())
-        .with("superstep_hit_rate", report.superstep_hit_rate())
         .with(
             "cache",
             Json::obj()
@@ -105,10 +104,6 @@ fn validate_entry(e: &Json) -> Result<(), String> {
     let cps = num_key(e, "sim_cycles_per_sec")?;
     if wall < 0.0 || cps < 0.0 {
         return Err("negative timing/throughput value".into());
-    }
-    let rate = num_key(e, "superstep_hit_rate")?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err("superstep_hit_rate outside [0, 1]".into());
     }
     let phases = e
         .get("phase_ms")

@@ -3,7 +3,6 @@
 use crate::decode::{DecOp, DecodedProgram};
 use crate::event::{Branch, EvKind, Event, MemRef};
 use crate::mem::{wrap_addr, MemView};
-use crate::superstep::MemoTable;
 use spt_sir::{BlockId, FuncId, LatClass, Reg, StmtRef, Terminator};
 
 /// One activation record's control state. Register values live in the
@@ -276,10 +275,10 @@ impl<'p> Cursor<'p> {
         self.halted
     }
 
-    /// Value displaced by the most recent register write ([`Cursor::step`]
-    /// only; superstep replay does not maintain it). Lets a caller recover
-    /// the pre-write value of a register that one statement both read and
-    /// wrote — the SPT machine's lazy live-in capture needs exactly that.
+    /// Value displaced by the most recent register write. Lets a caller
+    /// recover the pre-write value of a register that one statement both
+    /// read and wrote — the SPT machine's lazy live-in capture needs
+    /// exactly that.
     #[inline]
     pub fn last_overwritten(&self) -> i64 {
         self.last_overwritten
@@ -346,14 +345,6 @@ impl<'p> Cursor<'p> {
         let fr = &self.frames[level];
         let dbase = fr.dbase as usize;
         self.dirty[dbase..dbase + self.dec.func(fr.func).dirty_words()].fill(0);
-    }
-
-    /// Write one register of the frame at `level`, marking it dirty.
-    #[inline]
-    pub fn set_reg_at(&mut self, level: usize, r: usize, v: i64) {
-        let fr = &self.frames[level];
-        let (base, dbase) = (fr.base as usize, fr.dbase as usize);
-        write_reg!(self, base, dbase, r, v);
     }
 
     /// Blend `src`'s frame-`level` registers into this cursor's same frame:
@@ -429,125 +420,6 @@ impl<'p> Cursor<'p> {
         }
         let fr = self.frames.last().expect("live cursor has a frame");
         fr.func == func && fr.block == block && fr.idx == 0
-    }
-
-    /// Cheap pre-check for [`Cursor::superstep`]: could a probe possibly
-    /// take the fast path from the current position? `false` means
-    /// `superstep` would certainly return 0 (mid-block, halted, or the
-    /// block is not memoizable), letting the caller skip the call setup —
-    /// the overwhelmingly common probe outcome on the simulator hot path.
-    #[inline]
-    pub fn memo_candidate(&self) -> bool {
-        if self.halted {
-            return false;
-        }
-        let fr = self.frames.last().expect("live cursor has a frame");
-        fr.idx == 0 && self.dec.func(fr.func).memo_of(fr.block).is_some()
-    }
-
-    /// Execute up to one whole memoizable block through `memo`, emitting
-    /// exactly the events [`Cursor::step`] would produce (DESIGN.md §3f).
-    ///
-    /// Returns the number of events emitted. `0` means no fast path was
-    /// taken — the cursor is mid-block, halted, the block is not
-    /// memoizable, or finishing it would exceed `budget` events — and the
-    /// cursor is unchanged; fall back to `step`. On a memo hit the cached
-    /// sequence is replayed: register writes and stores are applied from
-    /// the events, and each load is verified against `mem` *before* its
-    /// effect is applied, so a load-value mismatch aborts the replay
-    /// mid-block with every emitted event exact and the cursor consistent
-    /// (stepping resumes at the failed load). On a miss the block is
-    /// stepped normally while being recorded.
-    pub fn superstep<M: MemView + ?Sized>(
-        &mut self,
-        mem: &mut M,
-        memo: &mut MemoTable,
-        budget: u64,
-        emit: &mut impl FnMut(&Event),
-    ) -> u64 {
-        if self.halted {
-            return 0;
-        }
-        let dec = self.dec;
-        let (flat_id, key_range, need, func) = {
-            let fr = self.frames.last().expect("live cursor has a frame");
-            if fr.idx != 0 {
-                return 0;
-            }
-            let df = dec.func(fr.func);
-            let Some(mi) = df.memo_of(fr.block) else {
-                return 0;
-            };
-            (
-                mi.flat_id,
-                mi.key_regs,
-                df.block_len(fr.block) as u64 + 1,
-                fr.func,
-            )
-        };
-        if need > budget {
-            return 0;
-        }
-        let depth = (self.frames.len() - 1) as u32;
-        let top = *self.frames.last().expect("live cursor has a frame");
-        let (base, dbase) = (top.base as usize, top.dbase as usize);
-        let stride = dec.func(func).stride();
-        let key_regs = dec.func(func).operands(key_range);
-        match memo.find(flat_id, depth, key_regs, &self.slab[base..base + stride]) {
-            Some(idx) => {
-                let mut n = 0u64;
-                let events = memo.events(idx);
-                let fr = self.frames.last_mut().expect("live cursor has a frame");
-                for ev in events {
-                    if ev.executed {
-                        if let Some(m) = ev.mem {
-                            if !m.is_store && mem.load(m.addr) != m.value {
-                                break;
-                            }
-                        }
-                    }
-                    match ev.kind {
-                        EvKind::Inst { .. } => {
-                            fr.idx += 1;
-                            if ev.executed {
-                                if let Some(m) = ev.mem {
-                                    if m.is_store {
-                                        mem.store(m.addr, m.value);
-                                    }
-                                }
-                                if let Some(dst) = ev.dst {
-                                    let r = dst.index();
-                                    self.slab[base + r] = ev.dst_val;
-                                    self.dirty[dbase + (r >> 6)] |= 1u64 << (r & 63);
-                                }
-                            }
-                        }
-                        EvKind::Term { .. } => {
-                            let t = ev
-                                .branch
-                                .and_then(|b| b.target)
-                                .expect("memo blocks end in jmp/br");
-                            fr.block = t;
-                            fr.idx = 0;
-                        }
-                    }
-                    emit(ev);
-                    n += 1;
-                }
-                memo.note_hit(n < need);
-                n
-            }
-            None => {
-                memo.begin_record(key_regs, &self.slab[base..base + stride]);
-                for _ in 0..need {
-                    let ev = self.step(mem).expect("memo blocks cannot halt");
-                    memo.record_event(ev);
-                    emit(&ev);
-                }
-                memo.finish_record(flat_id, depth);
-                need
-            }
-        }
     }
 
     /// Execute one statement or terminator. Returns `None` once halted.
@@ -1013,114 +885,6 @@ mod tests {
         assert_eq!(mem.peek(3), 77);
     }
 
-    /// Step `prog` to halt twice — once via `step`, once via `superstep`
-    /// with fallback — and assert the two event streams, memories and
-    /// return values are identical. Returns the memo table for counter
-    /// assertions.
-    fn stepped_vs_superstepped(prog: &Program) -> crate::superstep::MemoTable {
-        let dec = DecodedProgram::new(prog);
-        let mut mem1 = Memory::for_program(prog);
-        let mut c1 = Cursor::at_entry(&dec);
-        let mut evs1 = Vec::new();
-        while let Some(ev) = c1.step(&mut mem1) {
-            evs1.push(ev);
-            assert!(evs1.len() < 100_000, "runaway program");
-        }
-        let mut memo = crate::superstep::MemoTable::new(dec.n_flat_blocks() as usize);
-        let mut mem2 = Memory::for_program(prog);
-        let mut c2 = Cursor::at_entry(&dec);
-        let mut evs2 = Vec::new();
-        loop {
-            let n = c2.superstep(&mut mem2, &mut memo, u64::MAX, &mut |ev| evs2.push(*ev));
-            if n == 0 {
-                let Some(ev) = c2.step(&mut mem2) else { break };
-                evs2.push(ev);
-            }
-            assert!(evs2.len() < 100_000, "runaway program");
-        }
-        assert_eq!(evs1, evs2, "event streams must be bit-identical");
-        assert_eq!(c1.return_value(), c2.return_value());
-        for a in 0..mem1.len() as u64 {
-            assert_eq!(mem1.peek(a), mem2.peek(a), "memory diverged at {a}");
-        }
-        memo
-    }
-
-    /// The superstep-hit loop used by the memo tests: pure-const body B
-    /// (empty key) so every re-entry after the first replays from the memo.
-    fn memo_hit_program() -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.func("main", 0);
-        let i = f.reg();
-        let n = f.reg();
-        let head = f.new_block();
-        let body = f.new_block();
-        let exit = f.new_block();
-        f.const_(i, 0);
-        f.const_(n, 4);
-        f.jmp(head);
-        f.switch_to(head);
-        f.addi(i, i, 1);
-        let c = f.reg();
-        f.bin(BinOp::CmpLt, c, i, n);
-        f.br(c, body, exit);
-        f.switch_to(body);
-        let x = f.const_reg(5);
-        let y = f.reg();
-        f.bin(BinOp::Add, y, x, x);
-        f.store(y, x, 0);
-        f.jmp(head);
-        f.switch_to(exit);
-        f.ret(Some(i));
-        let id = f.finish();
-        pb.finish(id, 8)
-    }
-
-    #[test]
-    fn superstep_hits_replay_bit_identically() {
-        let prog = memo_hit_program();
-        let memo = stepped_vs_superstepped(&prog);
-        assert!(memo.hits() >= 2, "invariant body must hit: {}", memo.hits());
-        assert_eq!(memo.aborts(), 0);
-    }
-
-    #[test]
-    fn superstep_load_mismatch_aborts_mid_block() {
-        // The loop head stores a fresh value to the word the memoized body
-        // loads: every replay's load verification fails, forcing the
-        // abort-and-fall-back path while staying bit-identical.
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.func("main", 0);
-        let i = f.reg();
-        let n = f.reg();
-        let k = f.reg();
-        let head = f.new_block();
-        let body = f.new_block();
-        let exit = f.new_block();
-        f.const_(i, 0);
-        f.const_(n, 4);
-        f.const_(k, 6);
-        f.jmp(head);
-        f.switch_to(head);
-        f.addi(i, i, 1);
-        f.store(i, k, 0);
-        let c = f.reg();
-        f.bin(BinOp::CmpLt, c, i, n);
-        f.br(c, body, exit);
-        f.switch_to(body);
-        let x = f.const_reg(6);
-        let v = f.reg();
-        f.load(v, x, 0);
-        f.store(v, x, 1);
-        f.jmp(head);
-        f.switch_to(exit);
-        f.ret(Some(i));
-        let id = f.finish();
-        let prog = pb.finish(id, 16);
-        let memo = stepped_vs_superstepped(&prog);
-        assert!(memo.aborts() > 0, "stale load must abort the replay");
-    }
-
     #[test]
     fn negative_addresses_wrap() {
         let mut pb = ProgramBuilder::new();
@@ -1155,9 +919,6 @@ mod tests {
         assert_eq!(cur.dirty_words_at(0), &[0b1]);
         cur.step(&mut mem); // const sum (reg 1)
         assert_eq!(cur.dirty_words_at(0), &[0b11]);
-        cur.set_reg_at(0, 3, 7);
-        assert_eq!(cur.dirty_words_at(0), &[0b1011]);
-        assert_eq!(cur.regs_at(0)[3], 7);
     }
 
     #[test]
@@ -1215,37 +976,6 @@ mod tests {
         let mut other = Cursor::at_entry(&dec);
         other.adopt(&cur);
         assert_eq!(other.dirty_words_at(0), &[0]);
-    }
-
-    #[test]
-    fn superstep_replay_marks_dirty() {
-        // Second entry into the memoized body replays from the memo; the
-        // replayed register writes (x = reg 4, y = reg 5 — `addi` burns
-        // reg 2 on its immediate) must still mark dirty bits.
-        let prog = memo_hit_program();
-        let dec = DecodedProgram::new(&prog);
-        let mut mem = Memory::for_program(&prog);
-        let mut cur = Cursor::at_entry(&dec);
-        let mut memo = MemoTable::new(dec.n_flat_blocks() as usize);
-        let body = BlockId(2);
-        let mut entries = 0;
-        loop {
-            if !cur.is_halted() && cur.top().block == body && cur.top().idx == 0 {
-                entries += 1;
-                if entries == 2 {
-                    cur.clear_dirty_at(0);
-                    let n = cur.superstep(&mut mem, &mut memo, u64::MAX, &mut |_| {});
-                    assert!(n > 0, "second body entry must superstep");
-                    assert!(memo.hits() >= 1, "second body entry must replay");
-                    assert_eq!(cur.dirty_words_at(0), &[0b110000]);
-                    return;
-                }
-                let n = cur.superstep(&mut mem, &mut memo, u64::MAX, &mut |_| {});
-                assert!(n > 0, "first body entry must record");
-                continue;
-            }
-            assert!(cur.step(&mut mem).is_some(), "never re-entered body");
-        }
     }
 
     #[test]

@@ -106,25 +106,6 @@ pub struct DecodedInst {
     srcs_wg: OpRange,
 }
 
-/// Decode-time classification of a memoizable block (DESIGN.md §3f).
-///
-/// A block qualifies when every statement is straight-line data flow —
-/// const/unary/binary/load/store/nop, guards included — and the terminator
-/// is a jump or branch. Calls, `spt_fork`/`spt_kill` (which splice another
-/// thread's execution adjacent to this block's effects, so its dynamic
-/// behaviour is no longer a function of its own live-ins), and returns
-/// disqualify it. `key_regs` are the registers the block reads before
-/// unconditionally writing them, plus the terminator's operands: together
-/// with memory (verified load-by-load at replay) they fully determine the
-/// block's event stream at a given call depth.
-#[derive(Clone, Copy, Debug)]
-pub struct MemoBlockInfo {
-    /// Registers whose live-in values key the memo table.
-    pub key_regs: OpRange,
-    /// Program-wide flat block id (unique across all functions).
-    pub flat_id: u32,
-}
-
 /// Decoded terminator: the `Copy` [`spt_sir::Terminator`] plus its operand
 /// range (branch condition or returned register).
 #[derive(Clone, Copy, Debug)]
@@ -135,8 +116,6 @@ struct BlockInfo {
     len: u32,
     term: spt_sir::Terminator,
     term_srcs: OpRange,
-    /// Memoization classification; `None` for non-memoizable blocks.
-    memo: Option<MemoBlockInfo>,
 }
 
 /// One function's decoded streams.
@@ -216,12 +195,6 @@ impl DecodedFunc {
     pub fn term_srcs(&self, block: BlockId) -> &[Reg] {
         self.blocks[block.index()].term_srcs.slice(&self.pool)
     }
-
-    /// Memoization classification of `block`, when it qualifies.
-    #[inline]
-    pub fn memo_of(&self, block: BlockId) -> Option<MemoBlockInfo> {
-        self.blocks[block.index()].memo
-    }
 }
 
 /// A program's decoded per-function instruction streams. Owns every byte
@@ -231,7 +204,6 @@ impl DecodedFunc {
 pub struct DecodedProgram {
     entry: FuncId,
     funcs: Vec<DecodedFunc>,
-    n_flat_blocks: u32,
     /// Largest per-function frame stride (see
     /// [`DecodedProgram::frame_stride`]).
     frame_stride: u32,
@@ -240,26 +212,13 @@ pub struct DecodedProgram {
 impl DecodedProgram {
     /// Decode every function of `prog`.
     pub fn new(prog: &Program) -> Self {
-        let mut next_flat = 0u32;
-        let funcs: Vec<DecodedFunc> = prog
-            .funcs
-            .iter()
-            .map(|f| decode_func(prog, f, &mut next_flat))
-            .collect();
+        let funcs: Vec<DecodedFunc> = prog.funcs.iter().map(|f| decode_func(prog, f)).collect();
         let frame_stride = funcs.iter().map(|f| f.stride).max().unwrap_or(1);
         DecodedProgram {
             entry: prog.entry,
             funcs,
-            n_flat_blocks: next_flat,
             frame_stride,
         }
-    }
-
-    /// Total block count across all functions (flat-id space; sizes the
-    /// memo table).
-    #[inline]
-    pub fn n_flat_blocks(&self) -> u32 {
-        self.n_flat_blocks
     }
 
     /// Entry function of the program ([`Program::entry`], captured at
@@ -384,60 +343,10 @@ fn decode_inst(prog: &Program, inst: &Inst, pool: &mut Vec<Reg>) -> DecodedInst 
     }
 }
 
-/// Classify one decoded block for memoization; `Some(key range)` when it
-/// qualifies (see [`MemoBlockInfo`]). Key registers are those read before
-/// being *unconditionally* written within the block (a guarded write may
-/// not happen, so its destination stays key material), in first-read
-/// order, terminator operands last.
-fn memo_key_regs(
-    block_code: &[DecodedInst],
-    term: &spt_sir::Terminator,
-    pool: &mut Vec<Reg>,
-    written: &mut [bool],
-    keyed: &mut [bool],
-) -> Option<OpRange> {
-    match term {
-        spt_sir::Terminator::Jmp(_) | spt_sir::Terminator::Br { .. } => {}
-        spt_sir::Terminator::Ret(_) => return None,
-    }
-    written.fill(false);
-    keyed.fill(false);
-    let mut keys: Vec<Reg> = Vec::new();
-    for inst in block_code {
-        let dst = match inst.op {
-            DecOp::Const { dst, .. }
-            | DecOp::Un { dst, .. }
-            | DecOp::Bin { dst, .. }
-            | DecOp::Load { dst, .. } => Some(dst),
-            DecOp::Store { .. } | DecOp::Nop { .. } => None,
-            DecOp::Call { .. } | DecOp::SptFork { .. } | DecOp::SptKill => return None,
-        };
-        for &r in inst.srcs_wg.slice(pool) {
-            let ri = r.index();
-            if !written[ri] && !keyed[ri] {
-                keyed[ri] = true;
-                keys.push(r);
-            }
-        }
-        if let (Some(d), None) = (dst, inst.guard) {
-            written[d.index()] = true;
-        }
-    }
-    if let spt_sir::Terminator::Br { cond, .. } = term {
-        let ri = cond.index();
-        if !written[ri] && !keyed[ri] {
-            keys.push(*cond);
-        }
-    }
-    Some(OpRange::push(pool, keys))
-}
-
-fn decode_func(prog: &Program, f: &spt_sir::Func, next_flat: &mut u32) -> DecodedFunc {
+fn decode_func(prog: &Program, f: &spt_sir::Func) -> DecodedFunc {
     let mut code = Vec::with_capacity(f.static_size());
     let mut blocks = Vec::with_capacity(f.blocks.len());
     let mut pool = Vec::new();
-    let mut written = vec![false; f.n_regs as usize];
-    let mut keyed = vec![false; f.n_regs as usize];
     for b in &f.blocks {
         let start = code.len() as u32;
         for inst in &b.insts {
@@ -448,22 +357,11 @@ fn decode_func(prog: &Program, f: &spt_sir::Func, next_flat: &mut u32) -> Decode
             spt_sir::Terminator::Ret(Some(r)) => OpRange::push(&mut pool, [*r]),
             _ => OpRange::default(),
         };
-        let flat_id = *next_flat;
-        *next_flat += 1;
-        let memo = memo_key_regs(
-            &code[start as usize..],
-            &b.term,
-            &mut pool,
-            &mut written,
-            &mut keyed,
-        )
-        .map(|key_regs| MemoBlockInfo { key_regs, flat_id });
         blocks.push(BlockInfo {
             start,
             len: b.insts.len() as u32,
             term: b.term,
             term_srcs,
-            memo,
         });
     }
     DecodedFunc {
@@ -565,122 +463,6 @@ mod tests {
                 Terminator::Br { cond, .. } => assert_eq!(df.term_srcs(bid), &[cond]),
                 Terminator::Ret(Some(r)) => assert_eq!(df.term_srcs(bid), &[r]),
                 _ => assert!(df.term_srcs(bid).is_empty()),
-            }
-        }
-    }
-
-    #[test]
-    fn straightline_blocks_classified_with_live_in_keys() {
-        // sum-loop shape: entry consts + jmp, body = addi/add/cmplt + br.
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.func("main", 0);
-        let i = f.reg();
-        let sum = f.reg();
-        let n = f.reg();
-        let body = f.new_block();
-        let exit = f.new_block();
-        f.const_(i, 0);
-        f.const_(sum, 0);
-        f.const_(n, 5);
-        f.jmp(body);
-        f.switch_to(body);
-        f.addi(i, i, 1);
-        f.bin(BinOp::Add, sum, sum, i);
-        let c = f.reg();
-        f.bin(BinOp::CmpLt, c, i, n);
-        f.br(c, body, exit);
-        f.switch_to(exit);
-        f.ret(Some(sum));
-        let id = f.finish();
-        let prog = pb.finish(id, 0);
-        let dec = DecodedProgram::new(&prog);
-        let df = dec.func(id);
-        // Entry: all-const block, no live-ins.
-        let entry = df.memo_of(BlockId(0)).expect("entry block is memoizable");
-        assert!(df.operands(entry.key_regs).is_empty());
-        // Body: reads i, sum, n before writing; br cond c is written inside.
-        let b = df.memo_of(BlockId(1)).expect("loop body is memoizable");
-        assert_eq!(df.operands(b.key_regs), &[i, sum, n]);
-        assert_ne!(entry.flat_id, b.flat_id);
-        // Exit: Ret-terminated, not memoizable.
-        assert!(df.memo_of(BlockId(2)).is_none());
-    }
-
-    #[test]
-    fn guarded_write_destination_stays_key_material() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.func("m", 0);
-        let p = f.reg();
-        let x = f.reg();
-        let y = f.reg();
-        let exit = f.new_block();
-        f.guard_when(p);
-        f.const_(x, 99);
-        f.unguard();
-        f.bin(BinOp::Add, y, x, x);
-        f.jmp(exit);
-        f.switch_to(exit);
-        f.ret(None);
-        let id = f.finish();
-        let prog = pb.finish(id, 0);
-        let dec = DecodedProgram::new(&prog);
-        let df = dec.func(id);
-        let mi = df.memo_of(BlockId(0)).expect("guarded block is memoizable");
-        // `x` may or may not be written depending on `p`, so its live-in
-        // value is part of the key alongside the guard register itself.
-        assert_eq!(df.operands(mi.key_regs), &[p, x]);
-    }
-
-    #[test]
-    fn adjacent_thread_semantics_classified_non_memoizable() {
-        // Calls, spt_fork and spt_kill splice another execution context's
-        // effects adjacent to the block (the "self-modifying-adjacent"
-        // cases): the block's behaviour stops being a pure function of its
-        // own live-ins, so classification must reject all three.
-        let prog = call_program();
-        let dec = DecodedProgram::new(&prog);
-        let (main_id, mainf) = prog.func_by_name("main").unwrap();
-        for bid in mainf.block_ids() {
-            if mainf.block(bid).insts.iter().any(|i| i.is_call()) {
-                assert!(
-                    dec.func(main_id).memo_of(bid).is_none(),
-                    "call block must not be memoizable"
-                );
-            }
-        }
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.func("m", 0);
-        let b1 = f.new_block();
-        let b2 = f.new_block();
-        f.spt_fork(b1);
-        f.jmp(b1);
-        f.switch_to(b1);
-        f.spt_kill();
-        f.jmp(b2);
-        f.switch_to(b2);
-        f.ret(None);
-        let id = f.finish();
-        let prog = pb.finish(id, 0);
-        let dec = DecodedProgram::new(&prog);
-        let df = dec.func(id);
-        assert!(df.memo_of(BlockId(0)).is_none(), "spt_fork block");
-        assert!(df.memo_of(BlockId(1)).is_none(), "spt_kill block");
-    }
-
-    #[test]
-    fn flat_ids_unique_across_functions() {
-        let prog = call_program();
-        let dec = DecodedProgram::new(&prog);
-        let total: usize = prog.funcs.iter().map(|f| f.blocks.len()).sum();
-        assert_eq!(dec.n_flat_blocks() as usize, total);
-        let mut seen = std::collections::HashSet::new();
-        for (fi, f) in prog.funcs.iter().enumerate() {
-            let df = dec.func(FuncId(fi as u32));
-            for bi in 0..f.blocks.len() {
-                if let Some(mi) = df.memo_of(BlockId(bi as u32)) {
-                    assert!(mi.flat_id < dec.n_flat_blocks());
-                    assert!(seen.insert(mi.flat_id), "duplicate flat id");
-                }
             }
         }
     }

@@ -23,11 +23,9 @@ pub mod decode;
 pub mod event;
 pub mod mem;
 pub mod run;
-pub mod superstep;
 
 pub use cursor::{Cursor, CursorParts, Frame};
-pub use decode::{DecOp, DecodedFunc, DecodedInst, DecodedProgram, MemoBlockInfo, OpRange};
+pub use decode::{DecOp, DecodedFunc, DecodedInst, DecodedProgram, OpRange};
 pub use event::{Branch, EvKind, Event, MemRef, SrcSet};
 pub use mem::{MemView, Memory};
 pub use run::{run, run_with, RunResult};
-pub use superstep::MemoTable;

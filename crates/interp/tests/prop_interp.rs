@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use spt_interp::mem::wrap_addr;
-use spt_interp::{run, run_with, Cursor, DecodedProgram, Event, MemView, MemoTable, Memory};
+use spt_interp::{run, run_with, Cursor, DecodedProgram, MemView, Memory};
 use spt_sir::{BinOp, BlockId, FuncId, Op, Program, ProgramBuilder, Reg, Terminator, UnOp};
 
 const FUEL: u64 = 200_000;
@@ -66,12 +66,8 @@ fn straightline(body: &[S], mem_words: usize) -> Program {
     pb.finish(id, mem_words)
 }
 
-/// A counted loop whose body is a random straight-line block: the
-/// induction lives in a separate header block, so the body block's memo
-/// key is exactly the registers the random statements read before
-/// writing — loop-invariant keys replay from the memo, varying keys
-/// re-record every iteration, and loads hitting previously-stored words
-/// exercise the mid-replay abort path.
+/// A counted loop whose body is a random straight-line block, with the
+/// induction in a separate header block.
 fn loop_over(body: &[S], trip: u8, mem_words: usize) -> Program {
     let mut pb = ProgramBuilder::new();
     let mut f = pb.func("main", 0);
@@ -374,64 +370,6 @@ fn lockstep_against_reference(prog: &Program) -> Option<i64> {
     cur.return_value()
 }
 
-/// Run by single steps, collecting the full event stream and final state.
-fn stepped(prog: &Program, fuel: u64) -> (Vec<Event>, Option<i64>, Vec<i64>) {
-    let dec = DecodedProgram::new(prog);
-    let mut cur = Cursor::at_entry(&dec);
-    let mut mem = Memory::for_program(prog);
-    let mut events = Vec::new();
-    while (events.len() as u64) < fuel {
-        let Some(ev) = cur.step(&mut mem) else { break };
-        events.push(ev);
-    }
-    assert!(cur.is_halted(), "stepped run must terminate");
-    let words = (0..mem.len() as u64).map(|a| mem.peek(a)).collect();
-    (events, cur.return_value(), words)
-}
-
-/// Run through the block memo (superstep where possible, single steps
-/// otherwise); returns the memo alongside the stream for hit assertions.
-fn superstepped(prog: &Program, fuel: u64) -> (Vec<Event>, Option<i64>, Vec<i64>, MemoTable) {
-    let dec = DecodedProgram::new(prog);
-    let mut cur = Cursor::at_entry(&dec);
-    let mut mem = Memory::for_program(prog);
-    let mut memo = MemoTable::new(dec.n_flat_blocks() as usize);
-    let mut events = Vec::new();
-    let mut steps = 0u64;
-    while steps < fuel {
-        let n = cur.superstep(&mut mem, &mut memo, fuel - steps, &mut |ev| {
-            events.push(*ev)
-        });
-        if n > 0 {
-            steps += n;
-            continue;
-        }
-        let Some(ev) = cur.step(&mut mem) else { break };
-        steps += 1;
-        events.push(ev);
-    }
-    assert!(cur.is_halted(), "superstepped run must terminate");
-    let words = (0..mem.len() as u64).map(|a| mem.peek(a)).collect();
-    (events, cur.return_value(), words, memo)
-}
-
-/// Stepping and superstepping one program must be indistinguishable:
-/// identical event streams (which fix every live-out register write, every
-/// latency class, and hence every downstream cycle count), identical
-/// return value, identical final memory.
-fn check_superstep_equivalence(body: &[S], trip: u8, mem_words: usize) -> MemoTable {
-    let prog = loop_over(body, trip, mem_words);
-    prog.verify().unwrap();
-    let ctx = format!("body={body:?} trip={trip} mem_words={mem_words}");
-    let (ev_a, ret_a, mem_a) = stepped(&prog, FUEL);
-    let (ev_b, ret_b, mem_b, memo) = superstepped(&prog, FUEL);
-    assert_eq!(ev_a.len(), ev_b.len(), "event count diverged [{ctx}]");
-    assert_eq!(ev_a, ev_b, "event streams diverged [{ctx}]");
-    assert_eq!(ret_a, ret_b, "return value diverged [{ctx}]");
-    assert_eq!(mem_a, mem_b, "final memory diverged [{ctx}]");
-    memo
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -503,18 +441,6 @@ proptest! {
         prop_assert_eq!(adopted.top_regs(), cur.top_regs());
     }
 
-    /// Random straight-line loop bodies behave identically stepped and
-    /// superstepped — live-out registers, event streams (and so cycle
-    /// counts), return values and memory all match.
-    #[test]
-    fn superstep_matches_stepping(
-        body in prop::collection::vec(stmt(), 1..20),
-        trip in 1..12u8,
-        mem_words in 1..32usize,
-    ) {
-        check_superstep_equivalence(&body, trip, mem_words);
-    }
-
     /// The arena-slab cursor is indistinguishable from the legacy
     /// `Vec<Frame>`-of-`Vec<i64>` reference interpreter: registers equal at
     /// every call-stack level after every step, fork and adopt, over
@@ -560,39 +486,6 @@ proptest! {
         prop_assert_eq!(res.ret, Some(v));
         prop_assert_eq!(mem.peek(1), 0);
     }
-}
-
-/// Pinned deterministic case (PR-1 convention: representative shapes from
-/// the property live on as named regressions). The body's memo key is
-/// `{regs[0]}` — `Store` reads its base before anything writes it, and the
-/// preceding `Const` kills `regs[1]` as key material — so every iteration
-/// after the first replays from the memo.
-#[test]
-fn superstep_regression_invariant_key_replays() {
-    let memo = check_superstep_equivalence(&[S::Const(1, 42), S::Store(1, 0, 0)], 10, 8);
-    assert!(
-        memo.hits() >= 9,
-        "loop-invariant key must replay (hits={})",
-        memo.hits()
-    );
-    assert_eq!(memo.aborts(), 0);
-}
-
-/// Pinned deterministic case: a body that loads a word it stored on the
-/// previous iteration with a varying value. The recorded block's load
-/// value goes stale, so replay must verify-and-abort rather than resurrect
-/// the old value.
-#[test]
-fn superstep_regression_stale_load_aborts_not_corrupts() {
-    // regs[1] = regs[0] + regs[3]; store regs[1] → [regs[0]]; load [regs[0]]
-    // → regs[3]: the loaded value changes every iteration.
-    let body = [
-        S::Bin(0, 1, 0, 3),
-        S::Store(1, 0, 0),
-        S::Load(3, 0, 0),
-        S::Const(2, 7),
-    ];
-    check_superstep_equivalence(&body, 9, 8);
 }
 
 /// Pinned stride-boundary case: a register count that is exactly a power

@@ -9,7 +9,7 @@
 //! Each frame scrapes `GET /metrics` (the daemon's `--metrics` HTTP
 //! listener), validates the exposition, and diffs it against the
 //! previous scrape to turn monotone counters into live rates: req/s,
-//! windowed p50/p95/p99 latency, store and superstep hit percentages,
+//! windowed p50/p95/p99 latency, store and memo hit percentages,
 //! per-phase compute milliseconds per second, byte throughput.
 //!
 //! `--once` scrapes a single time, validates, and prints the cumulative
@@ -179,7 +179,6 @@ struct Frame {
     store_rejects: f64,
     memo_hits: f64,
     memo_misses: f64,
-    superstep_ratio: Option<f64>,
     arena_reuse: f64,
     arena_fresh: f64,
     arena_retained: f64,
@@ -207,7 +206,6 @@ impl Frame {
             store_rejects: g("spt_store_rejects_total"),
             memo_hits: scrape.sum("spt_memo_hits_total"),
             memo_misses: scrape.sum("spt_memo_misses_total"),
-            superstep_ratio: scrape.get("spt_superstep_hit_ratio").map(|s| s.value),
             arena_reuse: g("spt_arena_reuse_total"),
             arena_fresh: g("spt_arena_fresh_total"),
             arena_retained: g("spt_arena_retained_bytes"),
@@ -317,10 +315,6 @@ fn render(addr: &str, frame: &Frame, prev: Option<&Frame>, n: u64) -> String {
         fmt_pct(hit_pct(frame.memo_hits, frame.memo_misses)),
         frame.memo_hits,
         frame.memo_misses
-    ));
-    out.push_str(&format!(
-        "  superstep  hit {}\n",
-        fmt_pct(frame.superstep_ratio.map(|r| 100.0 * r))
     ));
     out.push_str(&format!(
         "  arena      reuse {}   reuse {:.0}, fresh {:.0}, retained {:.1} KB\n",

@@ -3,9 +3,9 @@
 //! Two layers share one [`Registry`]:
 //!
 //! * [`SweepMetrics`] — a [`PhaseObserver`] fed by the engine itself:
-//!   per-phase compute time and provenance (computed/memo/store), plus
-//!   superstep memo counters. Also usable standalone (`perf_bench
-//!   --metrics` attaches one to a direct-mode sweep).
+//!   per-phase compute time and provenance (computed/memo/store). Also
+//!   usable standalone (`perf_bench --metrics` attaches one to a
+//!   direct-mode sweep).
 //! * [`ServeMetrics`] — request-plane metrics: latency histograms keyed
 //!   by op and `served` provenance, connection/coalescing gauges, byte
 //!   and error counters, and scrape-time mirrors of the `DiskStore` and
@@ -18,14 +18,14 @@
 
 use spt::sweep::{PhaseObserver, PhaseStamp};
 use spt::Sweep;
-use spt_metrics::{Counter, FCounter, FGauge, Family, Gauge, Histogram, Registry};
+use spt_metrics::{Counter, FCounter, Family, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
 /// The four memoized pipeline phases, as label values.
 const PHASES: [&str; 4] = ["profile", "compile", "baseline_sim", "spt_sim"];
 
 /// Engine-side telemetry: an observer the sweep notifies after every
-/// memoized phase lookup and every evaluated item.
+/// memoized phase lookup.
 pub struct SweepMetrics {
     /// `spt_sweep_phase_ms_total{phase}` — wall-clock milliseconds spent
     /// actually computing each phase (hits add nothing).
@@ -33,10 +33,6 @@ pub struct SweepMetrics {
     /// `spt_sweep_phase_total{phase,provenance}` — lookups by where the
     /// value came from.
     phase_total: Arc<Family<Counter>>,
-    superstep_hits: Arc<Counter>,
-    superstep_misses: Arc<Counter>,
-    /// `spt_superstep_hit_ratio` — cumulative hits/(hits+misses).
-    superstep_ratio: Arc<FGauge>,
 }
 
 impl SweepMetrics {
@@ -53,18 +49,6 @@ impl SweepMetrics {
                 "Memoized phase lookups by provenance (computed/memo/store).",
                 &["phase", "provenance"],
             ),
-            superstep_hits: reg.counter(
-                "spt_superstep_hits_total",
-                "Basic-block superstep memo probes served from the table.",
-            ),
-            superstep_misses: reg.counter(
-                "spt_superstep_misses_total",
-                "Basic-block superstep memo probes that stepped instead.",
-            ),
-            superstep_ratio: reg.fgauge(
-                "spt_superstep_hit_ratio",
-                "Cumulative superstep hit fraction, hits/(hits+misses).",
-            ),
         };
         // Pre-create the per-phase ms series so a scrape of an idle
         // daemon already shows the full (small, closed) label set.
@@ -80,16 +64,6 @@ impl PhaseObserver for SweepMetrics {
         self.phase_total.with(&[phase, stamp.provenance()]).inc();
         if !stamp.hit {
             self.phase_ms.with(&[phase]).add(stamp.ms);
-        }
-    }
-
-    fn superstep(&self, hits: u64, misses: u64) {
-        self.superstep_hits.add(hits);
-        self.superstep_misses.add(misses);
-        let h = self.superstep_hits.get() as f64;
-        let total = h + self.superstep_misses.get() as f64;
-        if total > 0.0 {
-            self.superstep_ratio.set(h / total);
         }
     }
 }
@@ -287,7 +261,7 @@ mod tests {
     use spt_workloads::kernels::array_map;
 
     #[test]
-    fn observer_fills_phase_and_superstep_families() {
+    fn observer_fills_phase_families() {
         let metrics = ServeMetrics::new();
         let mut sweep = Sweep::sequential();
         sweep.set_observer(metrics.sweep_observer());
@@ -320,10 +294,6 @@ mod tests {
             scrape.value("spt_memo_hits_total", &[("phase", "compile")]),
             Some(memo.compile_hits as f64)
         );
-        // Superstepping is on by default at this scale, so the ratio
-        // gauge is populated (any value in [0,1] is fine).
-        let ratio = scrape.get("spt_superstep_hit_ratio").unwrap().value;
-        assert!((0.0..=1.0).contains(&ratio), "ratio={ratio}");
     }
 
     #[test]

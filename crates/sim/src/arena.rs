@@ -4,17 +4,17 @@
 //! architectural [`Memory`], cursor register-file slabs ([`CursorParts`]),
 //! [`CacheSim`] level vectors, pipeline cores (scoreboard frame slots +
 //! predictor tables), the speculative-thread buffer pool ([`SpecBufs`]),
-//! the superstep [`MemoTable`], and a small LRU of [`DecodedProgram`]s —
-//! so a sweep worker can run many (program, config, fuel) items without
-//! reconstructing any of them. Components are *checked out* at run start
-//! (`take_*`) and returned at run end (`put_*`); every checkout either
-//! pops a retained component and resets it, or constructs a fresh one.
+//! and a small LRU of [`DecodedProgram`]s — so a sweep worker can run
+//! many (program, config, fuel) items without reconstructing any of them.
+//! Components are *checked out* at run start (`take_*`) and returned at
+//! run end (`put_*`); every checkout either pops a retained component and
+//! resets it, or constructs a fresh one.
 //!
 //! **Bit-identical by construction:** each component's reset is
 //! observationally equal to fresh construction (epoch/generation bumps
-//! where the structure is stamped — `Ssb`, scoreboard, memo table —
-//! explicit clear+refill elsewhere; see each component's `reset` doc). A
-//! fresh arena's takes all construct fresh state, so `SPT_ARENA=off`
+//! where the structure is stamped — `Ssb`, scoreboard — explicit
+//! clear+refill elsewhere; see each component's `reset` doc). A fresh
+//! arena's takes all construct fresh state, so `SPT_ARENA=off`
 //! (which routes every run through a brand-new arena) shares 100% of the
 //! code path with the default mode — the fallback's equivalence argument
 //! is the empty-arena case of the same functions.
@@ -22,7 +22,7 @@
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, RegSet};
 use crate::ssb::Ssb;
-use spt_interp::{CursorParts, DecodedProgram, Event, MemoTable, Memory};
+use spt_interp::{CursorParts, DecodedProgram, Event, Memory};
 use spt_mach::{CacheSim, MachineConfig};
 use spt_sir::Program;
 use spt_trace::Pipe;
@@ -127,7 +127,6 @@ pub struct SimArena {
     cores: Vec<PipelineCore>,
     cursor_parts: Vec<CursorParts>,
     spec_bufs: Vec<SpecBufs>,
-    memo: Option<MemoTable>,
     /// Retained-bytes figure last published to the global gauge.
     published_bytes: u64,
 }
@@ -244,26 +243,6 @@ impl SimArena {
         self.cursor_parts.push(parts);
     }
 
-    /// Superstep memo table observationally equal to
-    /// [`MemoTable::new`]`(capacity)`.
-    pub fn take_memo(&mut self, capacity: usize) -> MemoTable {
-        match self.memo.take() {
-            Some(mut m) => {
-                Self::reused();
-                m.reset(capacity);
-                m
-            }
-            None => {
-                Self::constructed();
-                MemoTable::new(capacity)
-            }
-        }
-    }
-
-    pub fn put_memo(&mut self, memo: MemoTable) {
-        self.memo = Some(memo);
-    }
-
     /// One retained speculative-thread buffer set, if any. Counted on the
     /// fork path by the caller (a miss there falls through to the
     /// fresh-construction arm, which counts itself).
@@ -294,9 +273,6 @@ impl SimArena {
         }
         for s in &self.spec_bufs {
             b += s.approx_bytes();
-        }
-        if let Some(m) = &self.memo {
-            b += m.approx_bytes();
         }
         b as u64
     }

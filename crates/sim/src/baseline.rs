@@ -25,9 +25,9 @@ pub struct BaselineReport {
     pub ret: Option<i64>,
     pub steps: u64,
     pub out_of_fuel: bool,
-    /// Block-superstep memo hits/misses (0 when superstepping is off or
-    /// the run is traced; see `MachineConfig::superstep`).
+    /// Always 0: the block memo is gone, but the benchmark crate reads it.
     pub superstep_hits: u64,
+    /// Always 0: the block memo is gone, but the benchmark crate reads it.
     pub superstep_misses: u64,
 }
 
@@ -129,23 +129,9 @@ fn baseline_core(
     let mut cur = Cursor::at_entry_in(dec, arena.take_cursor_parts());
     let mut tracker = LoopCycleTracker::new(annots);
 
-    // Superstepping is bit-identical by construction but bypassed on
-    // traced runs so the trace layer sees the interpreter's native path.
     let traced = sink.enabled();
-    let mut memo =
-        (cfg.superstep && !traced).then(|| arena.take_memo(dec.n_flat_blocks() as usize));
     let mut steps = 0u64;
     while steps < max_steps {
-        if let Some(memo) = memo.as_mut() {
-            // The memo only exists on untraced runs: quiet issue.
-            let n = cur.superstep(&mut mem, memo, max_steps - steps, &mut |ev| {
-                core.step_issue_quiet(ev, &mut cache, cfg, &mut tracker);
-            });
-            if n > 0 {
-                steps += n;
-                continue;
-            }
-        }
         let Some(ev) = cur.step(&mut mem) else { break };
         steps += 1;
         if traced {
@@ -168,16 +154,13 @@ fn baseline_core(
         ret: cur.return_value(),
         steps,
         out_of_fuel: !cur.is_halted(),
-        superstep_hits: memo.as_ref().map_or(0, |m| m.hits()),
-        superstep_misses: memo.as_ref().map_or(0, |m| m.misses()),
+        superstep_hits: 0,
+        superstep_misses: 0,
     };
 
     arena.put_cursor_parts(cur.into_parts());
     arena.put_core(core);
     arena.put_cache(cache);
-    if let Some(m) = memo {
-        arena.put_memo(m);
-    }
     arena.publish_retained();
     (report, mem)
 }

@@ -369,17 +369,66 @@ mod tests {
         );
     }
 
+    /// The unfiltered check: every live-in pair whose fork-time value
+    /// differs from `now`. `dirty_value_check` must agree with it
+    /// whenever the dirty mask covers every changed register.
+    fn full_compare(live: &[(u32, i64)], now: &[i64]) -> Vec<u32> {
+        let mut v = RegSet::new();
+        for &(r, fv) in live {
+            if fv != now[r as usize] {
+                v.insert(r);
+            }
+        }
+        v.iter().collect()
+    }
+
     #[test]
     fn dirty_value_check_matches_full_compare() {
+        use proptest::prelude::*;
+
+        // Pinned input: an all-dirty mask, and a mask covering exactly the
+        // changed registers (the cursor invariant: changed ⊆ dirty).
         let now = [1i64, 9, 3, 8, 5];
         let live = [(0u32, 1i64), (1, 2), (3, 4), (4, 5)];
-        // All-dirty mask ⇒ identical to the full per-live-in compare.
-        let v = dirty_value_check(&[!0u64], &live, &now);
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![1, 3]);
-        // A mask covering exactly the written registers (the cursor
-        // invariant: changed ⊆ dirty) yields the same violation set.
-        let v2 = dirty_value_check(&[0b01010], &live, &now);
-        assert_eq!(v2.iter().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(full_compare(&live, &now), vec![1, 3]);
+        for mask in [!0u64, 0b01010] {
+            let v = dirty_value_check(&[mask], &live, &now);
+            assert_eq!(v.iter().collect::<Vec<_>>(), vec![1, 3]);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            fn random_cases(
+                now in prop::collection::vec(-3..3i64, 1..200),
+                picks in prop::collection::vec((0..200u32, any::<bool>(), -3..3i64), 0..40),
+                noise in prop::collection::vec(any::<u64>(), 0..5),
+            ) {
+                // Live-in pairs over registers of `now`; about half keep
+                // their fork-time value, the rest draw a (possibly equal)
+                // new one.
+                let live: Vec<(u32, i64)> = picks
+                    .iter()
+                    .map(|&(r, same, v)| {
+                        let r = r % now.len() as u32;
+                        (r, if same { now[r as usize] } else { v })
+                    })
+                    .collect();
+                // Dirty mask: random extra bits over every changed register.
+                let mut dirty = noise.clone();
+                for &(r, fv) in &live {
+                    if fv != now[r as usize] {
+                        let w = (r / 64) as usize;
+                        if dirty.len() <= w {
+                            dirty.resize(w + 1, 0);
+                        }
+                        dirty[w] |= 1 << (r % 64);
+                    }
+                }
+                let got: Vec<u32> = dirty_value_check(&dirty, &live, &now).iter().collect();
+                prop_assert_eq!(got, full_compare(&live, &now));
+            }
+        }
+        random_cases();
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::recovery::policy_for;
 use crate::specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 use crate::ssb::{SpecMem, Ssb};
 use spt_interp::{Cursor, DecodedProgram, EvKind, Event, Memory};
-use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy, RegFileMode};
+use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy};
 use spt_sir::{BlockId, FuncId, Op, Program, Reg};
 use spt_trace::{NullSink, Pipe, StderrSink, TraceEvent, TraceSink};
 
@@ -87,10 +87,9 @@ pub struct SptReport {
     pub ret: Option<i64>,
     pub steps: u64,
     pub out_of_fuel: bool,
-    /// Main-thread block-superstep memo hits/misses (0 when superstepping
-    /// is off or the run is traced; speculative cursors always bypass the
-    /// memo — see `MachineConfig::superstep`).
+    /// Always 0: the block memo is gone, but the benchmark crate reads it.
     pub superstep_hits: u64,
+    /// Always 0: the block memo is gone, but the benchmark crate reads it.
     pub superstep_misses: u64,
 }
 
@@ -598,11 +597,6 @@ impl<'p> SptSim<'p> {
             })
             .collect();
 
-        // Superstepping: main-thread-only (speculative cursors bypass the
-        // memo entirely), bypassed on traced runs so the trace layer sees
-        // the interpreter's native path. Bit-identical by construction.
-        let mut memo = (cfg.superstep && !sink.enabled())
-            .then(|| arena.take_memo(self.dec.n_flat_blocks() as usize));
         let mut steps = 0u64;
         let mut forks = 0u64;
         let mut forks_ignored = 0u64;
@@ -874,25 +868,6 @@ impl<'p> SptSim<'p> {
                     }
                 }
 
-                // Main pipeline: with no live speculative threads there is no
-                // arrival/park/post-fork bookkeeping to interleave, so whole
-                // memoized blocks can be superstepped (memo blocks contain no
-                // fork/kill/call/ret by classification). `memo_candidate`
-                // screens out the common no-fast-path probes (mid-block or
-                // unmemoizable positions) before the call.
-                if spec.is_empty() && main.memo_candidate() {
-                    if let Some(memo) = memo.as_mut() {
-                        // The memo only exists on untraced runs: quiet issue.
-                        let n = main.superstep(&mut mem, memo, max_steps - steps, &mut |ev| {
-                            main_core.step_issue_quiet(ev, &mut cache, cfg, &mut tracker);
-                        });
-                        if n > 0 {
-                            steps += n;
-                            continue 'outer;
-                        }
-                    }
-                }
-
                 // Main pipeline executes one step.
                 let Some(ev) = main.step(&mut mem) else {
                     break 'outer;
@@ -1066,8 +1041,8 @@ impl<'p> SptSim<'p> {
             ret: main.return_value(),
             steps,
             out_of_fuel: !main.is_halted() && steps >= max_steps,
-            superstep_hits: memo.as_ref().map_or(0, |m| m.hits()),
-            superstep_misses: memo.as_ref().map_or(0, |m| m.misses()),
+            superstep_hits: 0,
+            superstep_misses: 0,
         };
 
         // Retire every reusable component into the arena (memory goes back
@@ -1085,9 +1060,6 @@ impl<'p> SptSim<'p> {
             arena.put_core(c);
         }
         arena.put_cache(cache);
-        if let Some(m) = memo {
-            arena.put_memo(m);
-        }
         arena.publish_retained();
         (report, mem)
     }
@@ -1237,29 +1209,15 @@ impl<'p> SptSim<'p> {
         let violated_regs: RegSet = match cfg.reg_check {
             RegCheckPolicy::MarkBased => sp.live_in_reads.intersection(&sp.post_fork_writes),
             RegCheckPolicy::ValueBased => {
-                let now = main.regs_at(sp.fork_level);
-                match cfg.regfile {
-                    RegFileMode::Arena => {
-                        // The fork-level dirty mask was cleared at the
-                        // fork, so only registers in dirty words can hold
-                        // a value differing from the captured fork-time
-                        // one; a clean frame compares nothing.
-                        crate::specset::dirty_value_check(
-                            main.dirty_words_at(sp.fork_level),
-                            &sp.live_in_vals,
-                            now,
-                        )
-                    }
-                    RegFileMode::Legacy => {
-                        let mut v = RegSet::new();
-                        for &(r, fv) in &sp.live_in_vals {
-                            if fv != now[r as usize] {
-                                v.insert(r);
-                            }
-                        }
-                        v
-                    }
-                }
+                // The fork-level dirty mask was cleared at the fork, so
+                // only registers in dirty words can hold a value differing
+                // from the captured fork-time one; a clean frame compares
+                // nothing.
+                crate::specset::dirty_value_check(
+                    main.dirty_words_at(sp.fork_level),
+                    &sp.live_in_vals,
+                    main.regs_at(sp.fork_level),
+                )
             }
         };
         let violated = !violated_regs.is_empty() || !sp.violated_addrs.is_empty();
@@ -1293,30 +1251,15 @@ impl<'p> SptSim<'p> {
             // A committing cursor that ran through the outermost `ret` has
             // already popped the fork-level frame — adopt it wholesale and
             // skip the merge (there is no frame left to blend into).
-            match cfg.regfile {
-                RegFileMode::Arena => {
-                    // Blend main's values into the committing cursor first,
-                    // then adopt it wholesale — same result as the legacy
-                    // adopt-then-restore without the per-commit register
-                    // snapshot allocation.
-                    if sp.fork_level < sp.cursor.depth() {
-                        sp.cursor
-                            .merge_frame_from(main, sp.fork_level, sp.spec_written.words());
-                    }
-                    main.adopt(&sp.cursor);
-                }
-                RegFileMode::Legacy => {
-                    let main_regs = main.regs_at(sp.fork_level).to_vec();
-                    main.adopt(&sp.cursor);
-                    if sp.fork_level < main.depth() {
-                        for (r, v) in main_regs.iter().enumerate() {
-                            if !sp.spec_written.contains(r as u32) {
-                                main.set_reg_at(sp.fork_level, r, *v);
-                            }
-                        }
-                    }
-                }
+            //
+            // Main's values are blended into the committing cursor first,
+            // then it is adopted wholesale, so no per-commit register
+            // snapshot is needed.
+            if sp.fork_level < sp.cursor.depth() {
+                sp.cursor
+                    .merge_frame_from(main, sp.fork_level, sp.spec_written.words());
             }
+            main.adopt(&sp.cursor);
             *fast_commits += 1;
             if let Some(li) = sp.loop_idx {
                 per_loop[li].fast_commits += 1;
@@ -2043,40 +1986,68 @@ mod tests {
     }
 
     #[test]
-    fn arena_and_legacy_regfile_bit_identical() {
-        // The slab layout with dirty-word checks and in-place merges must be
-        // indistinguishable from the legacy compare/snapshot-restore paths:
-        // same cycles, instructions, outcome counters, and return value on
-        // fast-commit-heavy, replay-heavy, and memory-violating loops at
-        // every ring width.
-        let cases: Vec<(&str, Program, LoopAnnotations)> = {
+    fn ring_loops_match_sequential_oracle_and_pinned_counters() {
+        // Fast-commit-heavy, replay-heavy and memory-violating loops at
+        // every ring width: the architectural outcome must equal the
+        // sequential interpreter's, and the timing and outcome counters
+        // are pinned (cycles, instrs, forks, fast commits, replays, kills,
+        // misspeculated instructions).
+        type Pinned = [u64; 7];
+        let cases: Vec<(&str, Program, LoopAnnotations, [Pinned; 3])> = {
             let (p1, a1) = parallel_loop(60, 8);
             let (p2, a2) = serial_loop(50, 6);
             let (p3, a3) = chained_store_loop();
             vec![
-                ("parallel", p1, a1),
-                ("serial", p2, a2),
-                ("chained-store", p3, a3),
+                (
+                    "parallel",
+                    p1,
+                    a1,
+                    [
+                        [518, 575, 30, 30, 0, 0, 0],
+                        [309, 157, 41, 40, 0, 1, 0],
+                        [254, 22, 49, 48, 0, 0, 0],
+                    ],
+                ),
+                (
+                    "serial",
+                    p2,
+                    a2,
+                    [
+                        [782, 1156, 25, 0, 25, 0, 275],
+                        [782, 1156, 75, 0, 25, 50, 275],
+                        [782, 1156, 175, 0, 25, 150, 275],
+                    ],
+                ),
+                (
+                    "chained-store",
+                    p3,
+                    a3,
+                    [
+                        [248, 407, 2, 0, 1, 1, 114],
+                        [385, 316, 55, 13, 13, 29, 37],
+                        [385, 316, 72, 13, 13, 46, 37],
+                    ],
+                ),
             ]
         };
-        for (name, prog, annots) in &cases {
-            for cores in [2usize, 4, 8] {
-                let mut arena = cfg_with_cores(cores);
-                arena.regfile = RegFileMode::Arena;
-                let mut legacy = cfg_with_cores(cores);
-                legacy.regfile = RegFileMode::Legacy;
-                let ra = SptSim::new(prog, arena, annots.clone()).run(FUEL);
-                let rl = SptSim::new(prog, legacy, annots.clone()).run(FUEL);
+        for (name, prog, annots, pinned) in &cases {
+            let (seq, seq_mem) = spt_interp::run_with(prog, FUEL, |_| {});
+            for (cores, want) in [2usize, 4, 8].into_iter().zip(pinned) {
+                let (r, mem) =
+                    SptSim::new(prog, cfg_with_cores(cores), annots.clone()).run_with_memory(FUEL);
                 let ctx = format!("{name} @ {cores} cores");
-                assert_eq!(ra.ret, rl.ret, "{ctx}: ret");
-                assert_eq!(ra.cycles, rl.cycles, "{ctx}: cycles");
-                assert_eq!(ra.instrs, rl.instrs, "{ctx}: instrs");
-                assert_eq!(ra.steps, rl.steps, "{ctx}: steps");
-                assert_eq!(ra.forks, rl.forks, "{ctx}: forks");
-                assert_eq!(ra.fast_commits, rl.fast_commits, "{ctx}: fast commits");
-                assert_eq!(ra.replays, rl.replays, "{ctx}: replays");
-                assert_eq!(ra.kills, rl.kills, "{ctx}: kills");
-                assert_eq!(ra.spec_misspec, rl.spec_misspec, "{ctx}: misspec");
+                assert_eq!(r.ret, seq.ret, "{ctx}: ret");
+                assert_eq!(mem, seq_mem, "{ctx}: final memory");
+                let got = [
+                    r.cycles,
+                    r.instrs,
+                    r.forks,
+                    r.fast_commits,
+                    r.replays,
+                    r.kills,
+                    r.spec_misspec,
+                ];
+                assert_eq!(&got, want, "{ctx}: pinned counters");
             }
         }
     }

@@ -307,8 +307,7 @@ impl Sweep {
                 spt_cycles: Some(rep.cycles),
                 speedup: Some(speedup),
                 semantics_ok: None,
-                superstep_hits: base.superstep_hits + rep.superstep_hits,
-                superstep_misses: base.superstep_misses + rep.superstep_misses,
+                ..Default::default()
             };
             (speedup, record)
         });
@@ -379,8 +378,7 @@ impl Sweep {
                 spt_cycles: Some(rep.cycles),
                 speedup: Some(speedup),
                 semantics_ok: None,
-                superstep_hits: base.superstep_hits + rep.superstep_hits,
-                superstep_misses: base.superstep_misses + rep.superstep_misses,
+                ..Default::default()
             };
             (speedup, record)
         });
@@ -444,8 +442,7 @@ impl Sweep {
                 spt_cycles: Some(rep.cycles),
                 speedup: Some(speedup),
                 semantics_ok: None,
-                superstep_hits: base.superstep_hits + rep.superstep_hits,
-                superstep_misses: base.superstep_misses + rep.superstep_misses,
+                ..Default::default()
             };
             ((label.clone(), speedup), record)
         });

@@ -45,8 +45,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Version of the on-disk entry encoding. Entries written under any other
 /// version read as misses.
 ///
-/// v2: report payloads gained `superstep_hits` / `superstep_misses`.
-pub const STORE_SCHEMA: u32 = 2;
+/// v2: report payloads gained the block-memo hit/miss counters.
+/// v3: those counters left the payloads with the memo itself, and
+/// `MachineConfig` lost two fields, so every config-derived key changed.
+pub const STORE_SCHEMA: u32 = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -298,7 +300,8 @@ fn ret_from(j: &Json) -> Option<Option<i64>> {
     }
 }
 
-/// Encode a [`BaselineReport`] with every field (store payload form).
+/// Encode a [`BaselineReport`] with every field but the two always-zero
+/// memo counters (store payload form).
 pub fn baseline_report_json(r: &BaselineReport) -> Json {
     Json::obj()
         .with("cycles", r.cycles)
@@ -312,8 +315,6 @@ pub fn baseline_report_json(r: &BaselineReport) -> Json {
         .with("ret", ret_json(r.ret))
         .with("steps", r.steps)
         .with("out_of_fuel", r.out_of_fuel)
-        .with("superstep_hits", r.superstep_hits)
-        .with("superstep_misses", r.superstep_misses)
 }
 
 /// Decode a [`BaselineReport`]; `None` on any missing or mistyped field.
@@ -330,8 +331,8 @@ pub fn baseline_report_from_json(j: &Json) -> Option<BaselineReport> {
         ret: ret_from(j.get("ret")?)?,
         steps: j.get("steps")?.as_u64()?,
         out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
-        superstep_hits: j.get("superstep_hits")?.as_u64()?,
-        superstep_misses: j.get("superstep_misses")?.as_u64()?,
+        superstep_hits: 0,
+        superstep_misses: 0,
     })
 }
 
@@ -383,7 +384,8 @@ fn per_core_from(j: &Json) -> Option<PerCoreStats> {
     })
 }
 
-/// Encode an [`SptReport`] with every field (store payload form).
+/// Encode an [`SptReport`] with every field but the two always-zero memo
+/// counters (store payload form).
 pub fn spt_report_json(r: &SptReport) -> Json {
     Json::obj()
         .with("cycles", r.cycles)
@@ -412,8 +414,6 @@ pub fn spt_report_json(r: &SptReport) -> Json {
         .with("ret", ret_json(r.ret))
         .with("steps", r.steps)
         .with("out_of_fuel", r.out_of_fuel)
-        .with("superstep_hits", r.superstep_hits)
-        .with("superstep_misses", r.superstep_misses)
 }
 
 /// Decode an [`SptReport`]; `None` on any missing or mistyped field.
@@ -449,8 +449,8 @@ pub fn spt_report_from_json(j: &Json) -> Option<SptReport> {
         ret: ret_from(j.get("ret")?)?,
         steps: j.get("steps")?.as_u64()?,
         out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
-        superstep_hits: j.get("superstep_hits")?.as_u64()?,
-        superstep_misses: j.get("superstep_misses")?.as_u64()?,
+        superstep_hits: 0,
+        superstep_misses: 0,
     })
 }
 

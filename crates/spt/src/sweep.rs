@@ -108,7 +108,7 @@ impl PhaseStamp {
     }
 }
 
-/// Observer hook for phase completions and superstep memo activity.
+/// Observer hook for phase completions.
 ///
 /// Strictly one-way: implementations receive copies of observability
 /// data (names, stamps, counters) and cannot feed anything back into
@@ -120,12 +120,6 @@ pub trait PhaseObserver: Send + Sync {
     /// `"profile"`, `"compile"`, `"baseline_sim"`, `"spt_sim"` (the
     /// `MemoStats` JSON keys).
     fn phase_done(&self, phase: &'static str, stamp: PhaseStamp);
-
-    /// Superstep memo counters for one evaluated work item (zeros when
-    /// superstepping is off or both sim phases were cache hits).
-    fn superstep(&self, hits: u64, misses: u64) {
-        let _ = (hits, misses);
-    }
 }
 
 /// One phase's memo table. `Arc<OnceLock<..>>` guarantees at-most-once
@@ -333,10 +327,9 @@ pub struct BenchRecord {
     pub spt_cycles: Option<u64>,
     pub speedup: Option<f64>,
     pub semantics_ok: Option<bool>,
-    /// Block-superstep memo activity summed over this item's baseline and
-    /// SPT simulations (0 when superstepping is off or both phases were
-    /// cache hits — a hit replays a stored report and simulates nothing).
+    /// Always 0: the block memo is gone, but the benchmark crate sets it.
     pub superstep_hits: u64,
+    /// Always 0: the block memo is gone, but the benchmark crate sets it.
     pub superstep_misses: u64,
 }
 
@@ -362,10 +355,7 @@ impl BenchRecord {
             spt_cycles: opt_u64("spt_cycles"),
             speedup: j.get("speedup").and_then(Json::as_f64),
             semantics_ok: j.get("semantics_ok").and_then(Json::as_bool),
-            // Absent in records serialized before the superstep fields
-            // existed: read as 0 rather than failing the whole record.
-            superstep_hits: opt_u64("superstep_hits").unwrap_or(0),
-            superstep_misses: opt_u64("superstep_misses").unwrap_or(0),
+            ..Default::default()
         })
     }
 }
@@ -387,8 +377,6 @@ impl ToJson for BenchRecord {
             .with("spt_cycles", self.spt_cycles)
             .with("speedup", self.speedup)
             .with("semantics_ok", self.semantics_ok)
-            .with("superstep_hits", self.superstep_hits)
-            .with("superstep_misses", self.superstep_misses)
     }
 }
 
@@ -440,21 +428,6 @@ impl RunReport {
                 b + s
             })
             .sum()
-    }
-
-    /// Fraction of superstep memo probes served from the table across all
-    /// records, `hits / (hits + misses)`; 0.0 when superstepping was off
-    /// or nothing simulated. Timing-adjacent observability — like
-    /// `wall_ms` it stays out of [`RunReport::deterministic_json`], though
-    /// unlike `wall_ms` it is in fact deterministic for a fixed config.
-    pub fn superstep_hit_rate(&self) -> f64 {
-        let hits: u64 = self.records.iter().map(|r| r.superstep_hits).sum();
-        let total: u64 = hits + self.records.iter().map(|r| r.superstep_misses).sum::<u64>();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Simulator throughput: executed simulated cycles per wall-clock
@@ -539,7 +512,6 @@ impl ToJson for RunReport {
             .with("compute_ms", self.compute_ms())
             .with("total_sim_cycles", self.total_sim_cycles())
             .with("sim_cycles_per_sec", self.sim_cycles_per_sec())
-            .with("superstep_hit_rate", self.superstep_hit_rate())
             .with("cache", self.cache.to_json())
             .with(
                 "records",
@@ -847,12 +819,8 @@ impl Sweep {
             spt_cycles: Some(outcome.spt.cycles),
             speedup: Some(outcome.speedup()),
             semantics_ok: Some(outcome.semantics_ok()),
-            superstep_hits: outcome.baseline.superstep_hits + outcome.spt.superstep_hits,
-            superstep_misses: outcome.baseline.superstep_misses + outcome.spt.superstep_misses,
+            ..Default::default()
         };
-        if let Some(obs) = &self.observer {
-            obs.superstep(record.superstep_hits, record.superstep_misses);
-        }
         (outcome, record)
     }
 
@@ -965,8 +933,6 @@ mod tests {
                 speedup: Some(1.25),
                 baseline_cycles: Some(3000),
                 spt_cycles: Some(1500),
-                superstep_hits: 3,
-                superstep_misses: 1,
                 ..Default::default()
             }],
             cache: MemoStats::default(),
@@ -979,22 +945,14 @@ mod tests {
             "\"wall_ms\":1.5",
             "\"total_sim_cycles\":4500",
             "\"sim_cycles_per_sec\":3000000",
-            // Block-superstep memo observability: aggregate hit rate at the
-            // report level, raw counters per record.
-            "\"superstep_hit_rate\":0.75",
             "\"cache\":",
             "\"profile\":{\"hits\":0,\"misses\":0}",
             "\"records\":",
             "\"speedup\":1.25",
-            "\"superstep_hits\":3",
-            "\"superstep_misses\":1",
             "\"timings\":",
         ] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
-        // The timing-free projection diffed by CI must not grow
-        // environment-sensitive keys.
-        assert!(!rep.deterministic_json().dump().contains("superstep"));
     }
 
     #[test]
@@ -1002,7 +960,6 @@ mod tests {
         #[derive(Default)]
         struct Probe {
             events: Mutex<Vec<(&'static str, &'static str)>>,
-            superstep: AtomicU64,
         }
         impl PhaseObserver for Probe {
             fn phase_done(&self, phase: &'static str, stamp: PhaseStamp) {
@@ -1010,9 +967,6 @@ mod tests {
                     .lock()
                     .unwrap()
                     .push((phase, stamp.provenance()));
-            }
-            fn superstep(&self, hits: u64, misses: u64) {
-                self.superstep.fetch_add(hits + misses, Ordering::Relaxed);
             }
         }
 

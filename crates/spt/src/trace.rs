@@ -596,9 +596,7 @@ impl Sweep {
             spt_cycles: Some(outcome.spt.cycles),
             speedup: Some(outcome.speedup()),
             semantics_ok: Some(outcome.semantics_ok()),
-            // Traced runs bypass the superstep memo by design.
-            superstep_hits: 0,
-            superstep_misses: 0,
+            ..Default::default()
         };
         (
             TraceRun {

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use spt::{original_annotations, spt_annotations, CompileOptions, MachineConfig};
 use spt_compiler::compile;
-use spt_interp::{run_with, Cursor, DecodedProgram, MemoTable, Memory};
+use spt_interp::{run_with, Memory};
 use spt_sim::{simulate_baseline_with_memory, SptSim};
 use spt_sir::{BinOp, Program, ProgramBuilder, Reg};
 
@@ -167,43 +167,6 @@ fn store_trace(prog: &Program, fuel: u64) -> (Option<i64>, Vec<i64>, Vec<(u64, i
     (res.ret, words(&mem), stores)
 }
 
-/// Like [`store_trace`], but the cursor supersteps through a block memo
-/// wherever possible (superstep-on interpretation of the same program).
-fn superstepped_store_trace(prog: &Program, fuel: u64) -> (Option<i64>, Vec<i64>, Vec<(u64, i64)>) {
-    let dec = DecodedProgram::new(prog);
-    let mut cur = Cursor::at_entry(&dec);
-    let mut mem = Memory::for_program(prog);
-    let mut memo = MemoTable::new(dec.n_flat_blocks() as usize);
-    let mut stores = Vec::new();
-    let mut steps = 0u64;
-    while steps < fuel {
-        let n = cur.superstep(&mut mem, &mut memo, fuel - steps, &mut |ev| {
-            if ev.executed {
-                if let Some(m) = ev.mem {
-                    if m.is_store {
-                        stores.push((m.addr, m.value));
-                    }
-                }
-            }
-        });
-        if n > 0 {
-            steps += n;
-            continue;
-        }
-        let Some(ev) = cur.step(&mut mem) else { break };
-        steps += 1;
-        if ev.executed {
-            if let Some(m) = ev.mem {
-                if m.is_store {
-                    stores.push((m.addr, m.value));
-                }
-            }
-        }
-    }
-    assert!(cur.is_halted(), "superstepped run must terminate");
-    (cur.return_value(), words(&mem), stores)
-}
-
 /// The full oracle on one concrete program.
 ///
 /// `ctx` (the generated body and trip count, `Debug`-printed) is woven
@@ -229,50 +192,16 @@ fn check_differential(body: &[Stmt], trip: u8) {
         "transformed store stream diverged [{ctx}]"
     );
 
-    // Stage 1b: superstep-on interpretation (block memo replay) of both
-    // programs is indistinguishable from stepping: same return value, same
-    // memory image, same architecturally-executed store stream.
-    let (ss_ret, ss_mem, ss_stores) = superstepped_store_trace(&prog, FUEL);
-    assert_eq!(
-        ss_ret, ref_ret,
-        "superstepped return value diverged [{ctx}]"
-    );
-    assert_eq!(
-        ss_mem, ref_mem,
-        "superstepped final memory diverged [{ctx}]"
-    );
-    assert_eq!(
-        ss_stores, ref_stores,
-        "superstepped store stream diverged [{ctx}]"
-    );
-    let (ss_ret, ss_mem, ss_stores) = superstepped_store_trace(&compiled.program, FUEL);
-    assert_eq!(
-        ss_ret, t_ret,
-        "superstepped transformed return value diverged [{ctx}]"
-    );
-    assert_eq!(
-        ss_mem, t_mem,
-        "superstepped transformed memory diverged [{ctx}]"
-    );
-    assert_eq!(
-        ss_stores, t_stores,
-        "superstepped transformed store stream diverged [{ctx}]"
-    );
-
     // Stage 2: the SPT fabric on the transformed program, at every fabric
-    // width, with block superstepping both on and off. N=2 is the paper
-    // machine; wider rings must commit the same architectural state, and
-    // the superstep toggle must not change a single reported number.
+    // width. N=2 is the paper machine; wider rings must commit the same
+    // architectural state.
     let machine = MachineConfig::default();
     let annots = spt_annotations(&compiled);
     for cores in [2usize, 4, 8] {
-        let mut m_on = machine.clone();
-        m_on.cores = cores;
-        m_on.superstep = true;
-        let mut m_off = m_on.clone();
-        m_off.superstep = false;
+        let mut m = machine.clone();
+        m.cores = cores;
         let (spt_rep, spt_mem) =
-            SptSim::new(&compiled.program, m_on, annots.clone()).run_with_memory(FUEL);
+            SptSim::new(&compiled.program, m, annots.clone()).run_with_memory(FUEL);
         assert!(
             !spt_rep.out_of_fuel,
             "SPT simulation must terminate (cores={cores}) [{ctx}]"
@@ -285,42 +214,6 @@ fn check_differential(body: &[Stmt], trip: u8) {
             words(&spt_mem),
             ref_mem,
             "SPT-committed memory diverged (cores={cores}) [{ctx}]"
-        );
-        let (off_rep, off_mem) =
-            SptSim::new(&compiled.program, m_off, annots.clone()).run_with_memory(FUEL);
-        assert_eq!(
-            (off_rep.cycles, off_rep.instrs, off_rep.ret),
-            (spt_rep.cycles, spt_rep.instrs, spt_rep.ret),
-            "superstep toggle changed timing or result (cores={cores}) [{ctx}]"
-        );
-        assert_eq!(
-            (
-                off_rep.forks,
-                off_rep.fast_commits,
-                off_rep.replays,
-                off_rep.kills,
-                off_rep.divergence_kills,
-                off_rep.spec_misspec,
-            ),
-            (
-                spt_rep.forks,
-                spt_rep.fast_commits,
-                spt_rep.replays,
-                spt_rep.kills,
-                spt_rep.divergence_kills,
-                spt_rep.spec_misspec,
-            ),
-            "superstep toggle changed speculation counters (cores={cores}) [{ctx}]"
-        );
-        assert_eq!(
-            words(&off_mem),
-            words(&spt_mem),
-            "superstep toggle changed committed memory (cores={cores}) [{ctx}]"
-        );
-        assert_eq!(
-            (off_rep.superstep_hits, off_rep.superstep_misses),
-            (0, 0),
-            "superstep-off run must not touch the memo (cores={cores}) [{ctx}]"
         );
     }
 
@@ -359,21 +252,8 @@ fn check_differential(body: &[Stmt], trip: u8) {
         !bytes_a.contains("ring_fork"),
         "N=2 must never emit ring forks [{ctx}]"
     );
-    // Trace bytes — and thus any fold of them — are identical whether the
-    // superstep flag is up or down (traced runs bypass the memo entirely).
-    let mut m_off = machine.clone();
-    m_off.superstep = !machine.superstep;
-    let sim_off = SptSim::new(&compiled.program, m_off, annots.clone());
-    let mut sink_c = spt_trace::RingBufferSink::unbounded();
-    let _ = sim_off.run_traced(FUEL, &mut sink_c);
-    let bytes_c: String = sink_c.records().map(spt_trace::jsonl).collect();
-    assert_eq!(
-        bytes_a, bytes_c,
-        "superstep toggle changed trace bytes [{ctx}]"
-    );
 
-    // Stage 3: the baseline timing model on the original program, with the
-    // superstep toggle in both positions.
+    // Stage 3: the baseline timing model on the original program.
     let base_annots = original_annotations(&prog, &compiled);
     let (base_rep, base_mem) = simulate_baseline_with_memory(&prog, &machine, &base_annots, FUEL);
     assert!(
@@ -388,24 +268,6 @@ fn check_differential(body: &[Stmt], trip: u8) {
         words(&base_mem),
         ref_mem,
         "baseline final memory diverged [{ctx}]"
-    );
-    let mut m_off = machine.clone();
-    m_off.superstep = false;
-    let (off_rep, off_mem) = simulate_baseline_with_memory(&prog, &m_off, &base_annots, FUEL);
-    assert_eq!(
-        (off_rep.cycles, off_rep.instrs, off_rep.ret),
-        (base_rep.cycles, base_rep.instrs, base_rep.ret),
-        "superstep toggle changed baseline timing or result [{ctx}]"
-    );
-    assert_eq!(
-        words(&off_mem),
-        words(&base_mem),
-        "superstep toggle changed baseline memory [{ctx}]"
-    );
-    assert_eq!(
-        (off_rep.superstep_hits, off_rep.superstep_misses),
-        (0, 0),
-        "superstep-off baseline must not touch the memo [{ctx}]"
     );
 }
 
