@@ -17,10 +17,15 @@ use spt::report::{
     render_fig1, render_fig5, render_fig6, render_fig7, render_fig8, render_fig9, render_fig_scale,
     render_table1,
 };
+use spt::store::fnv1a;
 use spt::trace::chrome_trace;
 use spt::{MachineConfig, RunConfig, Sweep};
+use spt_compiler::candidate_keys;
+use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
 use spt_workloads::kernels::svp_loop;
-use spt_workloads::{benchmark, Scale};
+use spt_workloads::{benchmark, Scale, BENCHMARK_NAMES};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Debug;
 use std::path::PathBuf;
 
 fn results_dir() -> PathBuf {
@@ -130,6 +135,74 @@ fn results_match_goldens() {
     assert!(
         stale.is_empty(),
         "stale goldens: {stale:?} — refresh with \
+         `UPDATE_GOLDENS=1 cargo test -p spt-bench --test goldens`"
+    );
+}
+
+/// `m` with its keys in order, so its `Debug` rendering is deterministic.
+fn sorted<K: Ord, V>(m: &HashMap<K, V>) -> BTreeMap<&K, &V> {
+    m.iter().collect()
+}
+
+fn render_program_profile(p: &ProgramProfile) -> String {
+    format!(
+        "total={} ret={:?} out_of_fuel={}\nloops={:?}\nguards={:?}\nbranches={:?}\n\
+         func_calls={:?}\nfunc_instrs={:?}\n",
+        p.total_instrs,
+        p.ret,
+        p.out_of_fuel,
+        sorted(&p.loops),
+        sorted(&p.guards),
+        sorted(&p.branches),
+        sorted(&p.func_calls),
+        sorted(&p.func_instrs),
+    )
+}
+
+fn render_dep_profile(d: &DepProfile) -> String {
+    let mut out = String::new();
+    for (key, l) in sorted(&d.loops) {
+        out.push_str(&format!(
+            "{key:?} iterations={}\nreg_deps={:?}\nmem_deps={:?}\nvalues={:?}\n",
+            l.iterations,
+            sorted(&l.reg_deps),
+            sorted(&l.mem_deps),
+            sorted(&l.values),
+        ));
+    }
+    out
+}
+
+fn digest(x: &impl Debug) -> String {
+    format!(
+        "{:016x}",
+        fnv1a(0xcbf2_9ce4_8422_2325, format!("{x:?}").as_bytes())
+    )
+}
+
+/// Pins the profilers' output: every suite benchmark's whole-program
+/// profile and the dependence profile of its compile candidates, rendered
+/// with all maps sorted and hashed. A profiler optimization must leave
+/// these digests byte-identical.
+#[test]
+fn profile_digests_match() {
+    let opts = RunConfig::default().compile;
+    let mut lines = String::new();
+    for name in BENCHMARK_NAMES {
+        let w = benchmark(name, Scale::Test);
+        let profile = profile_program(&w.program, opts.profile_fuel);
+        let keys = candidate_keys(&w.program, &opts, &profile);
+        let deps = profile_loops(&w.program, &keys, opts.profile_fuel);
+        lines.push_str(&format!(
+            "{name} candidates={} profile={} deps={}\n",
+            keys.len(),
+            digest(&render_program_profile(&profile)),
+            digest(&render_dep_profile(&deps)),
+        ));
+    }
+    assert!(
+        check("profile_digests.txt", &lines).is_none(),
+        "stale profile digests — refresh with \
          `UPDATE_GOLDENS=1 cargo test -p spt-bench --test goldens`"
     );
 }

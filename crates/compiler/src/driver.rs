@@ -9,6 +9,13 @@
 //! Pass 2: evaluate all candidate partitions together, select all good (and
 //! only good) SPT loops — non-nested, estimated speedup above threshold —
 //! and apply the SPT loop transformation to produce the final program.
+//!
+//! The entry points peel the pipeline at its two profiles: [`compile`]
+//! runs everything, [`compile_with_profile`] starts from a program
+//! profile, and [`compile_with_deps`] also takes the dependence profile of
+//! the [`candidate_keys`] loops. Those keys read no cost-model parameter,
+//! so callers that vary only the cost model (the core-count sweep) can
+//! profile dependences once and share the result.
 
 use crate::body::{linearize, LinearBody, LinearizeError};
 use crate::cost::CostParams;
@@ -16,7 +23,7 @@ use crate::ddg::Ddg;
 use crate::partition::{search_partition, Partition, PartitionError};
 use crate::transform::transform_loop;
 use crate::unroll::unroll_linear;
-use spt_profile::{profile_loops, profile_program, LoopKey, ProgramProfile};
+use spt_profile::{profile_loops, profile_program, DepProfile, LoopDeps, LoopKey, ProgramProfile};
 use spt_sir::{analyze_loops, BlockId, Cfg, FuncId, Loop, Program};
 use spt_trace::{NullSink, TraceEvent, TraceSink};
 use std::collections::HashMap;
@@ -196,9 +203,55 @@ pub fn compile_with_profile_traced(
     profile: ProgramProfile,
     sink: &mut dyn TraceSink,
 ) -> CompileResult {
-    let mut rejected: Vec<(LoopKey, RejectReason)> = Vec::new();
+    let keys = candidate_keys(prog, opts, &profile);
+    let deps = profile_loops(prog, &keys, opts.profile_fuel);
+    compile_with_deps_traced(prog, opts, profile, &deps, sink)
+}
 
-    // Pass 1a: enumerate loops and apply the simple selection criteria.
+/// The loops pass 1b dependence-profiles: every executed loop that passes
+/// the simple selection criteria (coverage, trip count, body size).
+///
+/// A function of the program profile and the selection thresholds only —
+/// never of `opts.cost` or `opts.min_speedup` — so every compile that
+/// differs only in its cost model (e.g. the core-count sweep) profiles the
+/// same loops and can share one [`DepProfile`].
+pub fn candidate_keys(
+    prog: &Program,
+    opts: &CompileOptions,
+    profile: &ProgramProfile,
+) -> Vec<LoopKey> {
+    select_candidates(prog, opts, profile, &mut NullSink, &mut Vec::new())
+        .into_iter()
+        .map(|(k, _, _)| k)
+        .collect()
+}
+
+/// Run the two-pass compilation against an already-collected program
+/// profile and dependence profile.
+///
+/// `compile_with_profile` is `candidate_keys → profile_loops →
+/// compile_with_deps`; `deps` must be `profile_loops(prog,
+/// &candidate_keys(prog, opts, &profile), opts.profile_fuel)` (or a
+/// profile of the same loops under the same fuel) for results to match.
+pub fn compile_with_deps(
+    prog: &Program,
+    opts: &CompileOptions,
+    profile: ProgramProfile,
+    deps: &DepProfile,
+) -> CompileResult {
+    compile_with_deps_traced(prog, opts, profile, deps, &mut NullSink)
+}
+
+/// Pass 1a: enumerate loops and apply the simple selection criteria,
+/// recording (and tracing) each rejection. Returns the survivors in
+/// function, then loop-forest order.
+fn select_candidates(
+    prog: &Program,
+    opts: &CompileOptions,
+    profile: &ProgramProfile,
+    sink: &mut dyn TraceSink,
+    rejected: &mut Vec<(LoopKey, RejectReason)>,
+) -> Vec<(LoopKey, Loop, Cfg)> {
     let mut structural: Vec<(LoopKey, Loop, Cfg)> = Vec::new();
     for fid in prog.func_ids() {
         let f = prog.func(fid);
@@ -213,12 +266,12 @@ pub fn compile_with_profile_traced(
             };
             let cov = profile.coverage(key);
             if cov < opts.min_coverage {
-                push_reject(&mut rejected, sink, key, RejectReason::LowCoverage(cov));
+                push_reject(rejected, sink, key, RejectReason::LowCoverage(cov));
                 continue;
             }
             let trip = dynstats.avg_trip();
             if trip < opts.min_trip {
-                push_reject(&mut rejected, sink, key, RejectReason::ShortTrip(trip));
+                push_reject(rejected, sink, key, RejectReason::ShortTrip(trip));
                 continue;
             }
             let body = dynstats.avg_body_size();
@@ -228,20 +281,29 @@ pub fn compile_with_profile_traced(
                 opts.size_limit
             };
             if body > limit {
-                push_reject(&mut rejected, sink, key, RejectReason::BodyTooBig(body));
+                push_reject(rejected, sink, key, RejectReason::BodyTooBig(body));
                 continue;
             }
             if body < opts.min_body {
-                push_reject(&mut rejected, sink, key, RejectReason::BodyTooSmall(body));
+                push_reject(rejected, sink, key, RejectReason::BodyTooSmall(body));
                 continue;
             }
             structural.push((key, l.clone(), Cfg::new(f)));
         }
     }
+    structural
+}
 
-    // Pass 1b: dependence-profile all candidates in one run.
-    let keys: Vec<LoopKey> = structural.iter().map(|(k, _, _)| *k).collect();
-    let dep_profile = profile_loops(prog, &keys, opts.profile_fuel);
+/// [`compile_with_deps`] with an explicit trace sink.
+pub fn compile_with_deps_traced(
+    prog: &Program,
+    opts: &CompileOptions,
+    profile: ProgramProfile,
+    dep_profile: &DepProfile,
+    sink: &mut dyn TraceSink,
+) -> CompileResult {
+    let mut rejected: Vec<(LoopKey, RejectReason)> = Vec::new();
+    let structural = select_candidates(prog, opts, &profile, sink, &mut rejected);
 
     // Profiled call costs for the misspeculation cost model.
     let call_costs: HashMap<FuncId, f64> = prog
@@ -250,6 +312,7 @@ pub fn compile_with_profile_traced(
         .collect();
 
     // Pass 1c: linearize, preprocess, and search partitions.
+    let no_deps = LoopDeps::default();
     let mut candidates: Vec<Pass1Candidate> = Vec::new();
     for (key, l, cfg) in structural {
         let f = prog.func(key.func);
@@ -260,7 +323,7 @@ pub fn compile_with_profile_traced(
                 continue;
             }
         };
-        let deps = dep_profile.loops.get(&key).cloned().unwrap_or_default();
+        let deps = dep_profile.loops.get(&key).unwrap_or(&no_deps);
         let stats = &profile.loops[&key];
 
         // Cost-driven preprocessing: evaluate the loop both as-is and (for
@@ -276,9 +339,8 @@ pub fn compile_with_profile_traced(
         let mut best: Option<(Partition, LinearBody, usize)> = None;
         let mut reject: Option<RejectReason> = None;
         for (lb_used, unroll) in variants {
-            let exec_prob =
-                exec_probs(prog, key.func, &lb_used, &profile, stats.avg_trip(), unroll);
-            let ddg = Ddg::build_with(&lb_used, prog, key.func, &deps, exec_prob, &call_costs);
+            let exec_prob = exec_probs(key.func, &lb_used, &profile, stats.avg_trip(), unroll);
+            let ddg = Ddg::build_with(&lb_used, prog, key.func, deps, exec_prob, &call_costs);
             let values = if opts.enable_svp {
                 scale_values(&deps.values, unroll)
             } else {
@@ -445,28 +507,16 @@ fn scale_values(
 }
 
 /// Per-statement execution probabilities for a (possibly unrolled) linear
-/// body: block reach probability × guard probability, scaled per unroll
-/// copy by the continue probability.
+/// body: each statement's profiled guard pass rate (if-conversion turns
+/// block reach into guards; unguarded statements default to 1), scaled per
+/// unroll copy by the continue probability.
 fn exec_probs(
-    prog: &Program,
     func: FuncId,
     lb: &LinearBody,
     profile: &ProgramProfile,
     avg_trip: f64,
     unroll: usize,
 ) -> Vec<f64> {
-    // Reach probability per original block within the loop, from branch
-    // profiles (blocks outside any profile default to 1).
-    let f = prog.func(func);
-    let mut reach: HashMap<BlockId, f64> = HashMap::new();
-    // Cheap forward propagation in block-id order is unreliable; walk the
-    // body statements and compute lazily from profiled branch data along
-    // the linearization. For single-block bodies reach is 1 everywhere.
-    // For if-converted bodies, approximate reach of a block as the product
-    // of branch probabilities on a path — we use the profiled guard
-    // probabilities when available and default to 1.
-    let _ = (&mut reach, f);
-
     let p_cont = if avg_trip > 1.0 {
         (avg_trip - 1.0) / avg_trip
     } else {

@@ -20,6 +20,7 @@
 use crate::context::{LoopContextTracker, LoopKey};
 use spt_interp::{Cursor, DecodedProgram, EvKind, Event, Memory};
 use spt_sir::{Program, Reg, StmtRef, Terminator};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Occurrence counts of one cross-iteration dependence edge.
@@ -159,8 +160,7 @@ impl DepState {
             let (best, hits) = self
                 .val_diffs
                 .get(&r)
-                .and_then(|h| h.iter().max_by_key(|(_, &c)| c))
-                .map(|(&d, &c)| (d, c))
+                .and_then(|h| best_stride(h.iter().map(|(&d, &c)| (d, c))))
                 .unwrap_or((0, 0));
             let e = deps.values.entry(r).or_default();
             e.samples += samples;
@@ -171,6 +171,13 @@ impl DepState {
             e.hits += hits;
         }
     }
+}
+
+/// The most frequent stride of a difference histogram, as `(stride,
+/// count)`. Ties break toward the smaller `|stride|`, then the smaller
+/// stride, so the choice never depends on the histogram's iteration order.
+fn best_stride(hist: impl Iterator<Item = (i64, u64)>) -> Option<(i64, u64)> {
+    hist.max_by_key(|&(d, c)| (c, Reverse(d.unsigned_abs()), Reverse(d)))
 }
 
 /// Profile cross-iteration dependences and value patterns for the selected
@@ -492,6 +499,52 @@ mod tests {
         assert_eq!(w.block, BlockId(1));
         assert_eq!(r.block, BlockId(1));
         assert!(c.occurrences >= 10);
+    }
+
+    #[test]
+    fn tied_strides_break_deterministically() {
+        // x advances by 1, 2, 1, 2, ...: over 21 iterations the boundary
+        // samples see stride 1 and stride 2 ten times each.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.func("main", 0);
+        let i = f.reg();
+        let x = f.reg();
+        let s = f.reg();
+        let three = f.const_reg(3);
+        let nn = f.const_reg(21);
+        let body = f.new_block();
+        let exit = f.new_block();
+        f.const_(i, 0);
+        f.const_(x, 0);
+        f.const_(s, 1);
+        f.jmp(body);
+        f.switch_to(body);
+        f.bin(BinOp::Add, x, x, s);
+        f.bin(BinOp::Sub, s, three, s);
+        f.addi(i, i, 1);
+        let c = f.reg();
+        f.bin(BinOp::CmpLt, c, i, nn);
+        f.br(c, body, exit);
+        f.switch_to(exit);
+        f.ret(Some(x));
+        let id = f.finish();
+        let prog = pb.finish(id, 0);
+        let (_, _, forest) = analyze_loops(prog.func(id));
+        let key = LoopKey {
+            func: id,
+            loop_id: forest.loops[0].id,
+        };
+        for _ in 0..20 {
+            let dp = profile_loops(&prog, &[key], 1_000_000);
+            let vp = &dp.loops[&key].values[&x.0];
+            assert_eq!((vp.samples, vp.best_stride, vp.hits), (20, 1, 10));
+        }
+        // Equal counts: smaller magnitude first, then the smaller stride.
+        assert_eq!(
+            best_stride([(3, 5), (-2, 5), (2, 5)].into_iter()),
+            Some((-2, 5))
+        );
+        assert_eq!(best_stride([(3, 6), (-2, 5)].into_iter()), Some((3, 6)));
     }
 
     #[test]
