@@ -710,6 +710,32 @@ mod tests {
     }
 
     #[test]
+    fn shared_dep_profile_matches_per_core_compiles() {
+        // The core count reaches only the cost model: every suite
+        // benchmark profiles the same candidate loops at any fabric width,
+        // and compiling against the one shared dependence profile gives
+        // exactly what a from-scratch compile gives.
+        use spt_workloads::{benchmark, Scale, BENCHMARK_NAMES};
+        for name in BENCHMARK_NAMES {
+            let prog = benchmark(name, Scale::Test).program;
+            let base = CompileOptions::default();
+            let profile = profile_program(&prog, base.profile_fuel);
+            let keys = candidate_keys(&prog, &base, &profile);
+            let deps = profile_loops(&prog, &keys, base.profile_fuel);
+            for cores in [2, 4, 8] {
+                let mut opts = base.clone();
+                opts.cost.cores = cores;
+                assert_eq!(candidate_keys(&prog, &opts, &profile), keys, "{name}");
+                let shared = compile_with_deps(&prog, &opts, profile.clone(), &deps);
+                let fresh = compile_with_profile(&prog, &opts, profile.clone());
+                let render =
+                    |r: &CompileResult| format!("{}\n{:?}\n{:?}", r.program, r.loops, r.rejected);
+                assert_eq!(render(&shared), render(&fresh), "{name} cores={cores}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_when_speedup_threshold_high() {
         let prog = two_loop_program();
         let mut opts = CompileOptions::default();

@@ -28,9 +28,9 @@
 use crate::json::{Json, ToJson};
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
 use crate::store::{self, DiskStore};
-use spt_compiler::{compile_with_profile, CompileOptions, CompileResult};
+use spt_compiler::{candidate_keys, compile_with_deps, CompileOptions, CompileResult};
 use spt_mach::MachineConfig;
-use spt_profile::{profile_program, ProgramProfile};
+use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
 use spt_sim::{
     arena_enabled, simulate_baseline, simulate_baseline_in, with_thread_arena, BaselineReport,
     LoopAnnotations, SptReport, SptSim,
@@ -533,6 +533,11 @@ impl ToJson for RunReport {
 pub struct Sweep {
     workers: usize,
     profiles: Shard<ProgramProfile>,
+    /// Dependence profiles, an internal tier of the compile phase: keyed on
+    /// what `profile_loops` reads — program, profile fuel and candidate
+    /// loops — so compiles that differ only in their cost model (the
+    /// core-count sweep, the compiler ablation) share one profiling run.
+    deps: Shard<DepProfile>,
     compiles: Shard<CompileResult>,
     baselines: Shard<BaselineReport>,
     spts: Shard<SptReport>,
@@ -560,6 +565,7 @@ impl Sweep {
         Sweep {
             workers: workers.max(1),
             profiles: Shard::default(),
+            deps: Shard::default(),
             compiles: Shard::default(),
             baselines: Shard::default(),
             spts: Shard::default(),
@@ -673,17 +679,27 @@ impl Sweep {
     /// Compile a program (memoized on program content + options). The
     /// profiling pass inside compilation goes through the profile cache,
     /// so e.g. Figure 6 and a suite evaluation share one profile per
-    /// benchmark. Returns `(result, compile stamp, profile stamp)`.
+    /// benchmark; the dependence profile goes through its own cache keyed
+    /// on the candidate loops, which no cost-model option changes. A
+    /// compile miss's stamp includes the dependence lookup it paid for.
+    /// Returns `(result, compile stamp, profile stamp)`.
     pub fn compile(
         &self,
         prog: &Program,
         opts: &CompileOptions,
     ) -> (Arc<CompileResult>, PhaseStamp, PhaseStamp) {
         let (profile, pstamp) = self.profile(prog, opts.profile_fuel);
-        let key = Key(program_fingerprint(prog), debug_fingerprint(opts), 0, 0);
-        let (res, cstamp) = self
-            .compiles
-            .get_or_compute(key, || compile_with_profile(prog, opts, (*profile).clone()));
+        let fp = program_fingerprint(prog);
+        let key = Key(fp, debug_fingerprint(opts), 0, 0);
+        let (res, cstamp) = self.compiles.get_or_compute(key, || {
+            let mut keys = candidate_keys(prog, opts, &profile);
+            keys.sort_unstable();
+            let dkey = Key(fp, opts.profile_fuel, debug_fingerprint(&keys), 0);
+            let (deps, _) = self
+                .deps
+                .get_or_compute(dkey, || profile_loops(prog, &keys, opts.profile_fuel));
+            compile_with_deps(prog, opts, (*profile).clone(), &deps)
+        });
         self.observe_phase("compile", cstamp);
         (res, cstamp, pstamp)
     }
@@ -858,6 +874,7 @@ pub fn default_workers() -> usize {
 mod tests {
     use super::*;
     use spt_workloads::kernels::array_map;
+    use spt_workloads::{Scale, BENCHMARK_NAMES};
 
     #[test]
     fn fingerprints_separate_programs_and_configs() {
@@ -901,6 +918,20 @@ mod tests {
         let stats = sw.memo_stats();
         assert_eq!(stats.profile_misses, 1);
         assert_eq!(stats.profile_hits, 15);
+    }
+
+    #[test]
+    fn fig_scale_profiles_dependences_once_per_benchmark() {
+        // Core count only reaches the compiler's cost model: each of the 30
+        // (benchmark, cores) compiles is its own miss, but the 10
+        // benchmarks' dependence profiles are computed once each.
+        let sw = Sweep::sequential();
+        let cfg = RunConfig::default();
+        sw.fig_scale(&BENCHMARK_NAMES, &[2, 4, 8], Scale::Test, &cfg);
+        assert_eq!(sw.memo_stats().compile_misses, 30);
+        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        assert_eq!(ld(&sw.deps.misses), 10);
+        assert_eq!(ld(&sw.deps.hits), 20);
     }
 
     #[test]
