@@ -2,7 +2,7 @@
 
 use spt_interp::{EvKind, Event};
 use spt_sir::{analyze_loops, BlockId, FuncId, LoopForest, LoopId, Program};
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Identifies a static loop across the whole program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,12 +24,25 @@ pub struct ActiveLoop {
 /// Maintains the stack of active loops (across nesting and calls) from the
 /// event stream, and reports loop entry / iteration / exit transitions.
 pub struct LoopContextTracker {
-    forests: HashMap<FuncId, LoopForest>,
-    /// First-position marker: (func, block) -> loop whose header this is.
-    headers: HashMap<(FuncId, BlockId), LoopId>,
-    /// Header blocks with no instructions: their Term event is the head.
-    empty_headers: std::collections::HashSet<(FuncId, BlockId)>,
+    /// Per-function loop tables, indexed by `FuncId`.
+    funcs: Vec<FuncLoops>,
+    /// Loops in the whole program (the range of [`Self::loop_index`]).
+    n_loops: usize,
     stack: Vec<ActiveLoop>,
+    /// Frame depth of the previous event.
+    last_depth: u32,
+}
+
+/// One function's loops, with per-block tables so observing an event is
+/// plain indexing.
+struct FuncLoops {
+    forest: LoopForest,
+    /// `header_of[b]`: the loop whose header is block `b`, if any.
+    header_of: Vec<Option<LoopId>>,
+    /// Header blocks with no instructions: their Term event is the head.
+    empty_header: Vec<bool>,
+    /// Dense index of this function's first loop.
+    first_loop: usize,
 }
 
 /// What a single event did to the loop context.
@@ -45,25 +58,51 @@ pub struct LoopTransition {
 
 impl LoopContextTracker {
     pub fn new(prog: &Program) -> Self {
-        let mut forests = HashMap::new();
-        let mut headers = HashMap::new();
-        let mut empty_headers = std::collections::HashSet::new();
+        let mut funcs = Vec::with_capacity(prog.funcs.len());
+        let mut n_loops = 0;
         for fid in prog.func_ids() {
-            let (_, _, forest) = analyze_loops(prog.func(fid));
+            let f = prog.func(fid);
+            let (_, _, forest) = analyze_loops(f);
+            let mut header_of = vec![None; f.blocks.len()];
+            let mut empty_header = vec![false; f.blocks.len()];
             for l in &forest.loops {
-                headers.insert((fid, l.header), l.id);
-                if prog.func(fid).block(l.header).insts.is_empty() {
-                    empty_headers.insert((fid, l.header));
-                }
+                header_of[l.header.index()] = Some(l.id);
+                empty_header[l.header.index()] = f.block(l.header).insts.is_empty();
             }
-            forests.insert(fid, forest);
+            let first_loop = n_loops;
+            n_loops += forest.loops.len();
+            funcs.push(FuncLoops {
+                forest,
+                header_of,
+                empty_header,
+                first_loop,
+            });
         }
         LoopContextTracker {
-            forests,
-            headers,
-            empty_headers,
+            funcs,
+            n_loops,
             stack: Vec::new(),
+            last_depth: u32::MAX,
         }
+    }
+
+    /// Number of loops in the program: dense per-loop tables indexed by
+    /// [`Self::loop_index`] have this length.
+    pub(crate) fn n_loops(&self) -> usize {
+        self.n_loops
+    }
+
+    /// The dense indices of `func`'s loops, in `LoopId` order.
+    pub(crate) fn loops_of(&self, func: FuncId) -> Range<usize> {
+        let fl = &self.funcs[func.index()];
+        fl.first_loop..fl.first_loop + fl.forest.loops.len()
+    }
+
+    /// Dense index in `0..n_loops()` of a loop of the program, `None` for
+    /// a key naming no loop of it.
+    pub(crate) fn loop_index(&self, key: LoopKey) -> Option<usize> {
+        let fl = self.funcs.get(key.func.index())?;
+        (key.loop_id.index() < fl.forest.loops.len()).then(|| fl.first_loop + key.loop_id.index())
     }
 
     /// The innermost active loop, if any.
@@ -82,16 +121,28 @@ impl LoopContextTracker {
     fn block_head(&self, ev: &Event) -> Option<(FuncId, BlockId)> {
         match ev.kind {
             EvKind::Inst { func, sref } if sref.index == 0 => Some((func, sref.block)),
-            EvKind::Term { func, block } if self.empty_headers.contains(&(func, block)) => {
+            EvKind::Term { func, block }
+                if self.funcs[func.index()].empty_header[block.index()] =>
+            {
                 Some((func, block))
             }
             _ => None,
         }
     }
 
-    /// Feed one event; returns the loop transitions it caused.
+    /// Feed one event; returns the loop transitions it caused. Events must
+    /// arrive in execution order, every one of them: the tracker infers
+    /// block continuity from the previous event.
+    #[inline]
     pub fn observe(&mut self, ev: &Event) -> LoopTransition {
         let mut tr = LoopTransition::default();
+        // A statement past a block's first position, in the same frame as
+        // the previous event, continues that event's block: it can neither
+        // leave a loop nor begin an iteration.
+        let same_frame = std::mem::replace(&mut self.last_depth, ev.depth) == ev.depth;
+        if same_frame && matches!(ev.kind, EvKind::Inst { sref, .. } if sref.index > 0) {
+            return tr;
+        }
         let (func, block) = match ev.kind {
             EvKind::Inst { func, sref } => (func, sref.block),
             EvKind::Term { func, block } => (func, block),
@@ -99,8 +150,7 @@ impl LoopContextTracker {
 
         // Exits: shallower frame, or same frame outside the loop's blocks.
         while let Some(top) = self.stack.last() {
-            let forest = &self.forests[&top.key.func];
-            let l = forest.get(top.key.loop_id);
+            let l = self.funcs[top.key.func.index()].forest.get(top.key.loop_id);
             let exited = ev.depth < top.depth
                 || (ev.depth == top.depth && (func != top.key.func || !l.contains(block)));
             if exited {
@@ -113,7 +163,7 @@ impl LoopContextTracker {
 
         // Entry / iteration at a header's first position.
         if let Some((hf, hb)) = self.block_head(ev) {
-            if let Some(&lid) = self.headers.get(&(hf, hb)) {
+            if let Some(lid) = self.funcs[hf.index()].header_of[hb.index()] {
                 let key = LoopKey {
                     func: hf,
                     loop_id: lid,

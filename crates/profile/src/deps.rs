@@ -18,10 +18,11 @@
 //! prediction (§4.4).
 
 use crate::context::{LoopContextTracker, LoopKey};
-use spt_interp::{Cursor, DecodedProgram, EvKind, Event, Memory};
-use spt_sir::{Program, Reg, StmtRef, Terminator};
+use crate::stats::stmt_numbering;
+use spt_interp::{Cursor, DecodedProgram, Event, Memory};
+use spt_sir::{LoopId, Program, StmtRef};
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Occurrence counts of one cross-iteration dependence edge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -102,70 +103,202 @@ pub struct DepProfile {
     pub loops: HashMap<LoopKey, LoopDeps>,
 }
 
+/// Successive-difference histogram of one loop-frame register, capped at
+/// 64 distinct strides. The count of the most recent stride is held aside
+/// and settled into the map only when the stride changes, so a register
+/// advancing by a steady stride costs no map lookup per sample.
+#[derive(Default)]
+struct StrideHist {
+    counts: HashMap<i64, u64>,
+    /// `(stride, unsettled count)`; the stride is always a key of `counts`.
+    run: Option<(i64, u64)>,
+}
+
+impl StrideHist {
+    fn add(&mut self, d: i64) {
+        match &mut self.run {
+            Some((last, n)) if *last == d => *n += 1,
+            _ => {
+                self.settle();
+                if let Some(c) = self.counts.get_mut(&d) {
+                    *c += 1;
+                } else if self.counts.len() < 64 {
+                    self.counts.insert(d, 1);
+                } else {
+                    return;
+                }
+                self.run = Some((d, 0));
+            }
+        }
+    }
+
+    fn settle(&mut self) {
+        if let Some((d, n)) = self.run.take() {
+            *self.counts.get_mut(&d).expect("run stride is counted") += n;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.counts.clear();
+        self.run = None;
+    }
+}
+
+/// One cross-iteration dependence edge into a reader statement, as
+/// counted by one loop invocation.
+struct Edge {
+    mem: bool,
+    writer: StmtRef,
+    reader: StmtRef,
+    count: DepCount,
+    /// Iteration that last counted this edge (per-iteration dedup).
+    iter: u64,
+}
+
 /// Live profiling state for one active loop invocation.
+///
+/// Every table is dense: registers index the loop frame's register file
+/// and reader statements index the loop function's flat statement list.
+/// States are recycled across invocations, keeping their allocations.
+#[derive(Default)]
 struct DepState {
-    key: LoopKey,
+    key: Option<LoopKey>,
+    /// Dense loop index ([`LoopContextTracker::loop_index`]).
+    slot: usize,
     depth: u32,
     iter: u64,
     /// Loop-level call site when executing inside a callee.
     callsite: Option<StmtRef>,
     /// reg -> (iteration of last write, writer stmt, value changed?)
-    reg_writer: HashMap<u32, (u64, StmtRef, bool)>,
+    reg_writer: Vec<Option<(u64, StmtRef, bool)>>,
     /// Current register values (to detect silent re-writes).
-    reg_vals: HashMap<u32, i64>,
+    reg_vals: Vec<Option<i64>>,
     /// word addr -> (iteration of last store, writer stmt)
     mem_writer: HashMap<u64, (u64, StmtRef)>,
-    /// Deps already counted this iteration (per-iteration dedup).
-    seen: HashSet<(bool, StmtRef, StmtRef)>,
+    /// Dependence edges by reader statement, and the readers with any.
+    edges: Vec<Vec<Edge>>,
+    readers: Vec<usize>,
     /// Value sampling at iteration boundaries.
-    val_last: HashMap<u32, i64>,
-    val_diffs: HashMap<u32, HashMap<i64, u64>>,
-    val_samples: HashMap<u32, u64>,
+    val_last: Vec<Option<i64>>,
+    val_diffs: Vec<StrideHist>,
+    val_samples: Vec<u64>,
 }
 
 impl DepState {
-    fn new(key: LoopKey, depth: u32) -> Self {
-        DepState {
-            key,
-            depth,
-            iter: 0,
-            callsite: None,
-            reg_writer: HashMap::new(),
-            reg_vals: HashMap::new(),
-            mem_writer: HashMap::new(),
-            seen: HashSet::new(),
-            val_last: HashMap::new(),
-            val_diffs: HashMap::new(),
-            val_samples: HashMap::new(),
-        }
+    /// Start a fresh invocation of `key` (dense index `slot`) at `depth`,
+    /// whose function has `n_regs` registers and `n_stmts` statements.
+    fn reset(&mut self, key: LoopKey, slot: usize, depth: u32, n_regs: usize, n_stmts: usize) {
+        self.key = Some(key);
+        self.slot = slot;
+        self.depth = depth;
+        self.iter = 0;
+        self.callsite = None;
+        self.reg_writer.clear();
+        self.reg_writer.resize(n_regs, None);
+        self.reg_vals.clear();
+        self.reg_vals.resize(n_regs, None);
+        self.mem_writer.clear();
+        debug_assert!(self.readers.is_empty());
+        self.edges.truncate(n_stmts.max(1));
+        self.edges.resize_with(n_stmts.max(1), Vec::new);
+        self.val_last.clear();
+        self.val_last.resize(n_regs, None);
+        self.val_diffs.iter_mut().for_each(StrideHist::clear);
+        self.val_diffs
+            .resize_with(n_regs.max(self.val_diffs.len()), StrideHist::default);
+        self.val_samples.clear();
+        self.val_samples.resize(n_regs, 0);
     }
 
     fn sample_values(&mut self, regs: &[i64]) {
+        if regs.len() > self.val_last.len() {
+            self.val_last.resize(regs.len(), None);
+            self.val_samples.resize(regs.len(), 0);
+            self.val_diffs.resize_with(regs.len(), StrideHist::default);
+        }
         for (r, &v) in regs.iter().enumerate() {
-            let r = r as u32;
-            if let Some(&prev) = self.val_last.get(&r) {
-                let d = v.wrapping_sub(prev);
-                let h = self.val_diffs.entry(r).or_default();
-                if h.len() < 64 || h.contains_key(&d) {
-                    *h.entry(d).or_insert(0) += 1;
-                }
-                *self.val_samples.entry(r).or_insert(0) += 1;
+            if let Some(prev) = self.val_last[r] {
+                self.val_diffs[r].add(v.wrapping_sub(prev));
+                self.val_samples[r] += 1;
             }
-            self.val_last.insert(r, v);
+            self.val_last[r] = Some(v);
         }
     }
 
-    fn flush_values(&self, deps: &mut LoopDeps) {
-        for (&r, samples) in &self.val_samples {
-            let (best, hits) = self
-                .val_diffs
-                .get(&r)
-                .and_then(|h| best_stride(h.iter().map(|(&d, &c)| (d, c))))
-                .unwrap_or((0, 0));
-            let e = deps.values.entry(r).or_default();
+    /// Count one dependence `writer -> reader` at most once per iteration.
+    /// `starts` is the loop function's [`stmt_numbering`], which buckets
+    /// the edges by reader.
+    fn count_edge(
+        &mut self,
+        starts: &[usize],
+        mem: bool,
+        writer: StmtRef,
+        reader: StmtRef,
+        changed: bool,
+    ) {
+        // Readers are loop-function statements, one per bucket; the modulo
+        // only keeps a stray reader (a state outliving its frame under
+        // recursion) in range.
+        let ri = starts
+            .get(reader.block.index())
+            .map_or(0, |&b| b + reader.index as usize)
+            % self.edges.len();
+        let list = &mut self.edges[ri];
+        let e = match list
+            .iter()
+            .position(|e| e.mem == mem && e.writer == writer && e.reader == reader)
+        {
+            Some(i) => &mut list[i],
+            None => {
+                if list.is_empty() {
+                    self.readers.push(ri);
+                }
+                list.push(Edge {
+                    mem,
+                    writer,
+                    reader,
+                    count: DepCount::default(),
+                    iter: u64::MAX,
+                });
+                list.last_mut().expect("just pushed")
+            }
+        };
+        if e.iter != self.iter {
+            e.iter = self.iter;
+            e.count.occurrences += 1;
+            if changed {
+                e.count.value_changed += 1;
+            }
+        }
+    }
+
+    /// Merge this invocation's edges and value patterns into the loop's
+    /// profile, leaving the state empty for reuse.
+    fn flush(&mut self, deps: &mut LoopDeps) {
+        for ri in self.readers.drain(..) {
+            for e in self.edges[ri].drain(..) {
+                let map = if e.mem {
+                    &mut deps.mem_deps
+                } else {
+                    &mut deps.reg_deps
+                };
+                let d = map.entry((e.writer, e.reader)).or_default();
+                d.occurrences += e.count.occurrences;
+                d.value_changed += e.count.value_changed;
+            }
+        }
+        for (r, &samples) in self.val_samples.iter().enumerate() {
+            if samples == 0 {
+                continue;
+            }
+            let h = &mut self.val_diffs[r];
+            h.settle();
+            let (best, hits) =
+                best_stride(h.counts.iter().map(|(&d, &c)| (d, c))).unwrap_or((0, 0));
+            let e = deps.values.entry(r as u32).or_default();
             e.samples += samples;
             // Merge: keep the globally dominant stride by hit count.
-            if hits > e.hits || e.samples == *samples {
+            if hits > e.hits || e.samples == samples {
                 e.best_stride = best;
             }
             e.hits += hits;
@@ -183,67 +316,90 @@ fn best_stride(hist: impl Iterator<Item = (i64, u64)>) -> Option<(i64, u64)> {
 /// Profile cross-iteration dependences and value patterns for the selected
 /// loops.
 pub fn profile_loops(prog: &Program, selection: &[LoopKey], max_steps: u64) -> DepProfile {
-    let selected: HashSet<LoopKey> = selection.iter().copied().collect();
     let mut tracker = LoopContextTracker::new(prog);
     let mut mem = Memory::for_program(prog);
     let dec = DecodedProgram::new(prog);
     let mut cur = Cursor::at_entry(&dec);
+    // Per-loop accumulators by dense loop index; `selection` keys naming no
+    // loop of the program are reported empty.
+    let mut acc: Vec<Option<LoopDeps>> = vec![None; tracker.n_loops()];
     let mut out = DepProfile::default();
-    for k in &selected {
-        out.loops.entry(*k).or_default();
+    for &k in selection {
+        match tracker.loop_index(k) {
+            Some(i) => acc[i] = Some(LoopDeps::default()),
+            None => {
+                out.loops.insert(k, LoopDeps::default());
+            }
+        }
     }
+    let stmt_starts = stmt_numbering(prog);
     let mut states: Vec<DepState> = Vec::new();
+    let mut spare: Vec<DepState> = Vec::new();
 
     let mut steps = 0u64;
     while steps < max_steps {
-        // Values are sampled from the loop frame at iteration boundaries;
-        // capture the frame registers *before* stepping if the next event
-        // is a boundary. Cheaper: sample after observing `iterated`, using
-        // the cursor's current frame (the header's first statement has not
-        // yet modified the frame meaningfully for stride purposes).
+        // Values are sampled from the loop frame at iteration boundaries,
+        // after observing `iterated`, using the cursor's current frame (the
+        // header's first statement has not yet modified the frame
+        // meaningfully for stride purposes).
         let Some(ev) = cur.step(&mut mem) else { break };
         steps += 1;
         let tr = tracker.observe(&ev);
 
         for (key, _) in &tr.exited {
-            if let Some(pos) = states.iter().position(|s| s.key == *key) {
-                let st = states.remove(pos);
-                st.flush_values(out.loops.get_mut(key).expect("selected"));
+            if let Some(pos) = states.iter().position(|s| s.key == Some(*key)) {
+                let mut st = states.remove(pos);
+                st.flush(acc[st.slot].as_mut().expect("selected"));
+                spare.push(st);
             }
         }
         if let Some(key) = tr.entered {
-            if selected.contains(&key) {
-                states.push(DepState::new(key, ev.depth));
+            let slot = tracker.loop_index(key).expect("tracked loop");
+            if acc[slot].is_some() {
+                let n_regs = prog.func(key.func).n_regs as usize;
+                let starts = &stmt_starts[key.func.index()];
+                let mut st = spare.pop().unwrap_or_default();
+                st.reset(key, slot, ev.depth, n_regs, starts[starts.len() - 1]);
+                states.push(st);
             }
         }
         if let Some(key) = tr.iterated {
-            if let Some(st) = states.iter_mut().find(|s| s.key == key) {
+            if let Some(st) = states.iter_mut().find(|s| s.key == Some(key)) {
                 st.iter += 1;
-                st.seen.clear();
-                out.loops.get_mut(&key).expect("selected").iterations += 1;
+                acc[st.slot].as_mut().expect("selected").iterations += 1;
                 if (ev.depth as usize) < cur.depth() + 1 {
                     // Sample loop-frame registers at the boundary.
-                    let frame_regs = cur.regs_at(ev.depth as usize).to_vec();
-                    st.sample_values(&frame_regs);
+                    st.sample_values(cur.regs_at(ev.depth as usize));
                 }
             }
         }
 
         for st in &mut states {
-            observe_deps(prog, st, &ev, &mut out);
+            let starts = &stmt_starts[st.key.expect("live state").func.index()];
+            observe_deps(&dec, starts, st, &ev);
         }
     }
     // Flush remaining states.
-    for st in states {
-        if let Some(d) = out.loops.get_mut(&st.key) {
-            st.flush_values(d);
+    for mut st in states {
+        st.flush(acc[st.slot].as_mut().expect("selected"));
+    }
+    for fid in prog.func_ids() {
+        for (l, slot) in tracker.loops_of(fid).enumerate() {
+            if let Some(d) = acc[slot].take() {
+                let key = LoopKey {
+                    func: fid,
+                    loop_id: LoopId(l as u32),
+                };
+                out.loops.insert(key, d);
+            }
         }
     }
     out
 }
 
-/// Attribute one event to one loop's dependence state.
-fn observe_deps(prog: &Program, st: &mut DepState, ev: &Event, out: &mut DepProfile) {
+/// Attribute one event to one loop's dependence state. `starts` is the
+/// loop function's [`stmt_numbering`].
+fn observe_deps(dec: &DecodedProgram, starts: &[usize], st: &mut DepState, ev: &Event) {
     // Maintain the loop-level call-site attribution.
     if ev.depth == st.depth {
         st.callsite = None;
@@ -257,31 +413,11 @@ fn observe_deps(prog: &Program, st: &mut DepState, ev: &Event, out: &mut DepProf
 
     // Register reads at the loop frame: cross-iteration check.
     if ev.depth == st.depth && ev.executed {
-        let srcs: Vec<Reg> = match ev.kind {
-            EvKind::Inst { func, sref } => prog.func(func).inst(sref).srcs_with_guard(),
-            EvKind::Term { func, block } => match &prog.func(func).block(block).term {
-                Terminator::Br { cond, .. } => vec![*cond],
-                Terminator::Ret(Some(r)) => vec![*r],
-                _ => vec![],
-            },
-        };
-        for r in srcs {
-            if let Some(&(w_iter, w_sref, changed)) = st.reg_writer.get(&r.0) {
+        for r in dec.srcs_of(ev.kind) {
+            if let Some(&Some((w_iter, w_sref, changed))) = st.reg_writer.get(r.index()) {
                 if w_iter + 1 == st.iter {
                     if let Some(r_sref) = attributed {
-                        if st.seen.insert((false, w_sref, r_sref)) {
-                            let d = out
-                                .loops
-                                .get_mut(&st.key)
-                                .expect("selected")
-                                .reg_deps
-                                .entry((w_sref, r_sref))
-                                .or_default();
-                            d.occurrences += 1;
-                            if changed {
-                                d.value_changed += 1;
-                            }
-                        }
+                        st.count_edge(starts, false, w_sref, r_sref, changed);
                     }
                 }
             }
@@ -291,16 +427,21 @@ fn observe_deps(prog: &Program, st: &mut DepState, ev: &Event, out: &mut DepProf
     // Register writes into the loop frame.
     if let Some(dst) = ev.dst {
         if ev.dst_depth() == st.depth {
+            let r = dst.index();
+            if r >= st.reg_vals.len() {
+                st.reg_vals.resize(r + 1, None);
+                st.reg_writer.resize(r + 1, None);
+            }
             let w_sref = if ev.depth == st.depth {
                 ev.sref().or(st.callsite)
             } else {
                 st.callsite
             };
             if let Some(w) = w_sref {
-                let changed = st.reg_vals.get(&dst.0) != Some(&ev.dst_val);
-                st.reg_writer.insert(dst.0, (st.iter, w, changed));
+                let changed = st.reg_vals[r] != Some(ev.dst_val);
+                st.reg_writer[r] = Some((st.iter, w, changed));
             }
-            st.reg_vals.insert(dst.0, ev.dst_val);
+            st.reg_vals[r] = Some(ev.dst_val);
         }
     }
 
@@ -314,17 +455,7 @@ fn observe_deps(prog: &Program, st: &mut DepState, ev: &Event, out: &mut DepProf
             } else if let Some(&(w_iter, w_sref)) = st.mem_writer.get(&m.addr) {
                 if w_iter + 1 == st.iter {
                     if let Some(r_sref) = attributed {
-                        if st.seen.insert((true, w_sref, r_sref)) {
-                            let d = out
-                                .loops
-                                .get_mut(&st.key)
-                                .expect("selected")
-                                .mem_deps
-                                .entry((w_sref, r_sref))
-                                .or_default();
-                            d.occurrences += 1;
-                            d.value_changed += 1;
-                        }
+                        st.count_edge(starts, true, w_sref, r_sref, true);
                     }
                 }
             }
@@ -340,7 +471,7 @@ fn observe_deps(prog: &Program, st: &mut DepState, ev: &Event, out: &mut DepProf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spt_sir::{analyze_loops, BinOp, BlockId, LoopId, ProgramBuilder};
+    use spt_sir::{analyze_loops, BinOp, BlockId, ProgramBuilder, Reg};
 
     /// acc = acc + i each iteration: a cross-iteration reg dep on acc, plus
     /// i is a stride-1 induction variable.

@@ -2,7 +2,7 @@
 
 use crate::context::{LoopContextTracker, LoopKey};
 use spt_interp::{Cursor, DecodedProgram, EvKind, Memory};
-use spt_sir::{BlockId, FuncId, Program, StmtRef};
+use spt_sir::{BlockId, FuncId, LoopId, Program, StmtRef};
 use std::collections::HashMap;
 
 /// Dynamic statistics for one static loop.
@@ -112,56 +112,106 @@ impl ProgramProfile {
     }
 }
 
+/// Flat statement numbering of every function: `starts[f][b]` is the
+/// index of block `b`'s first statement within function `f`, and the last
+/// element of `starts[f]` is the function's statement count.
+pub(crate) fn stmt_numbering(prog: &Program) -> Vec<Vec<usize>> {
+    prog.funcs
+        .iter()
+        .map(|f| {
+            let mut next = 0;
+            let mut starts: Vec<usize> = f
+                .blocks
+                .iter()
+                .map(|b| {
+                    next += b.insts.len();
+                    next - b.insts.len()
+                })
+                .collect();
+            starts.push(next);
+            starts
+        })
+        .collect()
+}
+
 /// Run the program once, collecting loop statistics and reach
 /// probabilities.
+///
+/// The walk keeps dense per-function, per-loop, per-block and
+/// per-statement counters and folds them into the profile's maps once at
+/// the end. Inclusive instruction counts (per function on the call stack,
+/// per loop on the loop stack) are charged by step stamps: a frame or loop
+/// invocation is charged the steps between its entry and its exit, so no
+/// step walks either stack.
 pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
     let mut tracker = LoopContextTracker::new(prog);
     let mut mem = Memory::for_program(prog);
     let dec = DecodedProgram::new(prog);
     let mut cur = Cursor::at_entry(&dec);
-    let mut p = ProgramProfile::default();
 
-    // Function-cost attribution: the stack of active functions.
-    let mut fstack: Vec<FuncId> = vec![prog.entry];
-    *p.func_calls.entry(prog.entry).or_default() += 1;
+    let n_funcs = prog.funcs.len();
+    let mut func_calls = vec![0u64; n_funcs];
+    let mut func_instrs = vec![0u64; n_funcs];
+    let mut loops = vec![LoopDyn::default(); tracker.n_loops()];
+    let stmt_starts = stmt_numbering(prog);
+    let mut guards: Vec<Vec<GuardCount>> = stmt_starts
+        .iter()
+        .map(|starts| vec![GuardCount::default(); starts[starts.len() - 1]])
+        .collect();
+    let mut branches: Vec<Vec<(u64, u64)>> = prog
+        .funcs
+        .iter()
+        .map(|f| vec![(0, 0); f.blocks.len()])
+        .collect();
+
+    // Call stack of (function, steps before its first charged step); a
+    // frame is charged for every step up to and including its `ret`.
+    let mut fstack: Vec<(FuncId, u64)> = vec![(prog.entry, 0)];
+    func_calls[prog.entry.index()] += 1;
+    // Active loop invocations, mirroring the tracker's stack, as (dense
+    // loop index, steps before its first charged step); an invocation is
+    // charged from the step that enters it up to the step before the one
+    // that leaves it.
+    let mut lstack: Vec<(usize, u64)> = Vec::new();
 
     let mut steps = 0u64;
     while steps < max_steps {
         let Some(ev) = cur.step(&mut mem) else { break };
         steps += 1;
-        p.total_instrs += 1;
 
-        // Inclusive per-function instruction attribution.
-        for &fid in &fstack {
-            *p.func_instrs.entry(fid).or_default() += 1;
-        }
         if ev.is_call() {
             if let EvKind::Inst { func, sref } = ev.kind {
                 if let spt_sir::Op::Call { callee, .. } = &prog.func(func).inst(sref).op {
-                    fstack.push(*callee);
-                    *p.func_calls.entry(*callee).or_default() += 1;
+                    fstack.push((*callee, steps));
+                    func_calls[callee.index()] += 1;
                 }
             }
         } else if ev.is_ret() {
-            fstack.pop();
+            if let Some((fid, since)) = fstack.pop() {
+                func_instrs[fid.index()] += steps - since;
+            }
         }
 
         let tr = tracker.observe(&ev);
+        for _ in &tr.exited {
+            let (li, since) = lstack.pop().expect("exit of a tracked loop");
+            loops[li].dyn_instrs += steps - 1 - since;
+        }
         if let Some(key) = tr.entered {
-            p.loops.entry(key).or_default().invocations += 1;
+            let li = tracker.loop_index(key).expect("tracked loop");
+            loops[li].invocations += 1;
+            lstack.push((li, steps - 1));
         }
         if let Some(key) = tr.iterated {
-            p.loops.entry(key).or_default().iterations += 1;
-        }
-        // Attribute the instruction to every active loop (nesting).
-        for al in tracker.active() {
-            p.loops.entry(al.key).or_default().dyn_instrs += 1;
+            loops[tracker.loop_index(key).expect("tracked loop")].iterations += 1;
         }
 
         match ev.kind {
             EvKind::Inst { func, sref } => {
                 if prog.func(func).inst(sref).guard.is_some() {
-                    let g = p.guards.entry((func, sref)).or_default();
+                    let fi = func.index();
+                    let g =
+                        &mut guards[fi][stmt_starts[fi][sref.block.index()] + sref.index as usize];
                     if ev.executed {
                         g.pass += 1;
                     } else {
@@ -172,7 +222,7 @@ pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
             EvKind::Term { func, block } => {
                 if let Some(b) = ev.branch {
                     if b.conditional {
-                        let e = p.branches.entry((func, block)).or_default();
+                        let e = &mut branches[func.index()][block.index()];
                         if b.taken {
                             e.0 += 1;
                         } else {
@@ -183,9 +233,53 @@ pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
             }
         }
     }
-    tracker.finish();
-    p.ret = cur.return_value();
-    p.out_of_fuel = !cur.is_halted();
+    for (fid, since) in fstack {
+        func_instrs[fid.index()] += steps - since;
+    }
+    for (li, since) in lstack {
+        loops[li].dyn_instrs += steps - since;
+    }
+
+    // Fold the dense counters into the profile's maps: an entry exists
+    // exactly for what the walk observed.
+    let mut p = ProgramProfile {
+        total_instrs: steps,
+        ret: cur.return_value(),
+        out_of_fuel: !cur.is_halted(),
+        ..ProgramProfile::default()
+    };
+    for fid in prog.func_ids() {
+        let fi = fid.index();
+        if func_calls[fi] > 0 {
+            p.func_calls.insert(fid, func_calls[fi]);
+        }
+        if func_instrs[fi] > 0 {
+            p.func_instrs.insert(fid, func_instrs[fi]);
+        }
+        for (b, &(t, n)) in branches[fi].iter().enumerate() {
+            if t + n > 0 {
+                p.branches.insert((fid, BlockId(b as u32)), (t, n));
+            }
+        }
+        for (b, blk) in prog.func(fid).blocks.iter().enumerate() {
+            for i in 0..blk.insts.len() {
+                let g = guards[fi][stmt_starts[fi][b] + i];
+                if g.pass + g.fail > 0 {
+                    p.guards
+                        .insert((fid, StmtRef::new(BlockId(b as u32), i)), g);
+                }
+            }
+        }
+        for (l, dynstats) in loops[tracker.loops_of(fid)].iter().enumerate() {
+            if dynstats.invocations > 0 {
+                let key = LoopKey {
+                    func: fid,
+                    loop_id: LoopId(l as u32),
+                };
+                p.loops.insert(key, dynstats.clone());
+            }
+        }
+    }
     p
 }
 
