@@ -222,7 +222,7 @@ pub fn candidate_keys(
 ) -> Vec<LoopKey> {
     select_candidates(prog, opts, profile, &mut NullSink, &mut Vec::new())
         .into_iter()
-        .map(|(k, _, _)| k)
+        .map(|(k, _)| k)
         .collect()
 }
 
@@ -230,9 +230,8 @@ pub fn candidate_keys(
 /// profile and dependence profile.
 ///
 /// `compile_with_profile` is `candidate_keys → profile_loops →
-/// compile_with_deps`; `deps` must be `profile_loops(prog,
-/// &candidate_keys(prog, opts, &profile), opts.profile_fuel)` (or a
-/// profile of the same loops under the same fuel) for results to match.
+/// compile_with_deps`; `deps` must profile the [`candidate_keys`] loops
+/// with `opts.profile_fuel` for results to match.
 pub fn compile_with_deps(
     prog: &Program,
     opts: &CompileOptions,
@@ -251,8 +250,8 @@ fn select_candidates(
     profile: &ProgramProfile,
     sink: &mut dyn TraceSink,
     rejected: &mut Vec<(LoopKey, RejectReason)>,
-) -> Vec<(LoopKey, Loop, Cfg)> {
-    let mut structural: Vec<(LoopKey, Loop, Cfg)> = Vec::new();
+) -> Vec<(LoopKey, Loop)> {
+    let mut structural: Vec<(LoopKey, Loop)> = Vec::new();
     for fid in prog.func_ids() {
         let f = prog.func(fid);
         let (_cfg, _, forest) = analyze_loops(f);
@@ -288,7 +287,7 @@ fn select_candidates(
                 push_reject(rejected, sink, key, RejectReason::BodyTooSmall(body));
                 continue;
             }
-            structural.push((key, l.clone(), Cfg::new(f)));
+            structural.push((key, l.clone()));
         }
     }
     structural
@@ -314,9 +313,9 @@ pub fn compile_with_deps_traced(
     // Pass 1c: linearize, preprocess, and search partitions.
     let no_deps = LoopDeps::default();
     let mut candidates: Vec<Pass1Candidate> = Vec::new();
-    for (key, l, cfg) in structural {
+    for (key, l) in structural {
         let f = prog.func(key.func);
-        let lb = match linearize(f, &cfg, &l) {
+        let lb = match linearize(f, &Cfg::new(f), &l) {
             Ok(lb) => lb,
             Err(e) => {
                 push_reject(&mut rejected, sink, key, RejectReason::Structure(e));
