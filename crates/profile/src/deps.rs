@@ -157,9 +157,10 @@ struct Edge {
 
 /// Live profiling state for one active loop invocation.
 ///
-/// Every table is dense: registers index the loop frame's register file
-/// and reader statements index the loop function's flat statement list.
-/// States are recycled across invocations, keeping their allocations.
+/// Registers index the loop frame's register file and reader statements
+/// the loop function's flat statement list; only memory addresses are
+/// hashed. States are recycled across invocations, keeping their
+/// allocations.
 #[derive(Default)]
 struct DepState {
     key: Option<LoopKey>,
