@@ -56,7 +56,7 @@ impl Terminator {
 }
 
 /// A basic block: a list of guarded statements plus a terminator.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Block {
     pub insts: Vec<Inst>,
     pub term: Terminator,
@@ -74,7 +74,7 @@ impl Block {
 /// A function: an entry block, a CFG of blocks, and a register count.
 ///
 /// The first `n_params` registers (`r0..`) are the function's parameters.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Func {
     pub name: String,
     pub blocks: Vec<Block>,
@@ -124,7 +124,7 @@ impl Func {
 }
 
 /// A whole program: functions, an entry function, initial memory.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Program {
     pub funcs: Vec<Func>,
     pub entry: FuncId,

@@ -48,7 +48,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// v2: report payloads gained the block-memo hit/miss counters.
 /// v3: those counters left the payloads with the memo itself, and
 /// `MachineConfig` lost two fields, so every config-derived key changed.
-pub const STORE_SCHEMA: u32 = 3;
+/// v4: programs are fingerprinted from their derived `Hash` rather than
+/// their printed text, so every program-derived key changed.
+pub const STORE_SCHEMA: u32 = 4;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

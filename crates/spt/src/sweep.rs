@@ -37,6 +37,7 @@ use spt_sim::{
 };
 use spt_sir::Program;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -49,12 +50,32 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 use crate::store::fnv1a;
 
-/// Content fingerprint of a program: its full textual rendering plus the
-/// initial data image and memory size (which `Display` only summarizes).
+/// Content fingerprint of a program: FNV-1a over its derived `Hash`, which
+/// visits every function, block, statement, the data image and the memory
+/// size, without rendering or allocating anything.
+///
+/// Integers are fed in native byte order and lengths as `usize`, so the
+/// value depends on the host's word size and endianness. That is fine for
+/// the on-disk store, which is a per-host cache.
 pub fn program_fingerprint(prog: &Program) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, prog.to_string().as_bytes());
-    h = fnv1a(h, format!("{:?}|{}", prog.data, prog.mem_words).as_bytes());
-    h
+    let mut h = Fnv1a(FNV_OFFSET);
+    prog.hash(&mut h);
+    h.0
+}
+
+/// A `Hasher` that feeds [`fnv1a`]. Unlike `std`'s `RandomState` hashers
+/// it is unseeded, so a fingerprint is the same in every process, as the
+/// persisted store keys require.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Fingerprint of any `Debug`-printable configuration. Derived `Debug`
@@ -873,6 +894,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spt_sir::{Guard, Reg};
     use spt_workloads::kernels::array_map;
     use spt_workloads::{Scale, BENCHMARK_NAMES};
 
@@ -885,6 +907,28 @@ mod tests {
             program_fingerprint(&a),
             program_fingerprint(&array_map(64, 8))
         );
+
+        // Pairs that differ in exactly one field the key must cover.
+        let tweaked = |edit: &dyn Fn(&mut Program)| {
+            let mut p = a.clone();
+            edit(&mut p);
+            program_fingerprint(&p)
+        };
+        let guarded =
+            |g: Guard| move |p: &mut Program| p.funcs[0].blocks[1].insts[0].guard = Some(g);
+        let fa = program_fingerprint(&a);
+        assert_ne!(fa, tweaked(&|p| p.data[17].1 += 1), "data-image value");
+        assert_ne!(fa, tweaked(&|p| p.mem_words += 1), "mem_words");
+        let (when, unless) = (Guard::when(Reg(0)), Guard::unless(Reg(0)));
+        assert_ne!(tweaked(&guarded(when)), tweaked(&guarded(unless)), "guard");
+        assert_ne!(fa, tweaked(&guarded(when)), "guard vs none");
+        assert_ne!(fa, tweaked(&|p| p.funcs[0].name.push('2')), "function name");
+
+        // The persisted store is keyed on this value, so it must be the same
+        // in every process and on every run: a seeded hasher would pass every
+        // check above. So would a toolchain whose std `Hash` impls feed other
+        // bytes. Changing this literal requires a `STORE_SCHEMA` bump.
+        assert_eq!(fa, 0x6bef_8285_ccb9_5a78);
 
         let m1 = MachineConfig::default();
         let mut m2 = MachineConfig::default();
