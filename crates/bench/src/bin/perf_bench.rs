@@ -70,10 +70,9 @@ fn entry_json(label: &str, scale: Scale, report: &RunReport, arena: Json) -> Jso
 }
 
 /// This run's simulator-arena activity: checkout reuse/fresh deltas over
-/// the sweep, plus whether `SPT_ARENA` was on at all.
+/// the sweep.
 fn arena_summary(before: spt::sim::ArenaStats, after: spt::sim::ArenaStats) -> Json {
     Json::obj()
-        .with("enabled", spt::sim::arena_enabled())
         .with("reuse", after.reuse.saturating_sub(before.reuse))
         .with("fresh", after.fresh.saturating_sub(before.fresh))
 }
@@ -127,9 +126,6 @@ fn validate_entry(e: &Json) -> Result<(), String> {
         None => return Err("entry missing key \"arena\" (null for pre-arena entries)".into()),
         Some(Json::Null) => {}
         Some(a) => {
-            a.get("enabled")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| "arena missing bool key \"enabled\"".to_string())?;
             for k in ["reuse", "fresh"] {
                 a.get(k)
                     .and_then(Json::as_u64)

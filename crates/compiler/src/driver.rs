@@ -10,12 +10,11 @@
 //! only good) SPT loops — non-nested, estimated speedup above threshold —
 //! and apply the SPT loop transformation to produce the final program.
 //!
-//! The entry points peel the pipeline at its two profiles: [`compile`]
-//! runs everything, [`compile_with_profile`] starts from a program
-//! profile, and [`compile_with_deps`] also takes the dependence profile of
-//! the [`candidate_keys`] loops. Those keys read no cost-model parameter,
-//! so callers that vary only the cost model (the core-count sweep) can
-//! profile dependences once and share the result.
+//! [`compile`] runs everything; [`compile_with_deps`] starts from the
+//! program profile and the dependence profile of the [`candidate_keys`]
+//! loops, and traces its selection decisions into a sink. Those keys read
+//! no cost-model parameter, so callers that vary only the cost model (the
+//! core-count sweep) can profile dependences once and share the result.
 
 use crate::body::{linearize, LinearBody, LinearizeError};
 use crate::cost::CostParams;
@@ -164,48 +163,13 @@ fn push_reject(
     rejected.push((key, reason));
 }
 
-/// Run the full two-pass SPT compilation.
+/// Run the full two-pass SPT compilation: [`profile_program`] →
+/// [`candidate_keys`] → [`profile_loops`] → [`compile_with_deps`].
 pub fn compile(prog: &Program, opts: &CompileOptions) -> CompileResult {
     let profile = profile_program(prog, opts.profile_fuel);
-    compile_with_profile(prog, opts, profile)
-}
-
-/// [`compile`] with a trace sink receiving the driver's selection events
-/// (`PartitionChosen`, `LoopSelected`, `LoopRejected`).
-pub fn compile_traced(
-    prog: &Program,
-    opts: &CompileOptions,
-    sink: &mut dyn TraceSink,
-) -> CompileResult {
-    let profile = profile_program(prog, opts.profile_fuel);
-    compile_with_profile_traced(prog, opts, profile, sink)
-}
-
-/// Run the two-pass compilation against an already-collected profile.
-///
-/// `compile` is `compile_with_profile ∘ profile_program`; callers that
-/// profile the program for other purposes (Figure 6, the sweep engine's
-/// memo cache) can reuse that work here instead of re-interpreting the
-/// whole program. The profile must have been collected with
-/// `opts.profile_fuel` for results to match `compile`.
-pub fn compile_with_profile(
-    prog: &Program,
-    opts: &CompileOptions,
-    profile: ProgramProfile,
-) -> CompileResult {
-    compile_with_profile_traced(prog, opts, profile, &mut NullSink)
-}
-
-/// [`compile_with_profile`] with an explicit trace sink.
-pub fn compile_with_profile_traced(
-    prog: &Program,
-    opts: &CompileOptions,
-    profile: ProgramProfile,
-    sink: &mut dyn TraceSink,
-) -> CompileResult {
     let keys = candidate_keys(prog, opts, &profile);
     let deps = profile_loops(prog, &keys, opts.profile_fuel);
-    compile_with_deps_traced(prog, opts, profile, &deps, sink)
+    compile_with_deps(prog, opts, profile, &deps, &mut NullSink)
 }
 
 /// The loops pass 1b dependence-profiles: every executed loop that passes
@@ -224,21 +188,6 @@ pub fn candidate_keys(
         .into_iter()
         .map(|(k, _)| k)
         .collect()
-}
-
-/// Run the two-pass compilation against an already-collected program
-/// profile and dependence profile.
-///
-/// `compile_with_profile` is `candidate_keys → profile_loops →
-/// compile_with_deps`; `deps` must profile the [`candidate_keys`] loops
-/// with `opts.profile_fuel` for results to match.
-pub fn compile_with_deps(
-    prog: &Program,
-    opts: &CompileOptions,
-    profile: ProgramProfile,
-    deps: &DepProfile,
-) -> CompileResult {
-    compile_with_deps_traced(prog, opts, profile, deps, &mut NullSink)
 }
 
 /// Pass 1a: enumerate loops and apply the simple selection criteria,
@@ -293,8 +242,16 @@ fn select_candidates(
     structural
 }
 
-/// [`compile_with_deps`] with an explicit trace sink.
-pub fn compile_with_deps_traced(
+/// Run the two-pass compilation against an already-collected program
+/// profile and dependence profile, emitting the driver's selection events
+/// (`PartitionChosen`, `LoopSelected`, `LoopRejected`) into `sink`.
+///
+/// Callers that profile the program for other purposes (Figure 6, the
+/// sweep engine's memo cache) reuse that work here instead of
+/// re-interpreting the whole program. Both profiles must have been
+/// collected with `opts.profile_fuel`, and `dep_profile` must cover the
+/// [`candidate_keys`] loops, for results to match [`compile`].
+pub fn compile_with_deps(
     prog: &Program,
     opts: &CompileOptions,
     profile: ProgramProfile,
@@ -680,8 +637,15 @@ mod tests {
     #[test]
     fn traced_compile_emits_selection_events() {
         let prog = two_loop_program();
+        let opts = CompileOptions::default();
+        let profile = profile_program(&prog, opts.profile_fuel);
+        let deps = profile_loops(
+            &prog,
+            &candidate_keys(&prog, &opts, &profile),
+            opts.profile_fuel,
+        );
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let res = compile_traced(&prog, &CompileOptions::default(), &mut sink);
+        let res = compile_with_deps(&prog, &opts, profile, &deps, &mut sink);
         let recs: Vec<_> = sink.into_records();
         assert!(
             recs.iter().all(|r| r.cycle == 0),
@@ -703,7 +667,7 @@ mod tests {
         assert_eq!(rejected, res.rejected.len());
         assert!(partitions >= selected);
         // Tracing must not change the compilation result.
-        let res2 = compile(&prog, &CompileOptions::default());
+        let res2 = compile(&prog, &opts);
         assert_eq!(res2.loops.len(), res.loops.len());
         assert_eq!(res2.rejected.len(), res.rejected.len());
     }
@@ -725,8 +689,8 @@ mod tests {
                 let mut opts = base.clone();
                 opts.cost.cores = cores;
                 assert_eq!(candidate_keys(&prog, &opts, &profile), keys, "{name}");
-                let shared = compile_with_deps(&prog, &opts, profile.clone(), &deps);
-                let fresh = compile_with_profile(&prog, &opts, profile.clone());
+                let shared = compile_with_deps(&prog, &opts, profile.clone(), &deps, &mut NullSink);
+                let fresh = compile(&prog, &opts);
                 let render =
                     |r: &CompileResult| format!("{}\n{:?}\n{:?}", r.program, r.loops, r.rejected);
                 assert_eq!(render(&shared), render(&fresh), "{name} cores={cores}");

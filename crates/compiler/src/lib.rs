@@ -29,8 +29,7 @@ pub use body::{linearize, LinearBody, LinearizeError};
 pub use cost::{estimate_speedup, misspeculation_cost, stmt_cost, CostParams};
 pub use ddg::{CrossDep, Ddg, IntraDep};
 pub use driver::{
-    candidate_keys, compile, compile_traced, compile_with_deps, compile_with_deps_traced,
-    compile_with_profile, compile_with_profile_traced, CompileOptions, CompileResult, RejectReason,
+    candidate_keys, compile, compile_with_deps, CompileOptions, CompileResult, RejectReason,
     SptLoopInfo,
 };
 pub use partition::{search_partition, Partition};

@@ -60,8 +60,8 @@ impl Scrape {
     }
 
     /// Cumulative `(le, count)` pairs for one histogram series, sorted by
-    /// bound with `+Inf` last — the shape [`quantile_from_cumulative`]
-    /// (crate::quantile_from_cumulative) expects.
+    /// bound with `+Inf` last — the shape
+    /// [`quantile_from_cumulative`](crate::quantile_from_cumulative) expects.
     pub fn histogram_cumulative(&self, name: &str, labels: &[(&str, &str)]) -> Vec<(f64, f64)> {
         let bucket = format!("{name}_bucket");
         let mut out: Vec<(f64, f64)> = self

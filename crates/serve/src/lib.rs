@@ -16,7 +16,9 @@
 //! * **Responses** — `{"ok":true,"served":HOW,"payload":...}` on success
 //!   (`served` is one of `computed`, `memo`, `store`, `coalesced`) or
 //!   `{"ok":false,"error":MSG}`; a malformed request never kills the
-//!   daemon.
+//!   daemon. A request line longer than [`MAX_REQUEST_LINE`] bytes is
+//!   answered with `{"ok":false,"error":"too_large"}` and the connection
+//!   is closed.
 //! * **Coalescing** — duplicate concurrent requests share one
 //!   computation and receive byte-identical payloads (a per-request-key
 //!   `OnceLock`, the same at-most-once discipline the sweep memo uses
@@ -42,7 +44,7 @@ use spt::sweep::debug_fingerprint;
 use spt::{run_experiment, DiskStore, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
 use spt_workloads::BENCHMARK_NAMES;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -60,6 +62,11 @@ pub use metrics::{ServeMetrics, SweepMetrics};
 /// How the listener polls for new connections while staying responsive
 /// to the stop flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// Longest request line the daemon reads, newline included. Far above the
+/// largest real request (well under 1 KiB); it bounds the memory one
+/// client can make a connection thread buffer.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Configuration of one daemon instance.
 #[derive(Clone, Debug)]
@@ -607,10 +614,13 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
     let _guard = ConnGuard(&shared.metrics);
     let mut writer = write_half;
     let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        match (&mut reader)
+            .take(MAX_REQUEST_LINE as u64)
+            .read_until(b'\n', &mut buf)
+        {
             Ok(0) => return, // client closed
             Ok(n) => shared.metrics.add_bytes_read(n as u64),
             Err(e) => {
@@ -623,11 +633,22 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
                 return; // timeout or broken pipe
             }
         }
-        if line.trim().is_empty() {
-            continue;
-        }
+        // An oversized line leaves its tail unread, so there is no next
+        // request to resynchronize on: answer it, then close.
+        let too_large = buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
         let t0 = Instant::now();
-        let (response, op, served) = handle_request(shared, line.trim());
+        let (response, op, served) = if too_large {
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            refuse(shared, "too_large")
+        } else {
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                return; // not UTF-8: not a protocol client
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            handle_request(shared, line.trim())
+        };
         shared
             .metrics
             .response(op, served, t0.elapsed().as_micros() as u64);
@@ -637,7 +658,7 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
         if writer.write_all(body.as_bytes()).is_err() || writer.flush().is_err() {
             return;
         }
-        if shared.stop.load(Ordering::Relaxed) {
+        if too_large || shared.stop.load(Ordering::Relaxed) {
             return;
         }
     }
@@ -645,6 +666,15 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
 
 fn error_json(msg: &str) -> Json {
     Json::obj().with("ok", false).with("error", msg)
+}
+
+/// Count a request that never reached an op as an error and build its
+/// refusal, labelled `invalid`.
+fn refuse(shared: &Shared, msg: &str) -> (Json, &'static str, &'static str) {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.request("invalid");
+    shared.metrics.error();
+    (error_json(msg), "invalid", "error")
 }
 
 /// The metric label for a request's op — a closed set regardless of
@@ -664,22 +694,12 @@ fn op_label(req: &Request) -> &'static str {
 /// Returns the response plus the `(op, served)` metric labels.
 fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'static str) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
-    let req = match Json::parse(line).map_err(|e| format!("bad JSON: {e}")) {
-        Ok(doc) => match Request::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.request("invalid");
-                shared.metrics.error();
-                return (error_json(&e), "invalid", "error");
-            }
-        },
-        Err(e) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.request("invalid");
-            shared.metrics.error();
-            return (error_json(&e), "invalid", "error");
-        }
+    let req = match Json::parse(line)
+        .map_err(|e| format!("bad JSON: {e}"))
+        .and_then(|doc| Request::from_json(&doc))
+    {
+        Ok(r) => r,
+        Err(e) => return refuse(shared, &e),
     };
     let op = op_label(&req);
     shared.metrics.request(op);

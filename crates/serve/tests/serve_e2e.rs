@@ -4,7 +4,7 @@
 //! shutdown.
 
 use spt::{run_experiment, ExperimentOutput, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
-use spt_serve::{client, ServeConfig, Server};
+use spt_serve::{client, ServeConfig, Server, MAX_REQUEST_LINE};
 use spt_workloads::Scale;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -279,6 +279,36 @@ fn idle_connection_times_out_but_daemon_stays_healthy() {
     let pong = client::request(&addr, &Json::obj().with("op", "ping")).unwrap();
     assert_eq!(pong.payload.as_str(), Some("pong"));
     drop(idle);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_daemon_stays_healthy() {
+    let server = start(None);
+    let addr = server.addr().to_string();
+    // A well-formed ping padded past the cap: the daemon must stop
+    // buffering at the cap, refuse the line and close the connection.
+    let pad = "x".repeat(MAX_REQUEST_LINE);
+    let line = format!("{{\"op\":\"ping\",\"pad\":\"{pad}\"}}\n");
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    // The daemon may close before the tail is sent; the reply is already
+    // queued by then, so a failed write is not a failure here.
+    let _ = stream.write_all(line.as_bytes());
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim(), r#"{"ok":false,"error":"too_large"}"#);
+
+    let pong = client::request(&addr, &Json::obj().with("op", "ping")).unwrap();
+    assert_eq!(pong.payload.as_str(), Some("pong"));
+    let stats = client::request(&addr, &Json::obj().with("op", "stats")).unwrap();
+    assert_eq!(
+        stats.payload.get("errors").and_then(Json::as_u64),
+        Some(1),
+        "the refusal counts as an error"
+    );
     server.shutdown();
 }
 

@@ -3,7 +3,7 @@
 //! [`SimArena`] owns every heap structure a simulation run needs —
 //! architectural [`Memory`], cursor register-file slabs ([`CursorParts`]),
 //! [`CacheSim`] level vectors, pipeline cores (scoreboard frame slots +
-//! predictor tables), the speculative-thread buffer pool ([`SpecBufs`]),
+//! predictor tables), the speculative-thread buffer pool,
 //! and a small LRU of [`DecodedProgram`]s — so a sweep worker can run
 //! many (program, config, fuel) items without reconstructing any of them.
 //! Components are *checked out* at run start (`take_*`) and returned at
@@ -14,10 +14,9 @@
 //! observationally equal to fresh construction (epoch/generation bumps
 //! where the structure is stamped — `Ssb`, scoreboard — explicit
 //! clear+refill elsewhere; see each component's `reset` doc). A fresh
-//! arena's takes all construct fresh state, so `SPT_ARENA=off`
-//! (which routes every run through a brand-new arena) shares 100% of the
-//! code path with the default mode — the fallback's equivalence argument
-//! is the empty-arena case of the same functions.
+//! arena's takes all construct fresh state through the same functions, so
+//! a run on `SimArena::new()` is the reference a warm arena is checked
+//! against (`tests/arena_equiv.rs`).
 
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, RegSet};
@@ -28,7 +27,6 @@ use spt_sir::Program;
 use spt_trace::Pipe;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Decoded programs retained per arena (the cores ∈ {2,4,8} runs of one
 /// benchmark plus a little slack for interleaved baseline items).
@@ -36,7 +34,7 @@ const DECODE_CACHE_CAP: usize = 4;
 
 /// Components handed out from a retained allocation (reset, not rebuilt).
 static ARENA_REUSE: AtomicU64 = AtomicU64::new(0);
-/// Components constructed fresh (empty arena, first run, or `SPT_ARENA=off`).
+/// Components constructed fresh (empty arena or first run).
 static ARENA_FRESH: AtomicU64 = AtomicU64::new(0);
 /// Approximate bytes currently retained across all live arenas.
 static ARENA_RETAINED_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -60,22 +58,6 @@ pub fn arena_stats() -> ArenaStats {
         fresh: ARENA_FRESH.load(Ordering::Relaxed),
         retained_bytes: ARENA_RETAINED_BYTES.load(Ordering::Relaxed),
     }
-}
-
-/// Whether cross-run arena reuse is on. `SPT_ARENA=off` (or `0`) routes
-/// every run through a brand-new arena instead of the thread-local one —
-/// same code, fresh allocations — as the runtime fallback. Read once per
-/// process; deliberately *not* part of `MachineConfig`, because the arena
-/// cannot affect results (only allocation traffic) and must not perturb
-/// memo keys.
-pub fn arena_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !matches!(
-            std::env::var("SPT_ARENA").as_deref(),
-            Ok("off") | Ok("0") | Ok("OFF")
-        )
-    })
 }
 
 thread_local! {
@@ -156,8 +138,8 @@ impl SimArena {
         }
     }
 
-    /// Retain a decoded program under fingerprint `fp` (LRU, capacity
-    /// [`DECODE_CACHE_CAP`]).
+    /// Retain a decoded program under fingerprint `fp`, dropping the least
+    /// recently used decode when the small cache is full.
     pub fn put_decoded(&mut self, fp: u64, dec: DecodedProgram) {
         self.dec.retain(|(k, _)| *k != fp);
         if self.dec.len() >= DECODE_CACHE_CAP {

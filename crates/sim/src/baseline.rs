@@ -41,59 +41,28 @@ impl BaselineReport {
     }
 }
 
-/// Simulate the sequential program on one core.
+/// Simulate the sequential program on one core, on this thread's
+/// [`SimArena`].
 pub fn simulate_baseline(
     prog: &Program,
     cfg: &MachineConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
 ) -> BaselineReport {
-    simulate_baseline_with_memory(prog, cfg, annots, max_steps).0
-}
-
-/// Like [`simulate_baseline`], but also returns the final memory image for
-/// differential state comparison.
-pub fn simulate_baseline_with_memory(
-    prog: &Program,
-    cfg: &MachineConfig,
-    annots: &LoopAnnotations,
-    max_steps: u64,
-) -> (BaselineReport, Memory) {
-    simulate_baseline_traced(prog, cfg, annots, max_steps, &mut NullSink)
-}
-
-/// [`simulate_baseline`] with a trace sink: the single pipeline emits
-/// `StallTransition` events whenever its idle-cause changes class. Routes
-/// through the thread-local [`SimArena`] when `SPT_ARENA` is on (the
-/// default), or a brand-new arena per run when off — both execute
-/// [`baseline_core`], so the two modes share every instruction of the
-/// simulation path.
-pub fn simulate_baseline_traced(
-    prog: &Program,
-    cfg: &MachineConfig,
-    annots: &LoopAnnotations,
-    max_steps: u64,
-    sink: &mut dyn TraceSink,
-) -> (BaselineReport, Memory) {
     let dec = DecodedProgram::new(prog);
-    if arena::arena_enabled() {
-        arena::with_thread_arena(|a| baseline_core(a, &dec, prog, cfg, annots, max_steps, sink))
-    } else {
-        baseline_core(
-            &mut SimArena::new(),
-            &dec,
-            prog,
-            cfg,
-            annots,
-            max_steps,
-            sink,
-        )
-    }
+    arena::with_thread_arena(|a| {
+        let (report, mem) = baseline_core(a, &dec, prog, cfg, annots, max_steps, &mut NullSink);
+        a.put_mem(mem);
+        report
+    })
 }
 
-/// [`simulate_baseline`] with an explicit arena, reusing a decoded program
-/// the arena retained under fingerprint `fp` and retiring every component
-/// (decode included) back into it. The sweep's per-worker hot path.
+/// [`simulate_baseline`] with an explicit arena and trace sink: reuses a
+/// decoded program the arena retained under fingerprint `fp` and retires
+/// every component (decode included) back into it. The single pipeline
+/// emits `StallTransition` events whenever its idle-cause changes class.
+/// The final memory image is returned for differential state comparison;
+/// callers that don't need it hand it back with [`SimArena::put_mem`].
 pub fn simulate_baseline_in(
     arena: &mut SimArena,
     fp: u64,
@@ -101,14 +70,14 @@ pub fn simulate_baseline_in(
     cfg: &MachineConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
-) -> BaselineReport {
+    sink: &mut dyn TraceSink,
+) -> (BaselineReport, Memory) {
     let dec = arena
         .take_decoded(fp)
         .unwrap_or_else(|| DecodedProgram::new(prog));
-    let (report, mem) = baseline_core(arena, &dec, prog, cfg, annots, max_steps, &mut NullSink);
-    arena.put_mem(mem);
+    let out = baseline_core(arena, &dec, prog, cfg, annots, max_steps, sink);
     arena.put_decoded(fp, dec);
-    report
+    out
 }
 
 /// The baseline simulation loop proper: heap components are checked out of

@@ -30,11 +30,8 @@ pub mod specset;
 pub mod spt;
 pub mod ssb;
 
-pub use arena::{arena_enabled, arena_stats, with_thread_arena, ArenaStats, SimArena};
-pub use baseline::{
-    simulate_baseline, simulate_baseline_in, simulate_baseline_traced,
-    simulate_baseline_with_memory, BaselineReport,
-};
+pub use arena::{arena_stats, with_thread_arena, ArenaStats, SimArena};
+pub use baseline::{simulate_baseline, simulate_baseline_in, BaselineReport};
 pub use engine::{CycleBreakdown, Engine, StallBreakdown, StallKind};
 pub use metrics::{LoopAnnot, LoopAnnotations, LoopCycleTracker, PerCoreStats, PerLoopStats};
 pub use pipeline::PipelineCore;

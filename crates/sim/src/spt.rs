@@ -29,8 +29,9 @@
 //! * memory check — the load address buffer (LAB) vs. main-thread store
 //!   addresses issued before the start-point.
 //!
-//! What happens next is the configured [`RecoveryPolicy`]: under the
-//! default (selective re-execution with fast commit), no violation →
+//! What happens next is the configured
+//! [`RecoveryPolicy`](crate::recovery::RecoveryPolicy): under the default
+//! (selective re-execution with fast commit), no violation →
 //! *fast commit* — the speculative register context is copied back (5
 //! cycles minimum), outstanding SSB stores are written back (and checked
 //! against downstream threads' LABs), and the main thread resumes where
@@ -50,7 +51,7 @@ use crate::ssb::{SpecMem, Ssb};
 use spt_interp::{Cursor, DecodedProgram, EvKind, Event, Memory};
 use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy};
 use spt_sir::{BlockId, FuncId, Op, Program, Reg};
-use spt_trace::{NullSink, Pipe, StderrSink, TraceEvent, TraceSink};
+use spt_trace::{NullSink, Pipe, TraceEvent, TraceSink};
 
 /// Result of an SPT run.
 
@@ -479,79 +480,23 @@ impl<'p> SptSim<'p> {
     }
 
     /// Run the program to completion (or until `max_steps` interpreter steps
-    /// across all pipelines).
+    /// across all pipelines) on this thread's [`SimArena`].
     pub fn run(&self, max_steps: u64) -> SptReport {
-        self.run_with_memory(max_steps).0
-    }
-
-    /// Like [`SptSim::run`], but also returns the final architectural memory
-    /// image, so differential tests can compare the SPT machine's committed
-    /// state against a sequential interpretation word for word.
-    pub fn run_with_memory(&self, max_steps: u64) -> (SptReport, Memory) {
-        // `SPT_DEBUG` routes the same structured events the trace layer sees
-        // to stderr (successor of the old ad-hoc eprintln debugging).
-        if std::env::var_os("SPT_DEBUG").is_some() {
-            self.run_with_memory_traced(max_steps, &mut StderrSink)
-        } else {
-            self.run_with_memory_traced(max_steps, &mut NullSink)
-        }
-    }
-
-    /// Run with a trace sink receiving one event per observable speculation
-    /// action. With a disabled sink this is exactly [`SptSim::run`].
-    pub fn run_traced(&self, max_steps: u64, sink: &mut dyn TraceSink) -> SptReport {
-        self.run_with_memory_traced(max_steps, sink).0
-    }
-
-    /// [`SptSim::run_with_memory`] with an explicit trace sink. Routes
-    /// through the thread-local [`SimArena`] when `SPT_ARENA` is on (the
-    /// default), or a brand-new arena per run when off — both execute
-    /// [`SptSim::run_core`], so the two modes share every instruction of
-    /// the simulation path.
-    pub fn run_with_memory_traced(
-        &self,
-        max_steps: u64,
-        sink: &mut dyn TraceSink,
-    ) -> (SptReport, Memory) {
-        if arena::arena_enabled() {
-            arena::with_thread_arena(|a| self.run_core(a, max_steps, sink))
-        } else {
-            self.run_core(&mut SimArena::new(), max_steps, sink)
-        }
-    }
-
-    /// Run with an explicit arena, retiring every reusable component
-    /// (including the final memory image) back into it. The sweep's
-    /// per-worker hot path.
-    pub fn run_in(&self, arena: &mut SimArena, max_steps: u64) -> SptReport {
-        let (report, mem) = if std::env::var_os("SPT_DEBUG").is_some() {
-            self.run_core(arena, max_steps, &mut StderrSink)
-        } else {
-            self.run_core(arena, max_steps, &mut NullSink)
-        };
-        arena.put_mem(mem);
-        report
-    }
-
-    /// [`SptSim::run_in`] with an explicit trace sink, for tests that
-    /// compare the full event stream of warm-arena runs against fresh
-    /// construction byte for byte.
-    pub fn run_traced_in(
-        &self,
-        arena: &mut SimArena,
-        max_steps: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SptReport {
-        let (report, mem) = self.run_core(arena, max_steps, sink);
-        arena.put_mem(mem);
-        report
+        arena::with_thread_arena(|a| {
+            let (report, mem) = self.run_in(a, max_steps, &mut NullSink);
+            a.put_mem(mem);
+            report
+        })
     }
 
     /// The simulation loop proper: check every heap component out of
-    /// `arena` (reset-or-fresh), run, retire the components back. The
-    /// returned memory is *not* retired — callers that don't need it use
-    /// [`SptSim::run_in`].
-    fn run_core(
+    /// `arena` (reset-or-fresh), run with `sink` receiving one event per
+    /// observable speculation action, retire the components back. The
+    /// final architectural memory image is returned rather than retired,
+    /// so differential tests can compare the committed state against a
+    /// sequential interpretation word for word; callers that don't need
+    /// it hand it back with [`SimArena::put_mem`].
+    pub fn run_in(
         &self,
         arena: &mut SimArena,
         max_steps: u64,
@@ -1816,7 +1761,7 @@ mod tests {
             let sim = SptSim::new(&prog, MachineConfig::default(), annots);
             let rep = sim.run(FUEL);
             let mut sink = spt_trace::RingBufferSink::unbounded();
-            let rep_t = sim.run_traced(FUEL, &mut sink);
+            let rep_t = sim.run_in(&mut SimArena::new(), FUEL, &mut sink).0;
             // Tracing must not perturb timing or results.
             assert_eq!(rep.cycles, rep_t.cycles);
             assert_eq!(rep.instrs, rep_t.instrs);
@@ -1837,7 +1782,7 @@ mod tests {
         let (prog, annots) = serial_loop(40, 6);
         let sim = SptSim::new(&prog, MachineConfig::default(), annots);
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let rep = sim.run_traced(FUEL, &mut sink);
+        let rep = sim.run_in(&mut SimArena::new(), FUEL, &mut sink).0;
         assert!(rep.replays > 0);
         let fold = spt_trace::fold(sink.records());
         let l = &fold.per_loop[0];
@@ -1869,7 +1814,7 @@ mod tests {
         let (seq, seq_mem) = run(&prog, FUEL);
         for cores in [2usize, 3, 4, 8] {
             let sim = SptSim::new(&prog, cfg_with_cores(cores), annots.clone());
-            let (rep, mem) = sim.run_with_memory(FUEL);
+            let (rep, mem) = sim.run_in(&mut SimArena::new(), FUEL, &mut NullSink);
             assert!(!rep.out_of_fuel, "cores={cores}");
             assert_eq!(rep.ret, seq.ret, "cores={cores}");
             for a in 0..54 {
@@ -1916,7 +1861,7 @@ mod tests {
         let (prog, annots) = parallel_loop(80, 8);
         let sim = SptSim::new(&prog, cfg_with_cores(4), annots);
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let rep = sim.run_traced(FUEL, &mut sink);
+        let rep = sim.run_in(&mut SimArena::new(), FUEL, &mut sink).0;
         let ring_forks = sink
             .records()
             .filter(|r| matches!(r.ev, TraceEvent::RingFork { .. }))
@@ -2033,8 +1978,8 @@ mod tests {
         for (name, prog, annots, pinned) in &cases {
             let (seq, seq_mem) = spt_interp::run_with(prog, FUEL, |_| {});
             for (cores, want) in [2usize, 4, 8].into_iter().zip(pinned) {
-                let (r, mem) =
-                    SptSim::new(prog, cfg_with_cores(cores), annots.clone()).run_with_memory(FUEL);
+                let sim = SptSim::new(prog, cfg_with_cores(cores), annots.clone());
+                let (r, mem) = sim.run_in(&mut SimArena::new(), FUEL, &mut NullSink);
                 let ctx = format!("{name} @ {cores} cores");
                 assert_eq!(r.ret, seq.ret, "{ctx}: ret");
                 assert_eq!(mem, seq_mem, "{ctx}: final memory");

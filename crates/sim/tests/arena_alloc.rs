@@ -10,6 +10,7 @@ use std::cell::Cell;
 use spt_mach::MachineConfig;
 use spt_sim::{LoopAnnot, LoopAnnotations, SimArena, SptSim};
 use spt_sir::{BinOp, BlockId, Program, ProgramBuilder};
+use spt_trace::NullSink;
 
 /// Counts allocation *events* (alloc + realloc) per thread. Thread-local
 /// so the harness's other threads can't perturb the measurement;
@@ -99,11 +100,13 @@ fn measure(iters: i64) -> (u64, u64) {
     let sim = SptSim::new_in(&mut arena, 7, &prog, cfg, annots);
 
     let before_cold = alloc_events();
-    let cold = sim.run_in(&mut arena, 5_000_000);
+    let (cold, mem) = sim.run_in(&mut arena, 5_000_000, &mut NullSink);
+    arena.put_mem(mem);
     let cold_allocs = alloc_events() - before_cold;
 
     let before_warm = alloc_events();
-    let warm = sim.run_in(&mut arena, 5_000_000);
+    let (warm, mem) = sim.run_in(&mut arena, 5_000_000, &mut NullSink);
+    arena.put_mem(mem);
     let warm_allocs = alloc_events() - before_warm;
 
     // Same program, same config: the runs must agree exactly (the arena

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use spt_mach::MachineConfig;
 use spt_sim::{simulate_baseline_in, LoopAnnot, LoopAnnotations, SimArena, SptSim};
 use spt_sir::{BinOp, BlockId, Program, ProgramBuilder};
-use spt_trace::StreamSink;
+use spt_trace::{NullSink, StreamSink};
 
 const FUEL: u64 = 5_000_000;
 
@@ -198,13 +198,15 @@ fn spt_run(
 ) -> (String, Vec<u8>) {
     let sim = SptSim::new_in(arena, fp, prog, cfg(cores), annots.clone());
     let mut sink = StreamSink::new(Vec::new());
-    let rep = sim.run_traced_in(arena, FUEL, &mut sink);
+    let (rep, mem) = sim.run_in(arena, FUEL, &mut sink);
+    arena.put_mem(mem);
     arena.put_decoded(fp, sim.into_decoded());
     (format!("{rep:?}"), sink.into_inner())
 }
 
 fn baseline_run(arena: &mut SimArena, fp: u64, prog: &Program, annots: &LoopAnnotations) -> String {
-    let rep = simulate_baseline_in(arena, fp, prog, &cfg(1), annots, FUEL);
+    let (rep, mem) = simulate_baseline_in(arena, fp, prog, &cfg(1), annots, FUEL, &mut NullSink);
+    arena.put_mem(mem);
     format!("{rep:?}")
 }
 

@@ -13,8 +13,9 @@
 use proptest::prelude::*;
 use spt_interp::run;
 use spt_mach::{MachineConfig, RecoveryKind, RegCheckPolicy};
-use spt_sim::{LoopAnnot, LoopAnnotations, SptSim};
+use spt_sim::{with_thread_arena, LoopAnnot, LoopAnnotations, SptSim};
 use spt_sir::{BinOp, BlockId, Program, ProgramBuilder, Reg};
+use spt_trace::NullSink;
 
 const FUEL: u64 = 2_000_000;
 const N_REGS: u32 = 6;
@@ -265,7 +266,8 @@ proptest! {
         for cores in [2usize, 4, 8] {
             let mut m = MachineConfig::default();
             m.cores = cores;
-            let (rep, mem) = SptSim::new(&prog, m, annots.clone()).run_with_memory(FUEL);
+            let sim = SptSim::new(&prog, m, annots.clone());
+            let (rep, mem) = with_thread_arena(|a| sim.run_in(a, FUEL, &mut NullSink));
             prop_assert!(!rep.out_of_fuel, "cores={}", cores);
             prop_assert_eq!(rep.ret, seq.ret, "cores={}", cores);
             for a in 0..MEM as u64 {

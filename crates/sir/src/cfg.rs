@@ -9,7 +9,8 @@ pub struct Cfg {
     pub succs: Vec<Vec<BlockId>>,
     /// Reverse postorder over reachable blocks (entry first).
     pub rpo: Vec<BlockId>,
-    /// rpo_index[b] = position of b in `rpo`, or usize::MAX if unreachable.
+    /// `rpo_index[b]` = position of `b` in `rpo`, or `usize::MAX` if
+    /// unreachable.
     pub rpo_index: Vec<usize>,
 }
 

@@ -38,7 +38,7 @@ pub type LabeledData = Vec<(String, Vec<(String, f64)>)>;
 #[derive(Clone, Debug)]
 pub struct Fig6Series {
     pub name: String,
-    /// (body-size limit, accumulative coverage in [0,1]).
+    /// (body-size limit, accumulative coverage in `[0, 1]`).
     pub points: Vec<(f64, f64)>,
 }
 

@@ -25,7 +25,7 @@
 //!
 //! The `spt-bench` crate regenerates every table and figure of the paper's
 //! evaluation section on the synthetic SPECint2000 suite
-//! ([`spt_workloads::suite`]).
+//! ([`spt_workloads::suite()`]).
 
 pub mod experiments;
 pub mod json;

@@ -32,10 +32,10 @@ use spt_compiler::{candidate_keys, compile_with_deps, CompileOptions, CompileRes
 use spt_mach::MachineConfig;
 use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
 use spt_sim::{
-    arena_enabled, simulate_baseline, simulate_baseline_in, with_thread_arena, BaselineReport,
-    LoopAnnotations, SptReport, SptSim,
+    simulate_baseline_in, with_thread_arena, BaselineReport, LoopAnnotations, SptReport, SptSim,
 };
 use spt_sir::Program;
+use spt_trace::{NullSink, TraceSink};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -713,16 +713,30 @@ impl Sweep {
         let fp = program_fingerprint(prog);
         let key = Key(fp, debug_fingerprint(opts), 0, 0);
         let (res, cstamp) = self.compiles.get_or_compute(key, || {
-            let mut keys = candidate_keys(prog, opts, &profile);
-            keys.sort_unstable();
-            let dkey = Key(fp, opts.profile_fuel, debug_fingerprint(&keys), 0);
-            let (deps, _) = self
-                .deps
-                .get_or_compute(dkey, || profile_loops(prog, &keys, opts.profile_fuel));
-            compile_with_deps(prog, opts, (*profile).clone(), &deps)
+            let deps = self.dep_profile(prog, fp, opts, &profile);
+            compile_with_deps(prog, opts, (*profile).clone(), &deps, &mut NullSink)
         });
         self.observe_phase("compile", cstamp);
         (res, cstamp, pstamp)
+    }
+
+    /// The dependence profile of the [`candidate_keys`] loops of `prog`
+    /// (content fingerprint `fp`), memoized on what `profile_loops` reads:
+    /// program, profile fuel and the sorted candidate keys. Both the
+    /// memoized compile and the traced pipeline go through it.
+    pub(crate) fn dep_profile(
+        &self,
+        prog: &Program,
+        fp: u64,
+        opts: &CompileOptions,
+        profile: &ProgramProfile,
+    ) -> Arc<DepProfile> {
+        let mut keys = candidate_keys(prog, opts, profile);
+        keys.sort_unstable();
+        let dkey = Key(fp, opts.profile_fuel, debug_fingerprint(&keys), 0);
+        self.deps
+            .get_or_compute(dkey, || profile_loops(prog, &keys, opts.profile_fuel))
+            .0
     }
 
     /// Baseline (sequential one-core) simulation, memoized on program
@@ -749,16 +763,7 @@ impl Sweep {
                     return (r, true);
                 }
             }
-            // Worker threads keep one arena alive across sweep items, so
-            // the cores ∈ {2,4,8} items of one benchmark share a decoded
-            // program (keyed by the content fingerprint) and all per-run
-            // heap structures are reset, not rebuilt. `SPT_ARENA=off`
-            // falls back to fresh construction inside the same code path.
-            let r = if arena_enabled() {
-                with_thread_arena(|a| simulate_baseline_in(a, key.0, prog, machine, annots, fuel))
-            } else {
-                simulate_baseline(prog, machine, annots, fuel)
-            };
+            let r = run_baseline(key.0, prog, machine, annots, fuel, &mut NullSink);
             if let Some(st) = &self.store {
                 st.save("baseline", key.mix(), &store::baseline_report_json(&r));
             }
@@ -792,18 +797,7 @@ impl Sweep {
                     return (r, true);
                 }
             }
-            // Same arena discipline as the baseline closure: decode reuse
-            // keyed by content fingerprint, run state reset-not-rebuilt.
-            let r = if arena_enabled() {
-                with_thread_arena(|a| {
-                    let sim = SptSim::new_in(a, key.0, prog, machine.clone(), annots.clone());
-                    let rep = sim.run_in(a, fuel);
-                    a.put_decoded(key.0, sim.into_decoded());
-                    rep
-                })
-            } else {
-                SptSim::new(prog, machine.clone(), annots.clone()).run(fuel)
-            };
+            let r = run_spt(key.0, prog, machine, annots, fuel, &mut NullSink);
             if let Some(st) = &self.store {
                 st.save("spt_sim", key.mix(), &store::spt_report_json(&r));
             }
@@ -881,6 +875,45 @@ impl Sweep {
     }
 }
 
+/// One baseline simulation on this worker thread's arena. Worker threads
+/// keep one arena alive across sweep items, so the items of one benchmark
+/// share a decoded program (keyed by its content fingerprint `fp`) and all
+/// per-run heap structures are reset, not rebuilt.
+pub(crate) fn run_baseline(
+    fp: u64,
+    prog: &Program,
+    machine: &MachineConfig,
+    annots: &LoopAnnotations,
+    fuel: u64,
+    sink: &mut dyn TraceSink,
+) -> BaselineReport {
+    with_thread_arena(|a| {
+        let (r, mem) = simulate_baseline_in(a, fp, prog, machine, annots, fuel, sink);
+        a.put_mem(mem);
+        r
+    })
+}
+
+/// One SPT simulation on this worker thread's arena, with the same decode
+/// reuse as [`run_baseline`] (the cores ∈ {2,4,8} runs of one benchmark
+/// share one decode).
+pub(crate) fn run_spt(
+    fp: u64,
+    prog: &Program,
+    machine: &MachineConfig,
+    annots: &LoopAnnotations,
+    fuel: u64,
+    sink: &mut dyn TraceSink,
+) -> SptReport {
+    with_thread_arena(|a| {
+        let sim = SptSim::new_in(a, fp, prog, machine.clone(), annots.clone());
+        let (r, mem) = sim.run_in(a, fuel, sink);
+        a.put_mem(mem);
+        a.put_decoded(fp, sim.into_decoded());
+        r
+    })
+}
+
 /// `SPT_WORKERS` env var, else available parallelism.
 pub fn default_workers() -> usize {
     if let Ok(v) = std::env::var("SPT_WORKERS") {
@@ -896,7 +929,7 @@ mod tests {
     use super::*;
     use spt_sir::{Guard, Reg};
     use spt_workloads::kernels::array_map;
-    use spt_workloads::{Scale, BENCHMARK_NAMES};
+    use spt_workloads::{benchmark, Scale, BENCHMARK_NAMES};
 
     #[test]
     fn fingerprints_separate_programs_and_configs() {
@@ -976,6 +1009,28 @@ mod tests {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         assert_eq!(ld(&sw.deps.misses), 10);
         assert_eq!(ld(&sw.deps.hits), 20);
+    }
+
+    #[test]
+    fn traced_compile_shares_the_dependence_memo() {
+        // The traced pipeline looks the dependence profile up in the same
+        // memo as the untraced one: no second profiling run, and the same
+        // compile result.
+        let prog = benchmark("parsers", Scale::Test).program;
+        let cfg = RunConfig::default();
+        let sw = Sweep::sequential();
+        let _ = sw.evaluate("parsers", &prog, &cfg);
+        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (misses, hits) = (ld(&sw.deps.misses), ld(&sw.deps.hits));
+        assert_eq!(misses, 1);
+        let (traced, _) = sw.trace_program("parsers", &prog, &cfg);
+        assert_eq!(ld(&sw.deps.misses), misses, "traced compile re-profiled");
+        assert_eq!(ld(&sw.deps.hits), hits + 1);
+        let (compiled, _, _) = sw.compile(&prog, &cfg.compile);
+        assert_eq!(
+            format!("{:?}", traced.outcome.compiled),
+            format!("{compiled:?}")
+        );
     }
 
     #[test]

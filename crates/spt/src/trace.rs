@@ -19,9 +19,9 @@
 
 use crate::json::{Json, ToJson};
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
+use crate::sweep::{program_fingerprint, run_baseline, run_spt};
 use crate::sweep::{BenchRecord, PhaseTimings, RunReport, Sweep};
-use spt_compiler::compile_with_profile_traced;
-use spt_sim::{simulate_baseline_traced, SptSim};
+use spt_compiler::compile_with_deps;
 use spt_sir::Program;
 use spt_trace::{
     fold, Histogram, LoopHistograms, Pipe, RingBufferSink, TraceEvent, TraceFold, TraceRecord,
@@ -534,10 +534,11 @@ pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
 
 impl Sweep {
     /// Run the full evaluation pipeline for one program with tracing on,
-    /// capturing every event. Only the profile phase goes through the
-    /// memo cache — the traced phases must run live to produce their
-    /// event streams (reports are cached, events are not), so this is
-    /// the `--trace` path, not the bulk-evaluation path.
+    /// capturing every event. The program and dependence profiles go
+    /// through the memo cache exactly as in [`Sweep::compile`]; the traced
+    /// phases must run live to produce their event streams (reports are
+    /// cached, events are not), so this is the `--trace` path, not the
+    /// bulk-evaluation path.
     pub fn trace_program(
         &self,
         name: &str,
@@ -545,25 +546,32 @@ impl Sweep {
         cfg: &RunConfig,
     ) -> (TraceRun, BenchRecord) {
         let (profile, pstamp) = self.profile(prog, cfg.compile.profile_fuel);
+        let fp = program_fingerprint(prog);
 
         let mut csink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let compiled =
-            compile_with_profile_traced(prog, &cfg.compile, (*profile).clone(), &mut csink);
+        let deps = self.dep_profile(prog, fp, &cfg.compile, &profile);
+        let compiled = compile_with_deps(prog, &cfg.compile, (*profile).clone(), &deps, &mut csink);
         let compile_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let base_annots = original_annotations(prog, &compiled);
         let mut bsink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let (baseline, _mem) =
-            simulate_baseline_traced(prog, &cfg.machine, &base_annots, cfg.fuel, &mut bsink);
+        let baseline = run_baseline(fp, prog, &cfg.machine, &base_annots, cfg.fuel, &mut bsink);
         let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let annots = spt_annotations(&compiled);
         let mut ssink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let spt = SptSim::new(&compiled.program, cfg.machine.clone(), annots)
-            .run_traced(cfg.fuel, &mut ssink);
+        let spt_fp = program_fingerprint(&compiled.program);
+        let spt = run_spt(
+            spt_fp,
+            &compiled.program,
+            &cfg.machine,
+            &annots,
+            cfg.fuel,
+            &mut ssink,
+        );
         let spt_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let outcome = EvalOutcome {

@@ -22,4 +22,4 @@ pub mod sink;
 
 pub use event::{Pipe, StallClass, TraceEvent, TraceRecord};
 pub use hist::{fold, Histogram, LoopHistograms, TraceFold};
-pub use sink::{jsonl, NullSink, RingBufferSink, StderrSink, StreamSink, TraceSink};
+pub use sink::{jsonl, NullSink, RingBufferSink, StreamSink, TraceSink};

@@ -129,18 +129,6 @@ impl<W: Write> TraceSink for StreamSink<W> {
     }
 }
 
-/// Human-readable sink on stderr, gated behind the `SPT_DEBUG` environment
-/// variable by the simulator entry points: the successor of the old ad-hoc
-/// `eprintln!` debugging, fed by the same events every other sink sees.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn emit(&mut self, cycle: u64, ev: TraceEvent) {
-        eprintln!("[spt-trace @{cycle}] {ev:?}");
-    }
-}
-
 /// Serialize one record as a single compact JSON line. Deterministic:
 /// fixed key order, no whitespace, shortest-roundtrip floats.
 pub fn jsonl(rec: &TraceRecord) -> String {

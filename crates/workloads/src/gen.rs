@@ -25,9 +25,9 @@ pub enum DepPattern {
 /// Memory addressing behaviour of the loop's bulk accesses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemPattern {
-    /// a[i]: sequential, cache-friendly.
+    /// `a[i]`: sequential, cache-friendly.
     Array,
-    /// a[s*i]: strided.
+    /// `a[s*i]`: strided.
     Stride(usize),
     /// A hash-like scatter over the loop's region.
     Random,

@@ -174,7 +174,7 @@ pub fn svp_loop(iters: usize) -> Program {
     pb.finish(main, 16)
 }
 
-/// A simple fully-parallel array kernel for quickstarts: out[i] = f(a[i]).
+/// A simple fully-parallel array kernel for quickstarts: `out[i] = f(a[i])`.
 pub fn array_map(n: usize, work: usize) -> Program {
     let mut pb = ProgramBuilder::new();
     for i in 0..n {
