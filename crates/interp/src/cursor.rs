@@ -1,9 +1,10 @@
 //! The steppable interpreter.
 
-use crate::decode::{DecOp, DecodedProgram};
-use crate::event::{Branch, EvKind, Event, MemRef};
+use crate::decode::{DecOp, DecodedProgram, Loc};
+use crate::event::EvKind;
 use crate::mem::{wrap_addr, MemView};
-use spt_sir::{BlockId, FuncId, LatClass, Reg, StmtRef, Terminator};
+use crate::step::Step;
+use spt_sir::{BlockId, FuncId, Reg, StmtRef};
 
 /// One activation record's control state. Register values live in the
 /// cursor's slab (see [`Cursor`]), not in the frame, so frames are plain
@@ -59,7 +60,7 @@ macro_rules! write_reg {
 /// A steppable interpreter with an explicit call stack.
 ///
 /// `step` executes exactly one statement or terminator and describes it as
-/// an [`Event`]. Cloning a cursor clones the whole execution context (all
+/// a [`Step`]. Cloning a cursor clones the whole execution context (all
 /// frames and register files) — that is precisely the register-context copy
 /// the SPT architecture performs at `spt_fork`.
 ///
@@ -407,28 +408,30 @@ impl<'p> Cursor<'p> {
         })
     }
 
-    /// Whether the cursor sits exactly at the first event of `block` in
-    /// `func` — equivalent to `position() == Some(position_of(func,
-    /// block))` (both the first-statement and empty-block/terminator
-    /// positions have `idx == 0`), without constructing an [`EvKind`].
-    /// The SPT scheduler calls this once per main-pipeline event for the
-    /// arrival check, so it is three field compares.
+    /// Whether the cursor sits exactly at `loc`, without constructing an
+    /// [`EvKind`]: three field compares. The SPT scheduler asks this once
+    /// per main-pipeline step (arrival at a start-point, whose `idx` is 0)
+    /// and once per replayed SRB entry (control divergence).
     #[inline]
-    pub fn at_block_start(&self, func: FuncId, block: BlockId) -> bool {
+    pub fn at(&self, loc: Loc) -> bool {
         if self.halted {
             return false;
         }
         let fr = self.frames.last().expect("live cursor has a frame");
-        fr.func == func && fr.block == block && fr.idx == 0
+        fr.func == loc.func && fr.block == loc.block && fr.idx == loc.idx as usize
     }
 
-    /// Execute one statement or terminator. Returns `None` once halted.
+    /// Execute one statement or terminator and describe it as a [`Step`].
+    /// Returns `None` once halted.
     ///
     /// Generic over the memory view so each concrete view (architectural
     /// [`crate::Memory`], the SPT store-buffer view) gets a monomorphic
-    /// copy with its loads and stores inlined — the per-event virtual
-    /// dispatch was measurable on the simulator hot path.
-    pub fn step<M: MemView + ?Sized>(&mut self, mem: &mut M) -> Option<Event> {
+    /// copy with its loads and stores inlined — the per-step virtual
+    /// dispatch was measurable on the simulator hot path. Always inlined:
+    /// the callers' hot loops only shed the record's unused fields once
+    /// it is built in place.
+    #[inline(always)]
+    pub fn step<M: MemView + ?Sized>(&mut self, mem: &mut M) -> Option<Step<'p>> {
         if self.halted {
             return None;
         }
@@ -436,182 +439,116 @@ impl<'p> Cursor<'p> {
         let depth = (self.frames.len() - 1) as u32;
         let fr = self.frames.last_mut().expect("live cursor has a frame");
         let (base, dbase) = (fr.base as usize, fr.dbase as usize);
-        let func_id = fr.func;
-        let df = dec.func(func_id);
+        let df = dec.func(fr.func);
+        let inst = df.inst_at(fr.block, fr.idx);
+        fr.idx += 1;
+        let mut st = Step::new(inst, depth);
 
-        if fr.idx < df.block_len(fr.block) {
-            let sref = StmtRef::new(fr.block, fr.idx);
-            let inst = *df.inst_at(fr.block, fr.idx);
-            fr.idx += 1;
-            let kind = EvKind::Inst {
-                func: func_id,
-                sref,
-            };
-            let mut ev = Event::blank(kind, inst.lat, depth);
-
-            // Guard evaluation.
-            if let Some(g) = inst.guard {
-                ev.srcs.push(g.reg);
-                if !g.passes(self.slab[base + g.reg.index()]) {
-                    ev.executed = false;
-                    return Some(ev);
-                }
+        // Guard evaluation.
+        if let Some(g) = inst.guard {
+            if !g.passes(self.slab[base + g.reg.index()]) {
+                st.executed = false;
+                return Some(st);
             }
-
-            match inst.op {
-                DecOp::Const { dst, imm } => {
-                    write_reg!(self, base, dbase, dst.index(), imm);
-                    ev.dst = Some(dst);
-                    ev.dst_val = imm;
-                }
-                DecOp::Un { op, dst, src } => {
-                    ev.srcs.push(src);
-                    let v = op.eval(self.slab[base + src.index()]);
-                    write_reg!(self, base, dbase, dst.index(), v);
-                    ev.dst = Some(dst);
-                    ev.dst_val = v;
-                }
-                DecOp::Bin { op, dst, a, b } => {
-                    ev.srcs.push(a);
-                    ev.srcs.push(b);
-                    let v = op.eval(self.slab[base + a.index()], self.slab[base + b.index()]);
-                    write_reg!(self, base, dbase, dst.index(), v);
-                    ev.dst = Some(dst);
-                    ev.dst_val = v;
-                }
-                DecOp::Load { dst, base: b, off } => {
-                    ev.srcs.push(b);
-                    let addr =
-                        wrap_addr(self.slab[base + b.index()].wrapping_add(off), mem.words());
-                    let v = mem.load(addr);
-                    write_reg!(self, base, dbase, dst.index(), v);
-                    ev.dst = Some(dst);
-                    ev.dst_val = v;
-                    ev.mem = Some(MemRef {
-                        addr,
-                        is_store: false,
-                        value: v,
-                    });
-                }
-                DecOp::Store { src, base: b, off } => {
-                    ev.srcs.push(src);
-                    ev.srcs.push(b);
-                    let addr =
-                        wrap_addr(self.slab[base + b.index()].wrapping_add(off), mem.words());
-                    let v = self.slab[base + src.index()];
-                    mem.store(addr, v);
-                    ev.mem = Some(MemRef {
-                        addr,
-                        is_store: true,
-                        value: v,
-                    });
-                }
-                DecOp::Call {
-                    args,
-                    ret,
-                    callee,
-                    callee_entry,
-                    callee_stride,
-                    callee_dwords,
-                    ..
-                } => {
-                    let args = df.operands(args);
-                    ev.srcs = args.iter().copied().collect();
-                    // New frame: zeroed callee-stride chunk, args copied
-                    // across the split, all-dirty mask.
-                    let new_base = self.slab.len();
-                    let new_dbase = self.dirty.len();
-                    self.slab.resize(new_base + callee_stride as usize, 0);
-                    let (lo, hi) = self.slab.split_at_mut(new_base);
-                    for (i, a) in args.iter().enumerate() {
-                        hi[i] = lo[base + a.index()];
-                    }
-                    self.dirty.resize(new_dbase + callee_dwords as usize, !0u64);
-                    self.frames.push(Frame {
-                        func: callee,
-                        block: callee_entry,
-                        idx: 0,
-                        ret_dst: ret,
-                        base: new_base as u32,
-                        dbase: new_dbase as u32,
-                    });
-                }
-                DecOp::SptFork { start } => {
-                    ev.fork = Some(start);
-                }
-                DecOp::SptKill => {
-                    ev.kill = true;
-                }
-                DecOp::Nop { units } => {
-                    ev.extra_slots = units.saturating_sub(1);
-                }
-            }
-            Some(ev)
-        } else {
-            // Terminator.
-            let kind = EvKind::Term {
-                func: func_id,
-                block: fr.block,
-            };
-            let mut ev = Event::blank(kind, LatClass::Alu, depth);
-            match df.term(fr.block) {
-                Terminator::Jmp(t) => {
-                    fr.block = t;
-                    fr.idx = 0;
-                    ev.branch = Some(Branch {
-                        conditional: false,
-                        taken: true,
-                        target: Some(t),
-                    });
-                }
-                Terminator::Br {
-                    cond,
-                    taken,
-                    not_taken,
-                } => {
-                    ev.srcs.push(cond);
-                    let is_taken = self.slab[base + cond.index()] != 0;
-                    let t = if is_taken { taken } else { not_taken };
-                    fr.block = t;
-                    fr.idx = 0;
-                    ev.branch = Some(Branch {
-                        conditional: true,
-                        taken: is_taken,
-                        target: Some(t),
-                    });
-                }
-                Terminator::Ret(val) => {
-                    let v = val.map(|r| self.slab[base + r.index()]);
-                    if let Some(r) = val {
-                        ev.srcs.push(r);
-                        // The pop below truncates this frame out of the
-                        // slab; preserve the operand for post-step readers.
-                        self.last_ret_read = self.slab[base + r.index()];
-                    }
-                    let ret_dst = fr.ret_dst;
-                    self.frames.pop();
-                    self.slab.truncate(base);
-                    self.dirty.truncate(dbase);
-                    ev.branch = Some(Branch {
-                        conditional: false,
-                        taken: true,
-                        target: None,
-                    });
-                    if let Some(caller) = self.frames.last() {
-                        if let (Some(dst), Some(v)) = (ret_dst, v) {
-                            let (cbase, cdbase) = (caller.base as usize, caller.dbase as usize);
-                            write_reg!(self, cbase, cdbase, dst.index(), v);
-                            ev.dst = Some(dst);
-                            ev.dst_val = v;
-                        }
-                    } else {
-                        self.halted = true;
-                        self.ret_val = v;
-                    }
-                }
-            }
-            Some(ev)
         }
+
+        match inst.op {
+            DecOp::Const { dst, imm } => {
+                write_reg!(self, base, dbase, dst.index(), imm);
+                st.val = imm;
+            }
+            DecOp::Un { op, dst, src } => {
+                let v = op.eval(self.slab[base + src.index()]);
+                write_reg!(self, base, dbase, dst.index(), v);
+                st.val = v;
+            }
+            DecOp::Bin { op, dst, a, b } => {
+                let v = op.eval(self.slab[base + a.index()], self.slab[base + b.index()]);
+                write_reg!(self, base, dbase, dst.index(), v);
+                st.val = v;
+            }
+            DecOp::Load { dst, base: b, off } => {
+                let addr = wrap_addr(self.slab[base + b.index()].wrapping_add(off), mem.words());
+                let v = mem.load(addr);
+                write_reg!(self, base, dbase, dst.index(), v);
+                st.val = v;
+                st.addr = Some(addr);
+            }
+            DecOp::Store { src, base: b, off } => {
+                let addr = wrap_addr(self.slab[base + b.index()].wrapping_add(off), mem.words());
+                let v = self.slab[base + src.index()];
+                mem.store(addr, v);
+                st.val = v;
+                st.addr = Some(addr);
+            }
+            DecOp::Call {
+                args,
+                ret,
+                callee,
+                callee_entry,
+                callee_stride,
+            } => {
+                let args = df.operands(args);
+                // New frame: zeroed callee-stride chunk, args copied
+                // across the split, all-dirty mask.
+                let new_base = self.slab.len();
+                let new_dbase = self.dirty.len();
+                self.slab.resize(new_base + callee_stride as usize, 0);
+                let (lo, hi) = self.slab.split_at_mut(new_base);
+                for (i, a) in args.iter().enumerate() {
+                    hi[i] = lo[base + a.index()];
+                }
+                self.dirty
+                    .resize(new_dbase + (callee_stride as usize).div_ceil(64), !0u64);
+                self.frames.push(Frame {
+                    func: callee,
+                    block: callee_entry,
+                    idx: 0,
+                    ret_dst: ret,
+                    base: new_base as u32,
+                    dbase: new_dbase as u32,
+                });
+            }
+            DecOp::SptFork { .. } | DecOp::SptKill | DecOp::Nop { .. } => {}
+            DecOp::Jmp { target } => {
+                fr.block = target;
+                fr.idx = 0;
+            }
+            DecOp::Br {
+                cond,
+                taken,
+                not_taken,
+            } => {
+                let is_taken = self.slab[base + cond.index()] != 0;
+                fr.block = if is_taken { taken } else { not_taken };
+                fr.idx = 0;
+                st.taken = is_taken;
+            }
+            DecOp::Ret { val } => {
+                let v = val.map(|r| self.slab[base + r.index()]);
+                if let Some(v) = v {
+                    // The pop below truncates this frame out of the
+                    // slab; preserve the operand for post-step readers.
+                    self.last_ret_read = v;
+                }
+                let ret_dst = fr.ret_dst;
+                self.frames.pop();
+                self.slab.truncate(base);
+                self.dirty.truncate(dbase);
+                if let Some(caller) = self.frames.last() {
+                    if let (Some(dst), Some(v)) = (ret_dst, v) {
+                        let (cbase, cdbase) = (caller.base as usize, caller.dbase as usize);
+                        write_reg!(self, cbase, cdbase, dst.index(), v);
+                        st.set_ret_dst(dst);
+                        st.val = v;
+                    }
+                } else {
+                    self.halted = true;
+                    self.ret_val = v;
+                }
+            }
+        }
+        Some(st)
     }
 }
 
@@ -680,7 +617,7 @@ mod tests {
         let mut taken = 0;
         let mut not_taken = 0;
         while let Some(ev) = cur.step(&mut mem) {
-            if let Some(b) = ev.branch {
+            if let Some(b) = ev.branch() {
                 if b.conditional {
                     if b.taken {
                         taken += 1;
@@ -763,7 +700,7 @@ mod tests {
         while let Some(ev) = cur.step(&mut mem) {
             if !ev.executed {
                 suppressed += 1;
-                assert_eq!(ev.dst, None);
+                assert_eq!(ev.dst(), None);
             }
         }
         assert_eq!(suppressed, 1);
@@ -855,9 +792,9 @@ mod tests {
         let dec = DecodedProgram::new(&prog);
         let mut cur = Cursor::at_entry(&dec);
         let e1 = cur.step(&mut mem).unwrap();
-        assert_eq!(e1.fork, Some(BlockId(1)));
+        assert_eq!(e1.fork(), Some(BlockId(1)));
         let e2 = cur.step(&mut mem).unwrap();
-        assert!(e2.kill);
+        assert!(e2.kill());
     }
 
     #[test]
@@ -877,7 +814,7 @@ mod tests {
         let mut cur = Cursor::at_entry(&dec);
         let mut seen = vec![];
         while let Some(ev) = cur.step(&mut mem) {
-            if let Some(m) = ev.mem {
+            if let Some(m) = ev.mem() {
                 seen.push((m.addr, m.is_store, m.value));
             }
         }

@@ -1,24 +1,25 @@
 //! Pre-decoded instruction streams.
 //!
 //! [`DecodedProgram`] flattens every function's blocks into one contiguous
-//! array of [`DecodedInst`] per function, with everything the hot loops
-//! need resolved ahead of time:
+//! array of [`DecodedInst`] per function — each block's statements followed
+//! by its terminator — with everything the hot loops need resolved ahead
+//! of time:
 //!
 //! * operand registers (sources *plus* guard, in dependence-analysis
 //!   order) live in a per-function operand pool and are exposed as slices
 //!   — no `Vec` allocation per lookup, unlike [`spt_sir::Inst::srcs`];
-//! * latency classes are pre-computed per statement;
+//! * latency classes, positions and the issue model's timing operands are
+//!   pre-computed per statement, so a [`crate::Step`] can refer to them
+//!   instead of copying them;
 //! * calls carry the callee's entry block and register-file size, so a
-//!   call executes without chasing `Program::func`;
-//! * terminators are stored inline per block (they are `Copy` data).
+//!   call executes without chasing `Program::func`.
 //!
 //! Decoding is a pure function of the program: one pass over the static
 //! code, amortized over millions of interpreted steps. The decoded form
-//! never changes execution semantics — the cursor produces bit-identical
-//! [`crate::Event`]s from either representation (the original tree form
-//! remains the source of truth for compilation and display).
+//! never changes execution semantics (the original tree form remains the
+//! source of truth for compilation and display).
 
-use crate::event::EvKind;
+use crate::event::{EvKind, SrcSet};
 use spt_sir::{BinOp, BlockId, FuncId, Guard, Inst, LatClass, Op, Program, Reg, StmtRef, UnOp};
 
 /// Range into a function's operand pool.
@@ -78,12 +79,9 @@ pub enum DecOp {
         ret: Option<Reg>,
         callee: FuncId,
         callee_entry: BlockId,
-        callee_n_regs: u32,
-        /// Callee's slab chunk size ([`DecodedFunc::stride`]) and dirty
-        /// words ([`DecodedFunc::dirty_words`]), so a call pushes a frame
-        /// without chasing the callee's decoded function.
+        /// Callee's slab chunk size ([`DecodedFunc::stride`]), so a call
+        /// pushes a frame without chasing the callee's decoded function.
         callee_stride: u32,
-        callee_dwords: u32,
     },
     SptFork {
         start: BlockId,
@@ -92,30 +90,103 @@ pub enum DecOp {
     Nop {
         units: u32,
     },
+    /// Block terminators (the last entry of every block's code).
+    Jmp {
+        target: BlockId,
+    },
+    Br {
+        cond: Reg,
+        taken: BlockId,
+        not_taken: BlockId,
+    },
+    Ret {
+        val: Option<Reg>,
+    },
 }
 
-/// One pre-decoded statement.
+/// A static code position: statement `idx` of `block` in `func`, where
+/// `idx` equal to the block's statement count is its terminator (the
+/// cursor frame's own convention).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Loc {
+    pub func: FuncId,
+    pub block: BlockId,
+    pub idx: u32,
+}
+
+/// One pre-decoded statement or terminator.
 #[derive(Clone, Copy, Debug)]
 pub struct DecodedInst {
     pub op: DecOp,
     pub guard: Option<Guard>,
-    /// Pre-computed [`Inst::lat_class`].
+    /// Pre-computed [`Inst::lat_class`] ([`LatClass::Alu`] for
+    /// terminators).
     pub lat: LatClass,
-    /// Sources-including-guard operand range ([`Inst::srcs_with_guard`]
-    /// order: sources first, guard last).
-    srcs_wg: OpRange,
+    pub loc: Loc,
+    /// Operands the issue model waits on when the statement executes: the
+    /// guard then the sources, or for a call its first
+    /// [`SrcSet::MAX_SRCS`] arguments and no guard (the first `n_timing`
+    /// entries; a plain array rather than a [`SrcSet`] keeps this
+    /// descriptor at 80 bytes).
+    timing: [Reg; SrcSet::MAX_SRCS],
+    n_timing: u8,
+    /// Precise operands: sources plus guard ([`Inst::srcs_with_guard`]
+    /// order: sources first, guard last), or a terminator's branch
+    /// condition or returned register.
+    srcs: OpRange,
 }
 
-/// Decoded terminator: the `Copy` [`spt_sir::Terminator`] plus its operand
-/// range (branch condition or returned register).
+impl DecodedInst {
+    /// Is this a block terminator?
+    #[inline]
+    pub fn is_term(&self) -> bool {
+        matches!(
+            self.op,
+            DecOp::Jmp { .. } | DecOp::Br { .. } | DecOp::Ret { .. }
+        )
+    }
+
+    /// Static position as an [`EvKind`].
+    #[inline]
+    pub fn pos(&self) -> EvKind {
+        let Loc { func, block, idx } = self.loc;
+        if self.is_term() {
+            EvKind::Term { func, block }
+        } else {
+            EvKind::Inst {
+                func,
+                sref: StmtRef { block, index: idx },
+            }
+        }
+    }
+
+    /// Register an executed statement writes ([`Inst::dst`], except that a
+    /// call has none: its result lands when the callee returns).
+    #[inline]
+    pub fn dst(&self) -> Option<Reg> {
+        match self.op {
+            DecOp::Const { dst, .. }
+            | DecOp::Un { dst, .. }
+            | DecOp::Bin { dst, .. }
+            | DecOp::Load { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    /// See the `timing` field.
+    #[inline]
+    pub fn timing_srcs(&self) -> &[Reg] {
+        &self.timing[..self.n_timing as usize]
+    }
+}
+
+/// Per-block index into a function's flat code array.
 #[derive(Clone, Copy, Debug)]
 struct BlockInfo {
     /// First instruction in the function's flat code array.
     start: u32,
-    /// Statement count of the block.
+    /// Statement count of the block; its terminator sits at `start + len`.
     len: u32,
-    term: spt_sir::Terminator,
-    term_srcs: OpRange,
 }
 
 /// One function's decoded streams.
@@ -159,21 +230,21 @@ impl DecodedFunc {
     /// The decoded statement at `sref`.
     #[inline]
     pub fn inst(&self, sref: StmtRef) -> &DecodedInst {
-        let b = &self.blocks[sref.block.index()];
-        &self.code[b.start as usize + sref.index as usize]
+        self.inst_at(sref.block, sref.index as usize)
     }
 
-    /// Statement `idx` of `block` — the cursor's inner-loop accessor.
+    /// Statement `idx` of `block`, or its terminator at `idx ==
+    /// block_len(block)` — the cursor's inner-loop accessor.
     #[inline]
     pub fn inst_at(&self, block: BlockId, idx: usize) -> &DecodedInst {
         let b = &self.blocks[block.index()];
         &self.code[b.start as usize + idx]
     }
 
-    /// The block's terminator (plain data, no clone).
+    /// The decoded terminator of `block`.
     #[inline]
-    pub fn term(&self, block: BlockId) -> spt_sir::Terminator {
-        self.blocks[block.index()].term
+    pub fn term(&self, block: BlockId) -> &DecodedInst {
+        self.inst_at(block, self.block_len(block))
     }
 
     /// Operand registers of a range (call arguments, source sets).
@@ -182,18 +253,25 @@ impl DecodedFunc {
         r.slice(&self.pool)
     }
 
-    /// Sources-including-guard of the statement at `sref`, without
-    /// allocating (same order as [`Inst::srcs_with_guard`]).
+    /// Precise operands of a statement or terminator of this function
+    /// (see [`DecodedInst`]'s `srcs` field), without allocating.
+    #[inline]
+    pub fn srcs(&self, inst: &DecodedInst) -> &[Reg] {
+        inst.srcs.slice(&self.pool)
+    }
+
+    /// Sources-including-guard of the statement at `sref` (same order as
+    /// [`Inst::srcs_with_guard`]).
     #[inline]
     pub fn srcs_with_guard(&self, sref: StmtRef) -> &[Reg] {
-        self.inst(sref).srcs_wg.slice(&self.pool)
+        self.srcs(self.inst(sref))
     }
 
     /// Operand registers of the terminator of `block` (the branch
     /// condition or returned register; empty otherwise).
     #[inline]
     pub fn term_srcs(&self, block: BlockId) -> &[Reg] {
-        self.blocks[block.index()].term_srcs.slice(&self.pool)
+        self.srcs(self.term(block))
     }
 }
 
@@ -212,7 +290,12 @@ pub struct DecodedProgram {
 impl DecodedProgram {
     /// Decode every function of `prog`.
     pub fn new(prog: &Program) -> Self {
-        let funcs: Vec<DecodedFunc> = prog.funcs.iter().map(|f| decode_func(prog, f)).collect();
+        let funcs: Vec<DecodedFunc> = prog
+            .funcs
+            .iter()
+            .enumerate()
+            .map(|(i, f)| decode_func(prog, FuncId(i as u32), f))
+            .collect();
         let frame_stride = funcs.iter().map(|f| f.stride).max().unwrap_or(1);
         DecodedProgram {
             entry: prog.entry,
@@ -263,11 +346,10 @@ impl DecodedProgram {
         &self.funcs[id.index()]
     }
 
-    /// Precise operand registers of the statement or terminator behind an
-    /// event kind, as a slice into the operand pool. This is the
-    /// allocation-free replacement for re-deriving
-    /// [`Inst::srcs_with_guard`] on the simulators' per-event paths (an
-    /// event's own `srcs` are capacity-limited for timing).
+    /// Precise operand registers of the statement or terminator at a
+    /// position, as a slice into the operand pool: the allocation-free
+    /// replacement for re-deriving [`Inst::srcs_with_guard`] (a step's
+    /// own [`crate::Step::srcs`] are capacity-limited for timing).
     #[inline]
     pub fn srcs_of(&self, kind: EvKind) -> &[Reg] {
         match kind {
@@ -275,22 +357,9 @@ impl DecodedProgram {
             EvKind::Term { func, block } => self.func(func).term_srcs(block),
         }
     }
-
-    /// Static position of the first thing executed in `block` of `func`
-    /// (the first statement, or the terminator of an empty block).
-    pub fn position_of(&self, func: FuncId, block: BlockId) -> EvKind {
-        if self.func(func).block_len(block) == 0 {
-            EvKind::Term { func, block }
-        } else {
-            EvKind::Inst {
-                func,
-                sref: StmtRef::new(block, 0),
-            }
-        }
-    }
 }
 
-fn decode_inst(prog: &Program, inst: &Inst, pool: &mut Vec<Reg>) -> DecodedInst {
+fn decode_inst(prog: &Program, inst: &Inst, loc: Loc, pool: &mut Vec<Reg>) -> DecodedInst {
     let op = match &inst.op {
         Op::Const { dst, imm } => DecOp::Const {
             dst: *dst,
@@ -319,49 +388,99 @@ fn decode_inst(prog: &Program, inst: &Inst, pool: &mut Vec<Reg>) -> DecodedInst 
         },
         Op::Call { callee, args, ret } => {
             let cf = prog.func(*callee);
-            let stride = cf.n_regs.next_power_of_two();
             DecOp::Call {
                 args: OpRange::push(pool, args.iter().copied()),
                 ret: *ret,
                 callee: *callee,
                 callee_entry: cf.entry,
-                callee_n_regs: cf.n_regs,
-                callee_stride: stride,
-                callee_dwords: (stride as usize).div_ceil(64) as u32,
+                callee_stride: cf.n_regs.next_power_of_two(),
             }
         }
         Op::SptFork { start } => DecOp::SptFork { start: *start },
         Op::SptKill => DecOp::SptKill,
         Op::Nop { units } => DecOp::Nop { units: *units },
     };
-    let srcs_wg = OpRange::push(pool, inst.srcs_with_guard());
+    let (timing, n_timing) = match &inst.op {
+        Op::Call { args, .. } => timing_array(args.iter().copied()),
+        _ => timing_array(inst.guard.map(|g| g.reg).into_iter().chain(inst.srcs())),
+    };
     DecodedInst {
         op,
         guard: inst.guard,
         lat: inst.lat_class(),
-        srcs_wg,
+        loc,
+        timing,
+        n_timing,
+        srcs: OpRange::push(pool, inst.srcs_with_guard()),
     }
 }
 
-fn decode_func(prog: &Program, f: &spt_sir::Func) -> DecodedFunc {
-    let mut code = Vec::with_capacity(f.static_size());
+/// The first [`SrcSet::MAX_SRCS`] of `regs` as a timing-operand array
+/// and its length (the same truncation [`SrcSet::push`] applies).
+fn timing_array(regs: impl IntoIterator<Item = Reg>) -> ([Reg; SrcSet::MAX_SRCS], u8) {
+    let mut out = [Reg(0); SrcSet::MAX_SRCS];
+    let mut n = 0;
+    for r in regs.into_iter().take(SrcSet::MAX_SRCS) {
+        out[n] = r;
+        n += 1;
+    }
+    (out, n as u8)
+}
+
+fn decode_term(term: spt_sir::Terminator, loc: Loc, pool: &mut Vec<Reg>) -> DecodedInst {
+    use spt_sir::Terminator;
+    let (op, read) = match term {
+        Terminator::Jmp(target) => (DecOp::Jmp { target }, None),
+        Terminator::Br {
+            cond,
+            taken,
+            not_taken,
+        } => (
+            DecOp::Br {
+                cond,
+                taken,
+                not_taken,
+            },
+            Some(cond),
+        ),
+        Terminator::Ret(val) => (DecOp::Ret { val }, val),
+    };
+    let (timing, n_timing) = timing_array(read);
+    DecodedInst {
+        op,
+        guard: None,
+        lat: LatClass::Alu,
+        loc,
+        timing,
+        n_timing,
+        srcs: OpRange::push(pool, read),
+    }
+}
+
+fn decode_func(prog: &Program, fid: FuncId, f: &spt_sir::Func) -> DecodedFunc {
+    let mut code = Vec::with_capacity(f.static_size() + f.blocks.len());
     let mut blocks = Vec::with_capacity(f.blocks.len());
     let mut pool = Vec::new();
-    for b in &f.blocks {
+    for (bi, b) in f.blocks.iter().enumerate() {
+        let block = BlockId(bi as u32);
         let start = code.len() as u32;
-        for inst in &b.insts {
-            code.push(decode_inst(prog, inst, &mut pool));
+        for (idx, inst) in b.insts.iter().enumerate() {
+            let loc = Loc {
+                func: fid,
+                block,
+                idx: idx as u32,
+            };
+            code.push(decode_inst(prog, inst, loc, &mut pool));
         }
-        let term_srcs = match &b.term {
-            spt_sir::Terminator::Br { cond, .. } => OpRange::push(&mut pool, [*cond]),
-            spt_sir::Terminator::Ret(Some(r)) => OpRange::push(&mut pool, [*r]),
-            _ => OpRange::default(),
+        let loc = Loc {
+            func: fid,
+            block,
+            idx: b.insts.len() as u32,
         };
+        code.push(decode_term(b.term, loc, &mut pool));
         blocks.push(BlockInfo {
             start,
             len: b.insts.len() as u32,
-            term: b.term,
-            term_srcs,
         });
     }
     DecodedFunc {
@@ -411,7 +530,24 @@ mod tests {
             for (bi, b) in f.blocks.iter().enumerate() {
                 let bid = BlockId(bi as u32);
                 assert_eq!(df.block_len(bid), b.insts.len());
-                assert_eq!(df.term(bid), b.term);
+                match (b.term, df.term(bid).op) {
+                    (Terminator::Jmp(t), DecOp::Jmp { target }) => assert_eq!(t, target),
+                    (
+                        Terminator::Br {
+                            cond,
+                            taken,
+                            not_taken,
+                        },
+                        DecOp::Br {
+                            cond: c,
+                            taken: t,
+                            not_taken: n,
+                        },
+                    ) => assert_eq!((cond, taken, not_taken), (c, t, n)),
+                    (Terminator::Ret(v), DecOp::Ret { val }) => assert_eq!(v, val),
+                    (t, d) => panic!("terminator {t:?} decoded as {d:?}"),
+                }
+                assert_eq!(df.term(bid).loc.idx as usize, b.insts.len());
                 for (ii, inst) in b.insts.iter().enumerate() {
                     let sref = StmtRef::new(bid, ii);
                     let d = df.inst(sref);
@@ -440,12 +576,12 @@ mod tests {
                 args,
                 callee,
                 callee_entry,
-                callee_n_regs,
+                callee_stride,
                 ..
             } => {
                 assert_eq!(callee, callee_id);
                 assert_eq!(callee_entry, cf.entry);
-                assert_eq!(callee_n_regs, cf.n_regs);
+                assert_eq!(callee_stride, cf.n_regs.next_power_of_two());
                 assert_eq!(df.operands(args).len(), 2);
             }
             ref other => panic!("expected call, got {other:?}"),
@@ -479,16 +615,18 @@ mod tests {
         let id = f.finish();
         let prog = pb.finish(id, 0);
         let dec = DecodedProgram::new(&prog);
-        // Block 1 ("empty") holds only a terminator.
+        // The first thing executed in a block sits at index 0: block 1
+        // ("empty") holds only a terminator, which is therefore there.
+        let df = dec.func(id);
         assert_eq!(
-            dec.position_of(id, BlockId(1)),
+            df.inst_at(BlockId(1), 0).pos(),
             EvKind::Term {
                 func: id,
                 block: BlockId(1)
             }
         );
         assert!(matches!(
-            dec.position_of(id, BlockId(0)),
+            df.inst_at(BlockId(0), 0).pos(),
             EvKind::Inst { .. }
         ));
     }

@@ -1,9 +1,10 @@
-//! Dynamic-execution events emitted by the cursor.
+//! Self-contained descriptions of executed steps.
 //!
-//! One [`Event`] per executed statement or terminator. Events carry
-//! everything the timing models and the speculation machinery need:
-//! static identity, operands, values produced, memory effects, and branch
-//! outcomes. They are deliberately allocation-free on the hot path.
+//! An [`Event`] is the wide, owned form of a [`crate::Step`]: static
+//! identity, operands, values produced, memory effects and branch
+//! outcomes, all copied out of the decoded program. The cursor itself
+//! returns the compact record; observers of [`crate::run_with`] and tests
+//! get events built on demand with [`crate::Step::event`].
 
 use spt_sir::{BlockId, FuncId, LatClass, Reg, StmtRef};
 
@@ -83,15 +84,6 @@ impl EvKind {
             EvKind::Inst { func, .. } | EvKind::Term { func, .. } => *func,
         }
     }
-
-    /// The block this event executes in.
-    #[inline]
-    pub fn block(&self) -> BlockId {
-        match self {
-            EvKind::Inst { sref, .. } => sref.block,
-            EvKind::Term { block, .. } => *block,
-        }
-    }
 }
 
 /// A memory effect.
@@ -142,8 +134,8 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event with no effects; building block for the cursor and for
-    /// synthetic events in tests.
+    /// An event with no effects; building block for synthetic events in
+    /// tests.
     pub fn blank(kind: EvKind, lat: LatClass, depth: u32) -> Self {
         Event {
             kind,

@@ -4,6 +4,7 @@ use crate::cursor::Cursor;
 use crate::decode::DecodedProgram;
 use crate::event::Event;
 use crate::mem::{MemView, Memory};
+use crate::step::Step;
 use spt_sir::Program;
 
 /// Outcome of a complete sequential run.
@@ -25,32 +26,33 @@ pub fn run(prog: &Program, max_steps: u64) -> (RunResult, Memory) {
     (res, mem)
 }
 
-/// Run with an observer invoked on every event.
+/// Run with an observer invoked on every step, as an [`Event`] built on
+/// demand.
 pub fn run_with(
     prog: &Program,
     max_steps: u64,
     mut obs: impl FnMut(&Event),
 ) -> (RunResult, Memory) {
     let mut mem = Memory::for_program(prog);
-    let res = run_on(prog, &mut mem, max_steps, &mut obs);
+    let res = run_on(prog, &mut mem, max_steps, |s| obs(&s.event()));
     (res, mem)
 }
 
-/// Run over caller-provided memory with an observer.
+/// Run over caller-provided memory with an observer of every step.
 pub fn run_on(
     prog: &Program,
     mem: &mut dyn MemView,
     max_steps: u64,
-    mut obs: impl FnMut(&Event),
+    mut obs: impl FnMut(&Step),
 ) -> RunResult {
     let dec = DecodedProgram::new(prog);
     let mut cur = Cursor::at_entry(&dec);
     let mut steps = 0u64;
     while steps < max_steps {
         match cur.step(mem) {
-            Some(ev) => {
+            Some(st) => {
                 steps += 1;
-                obs(&ev);
+                obs(&st);
             }
             None => {
                 return RunResult {

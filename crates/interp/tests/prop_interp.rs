@@ -4,8 +4,13 @@
 
 use proptest::prelude::*;
 use spt_interp::mem::wrap_addr;
-use spt_interp::{run, run_with, Cursor, DecodedProgram, MemView, Memory};
-use spt_sir::{BinOp, BlockId, FuncId, Op, Program, ProgramBuilder, Reg, Terminator, UnOp};
+use spt_interp::{
+    run, run_with, Branch, Cursor, DecodedProgram, EvKind, Event, MemRef, MemView, Memory, SrcSet,
+    Step,
+};
+use spt_sir::{
+    BinOp, BlockId, FuncId, LatClass, Op, Program, ProgramBuilder, Reg, Terminator, UnOp,
+};
 
 const FUEL: u64 = 200_000;
 
@@ -370,6 +375,260 @@ fn lockstep_against_reference(prog: &Program) -> Option<i64> {
     cur.return_value()
 }
 
+/// A statement of the record-semantics programs: a plain statement, a
+/// six-argument call (more than [`SrcSet::MAX_SRCS`]), or an SPT marker;
+/// each may carry a guard `(register, expect)`.
+#[derive(Clone, Debug)]
+enum R {
+    S(S),
+    Call(u8, u8),
+    Fork,
+    Kill,
+    Nop(u8),
+}
+
+fn rstmt() -> impl Strategy<Value = (R, Option<(u8, bool)>)> {
+    let r = prop_oneof![
+        stmt().prop_map(R::S),
+        (0..5u8, 0..5u8).prop_map(|(a, d)| R::Call(a, d)),
+        Just(R::Fork),
+        Just(R::Kill),
+        (0..4u8).prop_map(R::Nop),
+    ];
+    let guard = prop_oneof![Just(None), (0..5u8, any::<bool>()).prop_map(Some)];
+    (r, guard)
+}
+
+/// A counted loop over a random, partly guarded body that calls a
+/// six-parameter leaf, forks and kills: every step kind the cursor has.
+fn record_program(body: &[(R, Option<(u8, bool)>)], trip: u8, mem_words: usize) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let leaf = pb.declare("leaf", 6);
+    let mut f = pb.func("main", 0);
+    let regs: Vec<Reg> = (0..5).map(|_| f.reg()).collect();
+    let i = f.reg();
+    let nn = f.reg();
+    let header = f.new_block();
+    let bodyb = f.new_block();
+    let exit = f.new_block();
+    for (k, r) in regs.iter().enumerate() {
+        f.const_(*r, k as i64 - 1);
+    }
+    f.const_(i, 0);
+    f.const_(nn, trip as i64);
+    f.jmp(header);
+    f.switch_to(header);
+    let c = f.reg();
+    f.bin(BinOp::CmpLt, c, i, nn);
+    f.addi(i, i, 1);
+    f.br(c, bodyb, exit);
+    f.switch_to(bodyb);
+    let r = |k: u8| regs[k as usize % 5];
+    for (st, guard) in body {
+        match guard {
+            Some((g, true)) => f.guard_when(r(*g)),
+            Some((g, false)) => f.guard_unless(r(*g)),
+            None => {}
+        }
+        match *st {
+            R::S(S::Const(d, v)) => f.const_(r(d), v),
+            R::S(S::Bin(o, d, a, b)) => f.bin(binop(o), r(d), r(a), r(b)),
+            R::S(S::Un(o, d, s2)) => f.un(unop(o), r(d), r(s2)),
+            R::S(S::Load(d, b, o)) => f.load(r(d), r(b), o as i64),
+            R::S(S::Store(s2, b, o)) => f.store(r(s2), r(b), o as i64),
+            R::Call(a, d) => {
+                let args: Vec<Reg> = (0..6).map(|k| r(a + k)).collect();
+                f.call(leaf, &args, Some(r(d)));
+            }
+            R::Fork => f.spt_fork(bodyb),
+            R::Kill => f.spt_kill(),
+            R::Nop(u) => f.nop(u as u32),
+        }
+        f.unguard();
+    }
+    f.jmp(header);
+    f.switch_to(exit);
+    f.ret(Some(regs[0]));
+    let main = f.finish();
+    let mut g = pb.build(leaf);
+    let ps: Vec<Reg> = (0..6).map(|k| g.param(k)).collect();
+    let out = g.reg();
+    g.bin(BinOp::Sub, out, ps[0], ps[5]);
+    g.bin(BinOp::Add, out, out, ps[3]);
+    g.ret(Some(out));
+    g.finish();
+    pb.finish(main, mem_words)
+}
+
+/// The [`Event`] a step must describe, derived independently from the
+/// tree-form program and the machine state just before the step: the
+/// frame's registers, its return destination, and memory.
+fn expected_event(prog: &Program, cur: &Cursor, mem: &Memory) -> Event {
+    let pos = cur.position().expect("live cursor");
+    let depth = (cur.depth() - 1) as u32;
+    let regs = cur.regs_at(cur.depth() - 1);
+    let val = |r: Reg| regs[r.index()];
+    let addr = |base: Reg, off: i64| wrap_addr(val(base).wrapping_add(off), mem.len());
+    match pos {
+        EvKind::Inst { func, sref } => {
+            let inst = prog.func(func).inst(sref);
+            let mut e = Event::blank(pos, inst.lat_class(), depth);
+            if let Some(g) = inst.guard {
+                e.srcs.push(g.reg);
+                if !g.passes(val(g.reg)) {
+                    e.executed = false;
+                    return e;
+                }
+            }
+            match &inst.op {
+                Op::Const { imm, .. } => e.dst_val = *imm,
+                Op::Un { op, src, .. } => e.dst_val = op.eval(val(*src)),
+                Op::Bin { op, a, b, .. } => e.dst_val = op.eval(val(*a), val(*b)),
+                Op::Load { base, off, .. } => {
+                    let a = addr(*base, *off);
+                    e.dst_val = mem.peek(a);
+                    e.mem = Some(MemRef {
+                        addr: a,
+                        is_store: false,
+                        value: e.dst_val,
+                    });
+                }
+                Op::Store { src, base, off } => {
+                    e.mem = Some(MemRef {
+                        addr: addr(*base, *off),
+                        is_store: true,
+                        value: val(*src),
+                    })
+                }
+                Op::Call { args, .. } => e.srcs = args.iter().copied().collect(),
+                Op::SptFork { start } => e.fork = Some(*start),
+                Op::SptKill => e.kill = true,
+                Op::Nop { units } => e.extra_slots = units.saturating_sub(1),
+            }
+            if !matches!(inst.op, Op::Call { .. }) {
+                e.srcs = inst
+                    .guard
+                    .map(|g| g.reg)
+                    .into_iter()
+                    .chain(inst.srcs())
+                    .collect();
+                e.dst = inst.dst();
+            }
+            e
+        }
+        EvKind::Term { func, block } => {
+            let mut e = Event::blank(pos, LatClass::Alu, depth);
+            let branch = |conditional, taken, target| {
+                Some(Branch {
+                    conditional,
+                    taken,
+                    target,
+                })
+            };
+            match prog.func(func).block(block).term {
+                Terminator::Jmp(t) => e.branch = branch(false, true, Some(t)),
+                Terminator::Br {
+                    cond,
+                    taken,
+                    not_taken,
+                } => {
+                    e.srcs.push(cond);
+                    let t = val(cond) != 0;
+                    e.branch = branch(true, t, Some(if t { taken } else { not_taken }));
+                }
+                Terminator::Ret(r) => {
+                    e.branch = branch(false, true, None);
+                    if let Some(r) = r {
+                        e.srcs.push(r);
+                        if depth > 0 {
+                            if let Some(dst) = cur.top().ret_dst {
+                                e.dst = Some(dst);
+                                e.dst_val = val(r);
+                            }
+                        }
+                    }
+                }
+            }
+            e
+        }
+    }
+}
+
+/// Step `prog` to completion, checking every [`Step`] against the
+/// tree-form statement it executed (see `records_match_tree_form`).
+fn check_records(prog: &Program) -> Result<(), TestCaseError> {
+    prog.verify().unwrap();
+    let dec = DecodedProgram::new(prog);
+    let mut cur = Cursor::at_entry(&dec);
+    let mut mem = Memory::for_program(prog);
+    let mut steps = 0u64;
+    while !cur.is_halted() {
+        let want = expected_event(prog, &cur, &mem);
+        let rec: Step = cur.step(&mut mem).expect("not halted");
+        steps += 1;
+        prop_assert!(steps < FUEL, "runaway program");
+        let ctx = format!("step {steps} at {:?}", want.kind);
+        prop_assert_eq!(rec.pos(), want.kind, "position [{}]", &ctx);
+        prop_assert_eq!(rec.depth, want.depth, "depth [{}]", &ctx);
+        prop_assert_eq!(rec.executed, want.executed, "executed [{}]", &ctx);
+        // Latency class: the tree form's (`Alu` for terminators).
+        prop_assert_eq!(rec.lat(), want.lat, "latency class [{}]", &ctx);
+        // Timing operands, as a multiset: only the guard when suppressed,
+        // an executed call's first MAX_SRCS arguments without the guard,
+        // otherwise sources plus guard.
+        let mut got: Vec<Reg> = rec.srcs().to_vec();
+        let mut exp: Vec<Reg> = match want.kind {
+            EvKind::Inst { func, sref } => {
+                let inst = prog.func(func).inst(sref);
+                match (&inst.op, rec.executed) {
+                    (_, false) => vec![inst.guard.expect("suppressed means guarded").reg],
+                    (Op::Call { args, .. }, true) => {
+                        args.iter().copied().take(SrcSet::MAX_SRCS).collect()
+                    }
+                    (_, true) => inst.srcs_with_guard(),
+                }
+            }
+            EvKind::Term { func, block } => match prog.func(func).block(block).term {
+                Terminator::Br { cond, .. } => vec![cond],
+                Terminator::Ret(r) => r.into_iter().collect(),
+                Terminator::Jmp(_) => vec![],
+            },
+        };
+        got.sort();
+        exp.sort();
+        prop_assert_eq!(got, exp, "timing operands [{}]", &ctx);
+        // Destination: the tree form's, except for calls (whose value lands
+        // at the callee's return).
+        if let EvKind::Inst { func, sref } = want.kind {
+            let inst = prog.func(func).inst(sref);
+            let tree = if !rec.executed || inst.is_call() {
+                None
+            } else {
+                inst.dst()
+            };
+            prop_assert_eq!(rec.dst(), tree, "destination [{}]", &ctx);
+        }
+        prop_assert_eq!(rec.dst(), want.dst, "destination [{}]", &ctx);
+        // Memory: the wrapped `base + off` address and the value moved.
+        prop_assert_eq!(rec.mem(), want.mem, "memory access [{}]", &ctx);
+        // Branch outcome: the condition register's value before the step.
+        prop_assert_eq!(rec.branch(), want.branch, "branch [{}]", &ctx);
+        prop_assert_eq!(
+            rec.taken,
+            want.branch.is_some_and(|b| b.conditional && b.taken)
+        );
+        prop_assert_eq!(rec.fork(), want.fork, "fork [{}]", &ctx);
+        prop_assert_eq!(rec.kill(), want.kill, "kill [{}]", &ctx);
+        prop_assert_eq!(rec.slots(), want.slots(), "issue slots [{}]", &ctx);
+        prop_assert_eq!(rec.is_call(), want.is_call(), "call [{}]", &ctx);
+        prop_assert_eq!(rec.is_ret(), want.is_ret(), "ret [{}]", &ctx);
+        prop_assert_eq!(rec.dst_depth(), want.dst_depth(), "dst depth [{}]", &ctx);
+        // The on-demand Event is exactly the independently derived one.
+        prop_assert_eq!(rec.event(), want, "event [{}]", &ctx);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -485,6 +744,19 @@ proptest! {
         let (res, mem) = run(&prog, FUEL);
         prop_assert_eq!(res.ret, Some(v));
         prop_assert_eq!(mem.peek(1), 0);
+    }
+
+    /// Every step record agrees with the tree-form statement it executed:
+    /// position, latency class, timing operands, destination, memory
+    /// address, branch outcome, fork/kill and slots, and its on-demand
+    /// `Event` equals one derived independently from the tree form.
+    #[test]
+    fn records_match_tree_form(
+        body in prop::collection::vec(rstmt(), 1..24),
+        trip in 1..6u8,
+        mem_words in 1..32usize,
+    ) {
+        check_records(&record_program(&body, trip, mem_words))?;
     }
 }
 

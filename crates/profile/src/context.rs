@@ -1,7 +1,7 @@
 //! Tracking which loops are active during interpretation.
 
-use spt_interp::{EvKind, Event};
-use spt_sir::{analyze_loops, BlockId, FuncId, LoopForest, LoopId, Program};
+use spt_interp::Step;
+use spt_sir::{analyze_loops, FuncId, LoopForest, LoopId, Program};
 use std::ops::Range;
 
 /// Identifies a static loop across the whole program.
@@ -22,35 +22,33 @@ pub struct ActiveLoop {
 }
 
 /// Maintains the stack of active loops (across nesting and calls) from the
-/// event stream, and reports loop entry / iteration / exit transitions.
+/// step stream, and reports loop entry / iteration / exit transitions.
 pub struct LoopContextTracker {
     /// Per-function loop tables, indexed by `FuncId`.
     funcs: Vec<FuncLoops>,
     /// Loops in the whole program (the range of [`Self::loop_index`]).
     n_loops: usize,
     stack: Vec<ActiveLoop>,
-    /// Frame depth of the previous event.
+    /// Frame depth of the previous step.
     last_depth: u32,
 }
 
-/// One function's loops, with per-block tables so observing an event is
+/// One function's loops, with per-block tables so observing a step is
 /// plain indexing.
 struct FuncLoops {
     forest: LoopForest,
     /// `header_of[b]`: the loop whose header is block `b`, if any.
     header_of: Vec<Option<LoopId>>,
-    /// Header blocks with no instructions: their Term event is the head.
-    empty_header: Vec<bool>,
     /// Dense index of this function's first loop.
     first_loop: usize,
 }
 
-/// What a single event did to the loop context.
+/// What a single step did to the loop context.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoopTransition {
-    /// Loops exited by this event (innermost first).
+    /// Loops exited by this step (innermost first).
     pub exited: Vec<(LoopKey, u64)>,
-    /// Loop entered by this event.
+    /// Loop entered by this step.
     pub entered: Option<LoopKey>,
     /// Loop that began a new iteration (incl. the first on entry).
     pub iterated: Option<LoopKey>,
@@ -64,17 +62,14 @@ impl LoopContextTracker {
             let f = prog.func(fid);
             let (_, _, forest) = analyze_loops(f);
             let mut header_of = vec![None; f.blocks.len()];
-            let mut empty_header = vec![false; f.blocks.len()];
             for l in &forest.loops {
                 header_of[l.header.index()] = Some(l.id);
-                empty_header[l.header.index()] = f.block(l.header).insts.is_empty();
             }
             let first_loop = n_loops;
             n_loops += forest.loops.len();
             funcs.push(FuncLoops {
                 forest,
                 header_of,
-                empty_header,
                 first_loop,
             });
         }
@@ -115,38 +110,21 @@ impl LoopContextTracker {
         &self.stack
     }
 
-    /// Is this event at the first position of a block (where iteration
-    /// boundaries are observed)? Term events are heads only for empty
-    /// blocks.
-    fn block_head(&self, ev: &Event) -> Option<(FuncId, BlockId)> {
-        match ev.kind {
-            EvKind::Inst { func, sref } if sref.index == 0 => Some((func, sref.block)),
-            EvKind::Term { func, block }
-                if self.funcs[func.index()].empty_header[block.index()] =>
-            {
-                Some((func, block))
-            }
-            _ => None,
-        }
-    }
-
-    /// Feed one event; returns the loop transitions it caused. Events must
+    /// Feed one step; returns the loop transitions it caused. Steps must
     /// arrive in execution order, every one of them: the tracker infers
-    /// block continuity from the previous event.
-    #[inline]
-    pub fn observe(&mut self, ev: &Event) -> LoopTransition {
+    /// block continuity from the previous step.
+    #[inline(always)]
+    pub fn observe(&mut self, ev: &Step) -> LoopTransition {
         let mut tr = LoopTransition::default();
-        // A statement past a block's first position, in the same frame as
-        // the previous event, continues that event's block: it can neither
-        // leave a loop nor begin an iteration.
+        // A step past a block's first position (statement or terminator),
+        // in the same frame as the previous step, continues that step's
+        // block: it can neither leave a loop nor begin an iteration.
+        let loc = ev.loc();
         let same_frame = std::mem::replace(&mut self.last_depth, ev.depth) == ev.depth;
-        if same_frame && matches!(ev.kind, EvKind::Inst { sref, .. } if sref.index > 0) {
+        if same_frame && loc.idx > 0 {
             return tr;
         }
-        let (func, block) = match ev.kind {
-            EvKind::Inst { func, sref } => (func, sref.block),
-            EvKind::Term { func, block } => (func, block),
-        };
+        let (func, block) = (loc.func, loc.block);
 
         // Exits: shallower frame, or same frame outside the loop's blocks.
         while let Some(top) = self.stack.last() {
@@ -161,13 +139,11 @@ impl LoopContextTracker {
             }
         }
 
-        // Entry / iteration at a header's first position.
-        if let Some((hf, hb)) = self.block_head(ev) {
-            if let Some(lid) = self.funcs[hf.index()].header_of[hb.index()] {
-                let key = LoopKey {
-                    func: hf,
-                    loop_id: lid,
-                };
+        // Entry / iteration at a header's first position: its first
+        // statement, or the terminator of an empty header.
+        if loc.idx == 0 {
+            if let Some(lid) = self.funcs[func.index()].header_of[block.index()] {
+                let key = LoopKey { func, loop_id: lid };
                 match self.stack.last_mut() {
                     Some(top) if top.key == key && top.depth == ev.depth => {
                         top.iters += 1;

@@ -19,7 +19,7 @@
 
 use crate::context::{LoopContextTracker, LoopKey};
 use crate::stats::stmt_numbering;
-use spt_interp::{Cursor, DecodedProgram, Event, Memory};
+use spt_interp::{Cursor, DecodedProgram, Memory, Step};
 use spt_sir::{LoopId, Program, StmtRef};
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -398,14 +398,15 @@ pub fn profile_loops(prog: &Program, selection: &[LoopKey], max_steps: u64) -> D
     out
 }
 
-/// Attribute one event to one loop's dependence state. `starts` is the
+/// Attribute one step to one loop's dependence state. `starts` is the
 /// loop function's [`stmt_numbering`].
-fn observe_deps(dec: &DecodedProgram, starts: &[usize], st: &mut DepState, ev: &Event) {
+#[inline(always)]
+fn observe_deps<'p>(dec: &'p DecodedProgram, starts: &[usize], st: &mut DepState, ev: &Step<'p>) {
     // Maintain the loop-level call-site attribution.
     if ev.depth == st.depth {
         st.callsite = None;
     }
-    // The statement this event is attributed to, at loop level.
+    // The statement this step is attributed to, at loop level.
     let attributed: Option<StmtRef> = if ev.depth == st.depth {
         ev.sref()
     } else {
@@ -414,7 +415,7 @@ fn observe_deps(dec: &DecodedProgram, starts: &[usize], st: &mut DepState, ev: &
 
     // Register reads at the loop frame: cross-iteration check.
     if ev.depth == st.depth && ev.executed {
-        for r in dec.srcs_of(ev.kind) {
+        for r in ev.operands(dec) {
             if let Some(&Some((w_iter, w_sref, changed))) = st.reg_writer.get(r.index()) {
                 if w_iter + 1 == st.iter {
                     if let Some(r_sref) = attributed {
@@ -426,7 +427,7 @@ fn observe_deps(dec: &DecodedProgram, starts: &[usize], st: &mut DepState, ev: &
     }
 
     // Register writes into the loop frame.
-    if let Some(dst) = ev.dst {
+    if let Some(dst) = ev.dst() {
         if ev.dst_depth() == st.depth {
             let r = dst.index();
             if r >= st.reg_vals.len() {
@@ -439,25 +440,23 @@ fn observe_deps(dec: &DecodedProgram, starts: &[usize], st: &mut DepState, ev: &
                 st.callsite
             };
             if let Some(w) = w_sref {
-                let changed = st.reg_vals[r] != Some(ev.dst_val);
+                let changed = st.reg_vals[r] != Some(ev.val);
                 st.reg_writer[r] = Some((st.iter, w, changed));
             }
-            st.reg_vals[r] = Some(ev.dst_val);
+            st.reg_vals[r] = Some(ev.val);
         }
     }
 
     // Memory accesses anywhere under the loop.
-    if ev.executed {
-        if let Some(m) = ev.mem {
-            if m.is_store {
-                if let Some(w) = attributed {
-                    st.mem_writer.insert(m.addr, (st.iter, w));
-                }
-            } else if let Some(&(w_iter, w_sref)) = st.mem_writer.get(&m.addr) {
-                if w_iter + 1 == st.iter {
-                    if let Some(r_sref) = attributed {
-                        st.count_edge(starts, true, w_sref, r_sref, true);
-                    }
+    if let Some(addr) = ev.addr {
+        if ev.is_store() {
+            if let Some(w) = attributed {
+                st.mem_writer.insert(addr, (st.iter, w));
+            }
+        } else if let Some(&(w_iter, w_sref)) = st.mem_writer.get(&addr) {
+            if w_iter + 1 == st.iter {
+                if let Some(r_sref) = attributed {
+                    st.count_edge(starts, true, w_sref, r_sref, true);
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! data-dependence graph annotated with *dependence probabilities*, plus
 //! the value profiles that drive software value prediction (§4.4).
 //!
-//! Three collectors, all driven by interpreter events:
+//! Three collectors, all driven by the interpreter's step records:
 //!
 //! * [`ProgramProfile`] — whole-program: dynamic loop statistics
 //!   (invocations, trip counts, dynamic body sizes, coverage — Figure 6's

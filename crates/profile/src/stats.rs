@@ -1,7 +1,7 @@
 //! Whole-program profiling: loop statistics and reach probabilities.
 
 use crate::context::{LoopContextTracker, LoopKey};
-use spt_interp::{Cursor, DecodedProgram, EvKind, Memory};
+use spt_interp::{Cursor, DecOp, DecodedProgram, Memory};
 use spt_sir::{BlockId, FuncId, LoopId, Program, StmtRef};
 use std::collections::HashMap;
 
@@ -179,13 +179,9 @@ pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
         let Some(ev) = cur.step(&mut mem) else { break };
         steps += 1;
 
-        if ev.is_call() {
-            if let EvKind::Inst { func, sref } = ev.kind {
-                if let spt_sir::Op::Call { callee, .. } = &prog.func(func).inst(sref).op {
-                    fstack.push((*callee, steps));
-                    func_calls[callee.index()] += 1;
-                }
-            }
+        if let DecOp::Call { callee, .. } = ev.inst().op {
+            fstack.push((callee, steps));
+            func_calls[callee.index()] += 1;
         } else if ev.is_ret() {
             if let Some((fid, since)) = fstack.pop() {
                 func_instrs[fid.index()] += steps - since;
@@ -206,31 +202,26 @@ pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
             loops[tracker.loop_index(key).expect("tracked loop")].iterations += 1;
         }
 
-        match ev.kind {
-            EvKind::Inst { func, sref } => {
-                if prog.func(func).inst(sref).guard.is_some() {
-                    let fi = func.index();
-                    let g =
-                        &mut guards[fi][stmt_starts[fi][sref.block.index()] + sref.index as usize];
-                    if ev.executed {
-                        g.pass += 1;
-                    } else {
-                        g.fail += 1;
-                    }
+        let loc = ev.loc();
+        let fi = loc.func.index();
+        match ev.inst().op {
+            DecOp::Br { .. } => {
+                let e = &mut branches[fi][loc.block.index()];
+                if ev.taken {
+                    e.0 += 1;
+                } else {
+                    e.1 += 1;
                 }
             }
-            EvKind::Term { func, block } => {
-                if let Some(b) = ev.branch {
-                    if b.conditional {
-                        let e = &mut branches[func.index()][block.index()];
-                        if b.taken {
-                            e.0 += 1;
-                        } else {
-                            e.1 += 1;
-                        }
-                    }
+            _ if ev.inst().guard.is_some() => {
+                let g = &mut guards[fi][stmt_starts[fi][loc.block.index()] + loc.idx as usize];
+                if ev.executed {
+                    g.pass += 1;
+                } else {
+                    g.fail += 1;
                 }
             }
+            _ => {}
         }
     }
     for (fid, since) in fstack {

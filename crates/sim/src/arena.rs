@@ -20,8 +20,9 @@
 
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, RegSet};
+use crate::spt::SrbEntry;
 use crate::ssb::Ssb;
-use spt_interp::{CursorParts, DecodedProgram, Event, Memory};
+use spt_interp::{CursorParts, DecodedProgram, Memory};
 use spt_mach::{CacheSim, MachineConfig};
 use spt_sir::Program;
 use spt_trace::Pipe;
@@ -82,7 +83,7 @@ pub(crate) struct SpecBufs {
     pub(crate) cursor: CursorParts,
     pub(crate) ssb: Ssb,
     pub(crate) lab: AddrMembers,
-    pub(crate) srb: Vec<Event>,
+    pub(crate) srb: Vec<SrbEntry>,
     pub(crate) live_in_reads: RegSet,
     pub(crate) live_in_vals: Vec<(u32, i64)>,
     pub(crate) spec_written: RegSet,
@@ -94,7 +95,7 @@ impl SpecBufs {
     fn approx_bytes(&self) -> usize {
         self.cursor.approx_bytes()
             + self.ssb.approx_bytes()
-            + self.srb.capacity() * std::mem::size_of::<Event>()
+            + self.srb.capacity() * std::mem::size_of::<SrbEntry>()
             + self.live_in_vals.capacity() * std::mem::size_of::<(u32, i64)>()
     }
 }

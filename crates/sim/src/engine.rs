@@ -1,8 +1,8 @@
 //! In-order issue engine: the per-pipeline timing model.
 //!
 //! One [`Engine`] models one in-order pipeline (Table 1: 6-wide issue,
-//! 12-wide during replay). It consumes interpreter [`Event`]s in program
-//! order and advances a cycle counter, stalling on operand readiness
+//! 12-wide during replay). It consumes interpreter [`Step`] records in
+//! program order and advances a cycle counter, stalling on operand readiness
 //! (scoreboard), structural issue-width limits, and branch mispredictions
 //! (GAg + 5-cycle penalty). Loads go to the shared cache hierarchy.
 //!
@@ -11,7 +11,7 @@
 //! instruction issued), *pipeline stall* (operand latency, branch penalty,
 //! SPT overheads), and *D-cache stall* (waiting on a load result).
 
-use spt_interp::Event;
+use spt_interp::Step;
 use spt_mach::{CacheSim, GagPredictor, MachineConfig, ProducerKind, Scoreboard};
 use spt_sir::LatClass;
 
@@ -205,15 +205,16 @@ impl Engine {
         self.sb.reset_all(t);
     }
 
-    /// Issue one event with full semantics: operand wait, issue-width
+    /// Issue one step with full semantics: operand wait, issue-width
     /// limits, latency (loads via `cache`), branch prediction. Returns the
-    /// completion cycle of the event's result.
-    pub fn issue(&mut self, ev: &Event, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    /// completion cycle of the step's result.
+    #[inline(always)]
+    pub fn issue(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
         // 1. Operand readiness (baseline + per-operand fold, frame located
         // once — see `Scoreboard::operands_ready`).
         let (ready, cause) = self
             .sb
-            .operands_ready(ev.depth, ev.srcs.as_slice().iter().map(|r| r.0));
+            .operands_ready(ev.depth, ev.srcs().iter().map(|r| r.0));
 
         // 2. Earliest issue cycle.
         let start = self.cycle.max(ready).max(self.fetch_gate);
@@ -251,8 +252,8 @@ impl Engine {
         let lat = self.latency_of(ev, at, cache, cfg);
 
         // 5. Scoreboard update.
-        if let Some(dst) = ev.dst {
-            let kind = if ev.lat == LatClass::Load && ev.executed {
+        if let Some(dst) = ev.dst() {
+            let kind = if ev.lat() == LatClass::Load && ev.executed {
                 ProducerKind::Load
             } else {
                 ProducerKind::Other
@@ -268,7 +269,7 @@ impl Engine {
         }
 
         // 6. Branch prediction.
-        if let Some(b) = ev.branch {
+        if let Some(b) = ev.branch() {
             if b.conditional {
                 self.bp_lookups += 1;
                 if !self.bp.predict_and_update(b.taken) {
@@ -285,7 +286,8 @@ impl Engine {
     /// buffer: consumes an issue slot at replay bandwidth, makes the
     /// destination ready immediately, performs no operand wait and no
     /// prediction.
-    pub fn commit_slot(&mut self, ev: &Event) -> u64 {
+    #[inline(always)]
+    pub fn commit_slot(&mut self, ev: &Step) -> u64 {
         let need = ev.slots();
         if self.slots_used + need > self.width {
             self.note_busy();
@@ -295,7 +297,7 @@ impl Engine {
         self.note_busy();
         self.slots_used += need;
         self.instrs += 1;
-        if let Some(dst) = ev.dst {
+        if let Some(dst) = ev.dst() {
             self.sb
                 .set_ready(ev.dst_depth(), dst.0, self.cycle, ProducerKind::Other);
         }
@@ -310,26 +312,27 @@ impl Engine {
         }
     }
 
-    fn latency_of(&self, ev: &Event, at: u64, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    #[inline(always)]
+    fn latency_of(&self, ev: &Step, at: u64, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
         if !ev.executed {
             return 1; // predicated-off: occupies the slot only
         }
-        match ev.lat {
+        match ev.lat() {
             LatClass::Alu | LatClass::Spt | LatClass::Nop => cfg.lat_alu,
             LatClass::Mul => cfg.lat_mul,
             LatClass::Div => cfg.lat_div,
             LatClass::Call => cfg.lat_call,
             LatClass::Store => {
-                if let Some(m) = ev.mem {
+                if let Some(addr) = ev.addr {
                     // Stores allocate in the cache but their latency is
                     // hidden by the store pipeline.
-                    cache.access(m.addr, at);
+                    cache.access(addr, at);
                 }
                 cfg.lat_store
             }
             LatClass::Load => {
-                if let Some(m) = ev.mem {
-                    cache.access(m.addr, at)
+                if let Some(addr) = ev.addr {
+                    cache.access(addr, at)
                 } else {
                     cfg.lat_alu
                 }

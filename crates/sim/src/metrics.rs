@@ -1,6 +1,6 @@
 //! Loop annotations, per-loop cycle attribution, and report types.
 
-use spt_interp::{EvKind, Event};
+use spt_interp::Step;
 use spt_sir::{BlockId, FuncId};
 
 /// A loop region of interest (one SPT loop, or any loop being profiled).
@@ -47,7 +47,7 @@ impl LoopAnnotations {
 pub struct LoopCycleTracker<'a> {
     annots: &'a LoopAnnotations,
     /// `lookup[func][block]` = annot index owning that block, or
-    /// [`NO_LOOP`]. `observe` runs once per main-pipeline event, so
+    /// [`NO_LOOP`]. `observe` runs once per main-pipeline step, so
     /// membership is one flat table read instead of a scan over the
     /// annotations with a binary search each (annotated loops never
     /// overlap, so the owning loop is unique).
@@ -108,12 +108,10 @@ impl<'a> LoopCycleTracker<'a> {
         self.active.map(|(i, _)| i)
     }
 
-    /// Observe one main-pipeline event and the cycle delta it caused.
-    pub fn observe(&mut self, ev: &Event, cycle_delta: u64) {
-        let (func, block) = match ev.kind {
-            EvKind::Inst { func, sref } => (func, sref.block),
-            EvKind::Term { func, block } => (func, block),
-        };
+    /// Observe one main-pipeline step and the cycle delta it caused.
+    #[inline(always)]
+    pub fn observe(&mut self, ev: &Step, cycle_delta: u64) {
+        let (func, block) = (ev.func(), ev.block());
         // One flat membership lookup serves both the exit and entry checks
         // (a block belongs to at most one annotated loop).
         let here = self.loop_at(func, block);
@@ -123,7 +121,7 @@ impl<'a> LoopCycleTracker<'a> {
                 self.active = None;
             }
         }
-        // Entry check (only at the event's own depth).
+        // Entry check (only at the step's own depth).
         if self.active.is_none() {
             if let Some(idx) = here {
                 self.active = Some((idx, ev.depth));
@@ -248,19 +246,35 @@ impl PerCoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spt_sir::{LatClass, StmtRef};
+    use spt_interp::DecodedProgram;
+    use spt_sir::ProgramBuilder;
 
-    fn ev(func: u32, block: u32, depth: u32) -> Event {
-        let mut e = Event::blank(
-            EvKind::Inst {
-                func: FuncId(func),
-                sref: StmtRef::new(BlockId(block), 0),
-            },
-            LatClass::Alu,
-            depth,
-        );
-        e.executed = true;
-        e
+    /// A decoded program whose functions 0 and 1 each have blocks `0..10`,
+    /// every one a bare terminator, so [`ev`] can stand a step anywhere.
+    fn dec() -> DecodedProgram {
+        let mut pb = ProgramBuilder::new();
+        let g = pb.declare("g", 0);
+        let mut f = pb.func("main", 0);
+        for _ in 1..10 {
+            let b = f.new_block();
+            f.jmp(b);
+            f.switch_to(b);
+        }
+        f.ret(None);
+        let main = f.finish();
+        let mut f = pb.build(g);
+        for _ in 1..10 {
+            let b = f.new_block();
+            f.jmp(b);
+            f.switch_to(b);
+        }
+        f.ret(None);
+        f.finish();
+        DecodedProgram::new(&pb.finish(main, 0))
+    }
+
+    fn ev(dec: &DecodedProgram, func: u32, block: u32, depth: u32) -> Step<'_> {
+        Step::new(dec.func(FuncId(func)).term(BlockId(block)), depth)
     }
 
     fn annots() -> LoopAnnotations {
@@ -277,13 +291,14 @@ mod tests {
     #[test]
     fn attributes_cycles_inside_loop_blocks() {
         let a = annots();
+        let d = dec();
         let mut t = LoopCycleTracker::new(&a);
-        t.observe(&ev(0, 1, 0), 5); // outside
+        t.observe(&ev(&d, 0, 1, 0), 5); // outside
         assert_eq!(t.current(), None);
-        t.observe(&ev(0, 2, 0), 3); // enter loop
+        t.observe(&ev(&d, 0, 2, 0), 3); // enter loop
         assert_eq!(t.current(), Some(0));
-        t.observe(&ev(0, 3, 0), 2); // still inside
-        t.observe(&ev(0, 1, 0), 4); // exit
+        t.observe(&ev(&d, 0, 3, 0), 2); // still inside
+        t.observe(&ev(&d, 0, 1, 0), 4); // exit
         assert_eq!(t.current(), None);
         assert_eq!(t.cycles()[0], 5);
         assert_eq!(t.instrs()[0], 2);
@@ -292,12 +307,13 @@ mod tests {
     #[test]
     fn callee_events_attributed_to_loop() {
         let a = annots();
+        let d = dec();
         let mut t = LoopCycleTracker::new(&a);
-        t.observe(&ev(0, 2, 0), 1); // enter loop at depth 0
-        t.observe(&ev(1, 0, 1), 9); // inside a callee (deeper)
+        t.observe(&ev(&d, 0, 2, 0), 1); // enter loop at depth 0
+        t.observe(&ev(&d, 1, 0, 1), 9); // inside a callee (deeper)
         assert_eq!(t.current(), Some(0));
-        t.observe(&ev(0, 2, 0), 1); // back in loop
-        t.observe(&ev(0, 9, 0), 1); // exit at same depth, other block
+        t.observe(&ev(&d, 0, 2, 0), 1); // back in loop
+        t.observe(&ev(&d, 0, 9, 0), 1); // exit at same depth, other block
         assert_eq!(t.current(), None);
         assert_eq!(t.cycles()[0], 11);
     }
@@ -305,9 +321,10 @@ mod tests {
     #[test]
     fn returning_below_entry_depth_exits_loop() {
         let a = annots();
+        let d = dec();
         let mut t = LoopCycleTracker::new(&a);
-        t.observe(&ev(0, 2, 3), 1); // loop entered at depth 3
-        t.observe(&ev(0, 0, 2), 1); // shallower: left the frame
+        t.observe(&ev(&d, 0, 2, 3), 1); // loop entered at depth 3
+        t.observe(&ev(&d, 0, 0, 2), 1); // shallower: left the frame
         assert_eq!(t.current(), None);
         assert_eq!(t.cycles()[0], 1);
     }
@@ -360,9 +377,10 @@ mod tests {
     #[test]
     fn fold_into_copies_attribution() {
         let a = annots();
+        let d = dec();
         let mut t = LoopCycleTracker::new(&a);
-        t.observe(&ev(0, 2, 0), 3);
-        t.observe(&ev(0, 3, 0), 2);
+        t.observe(&ev(&d, 0, 2, 0), 3);
+        t.observe(&ev(&d, 0, 3, 0), 2);
         let mut per_loop = vec![PerLoopStats {
             id: 7,
             forks: 5,

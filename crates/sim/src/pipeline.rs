@@ -9,7 +9,7 @@
 
 use crate::engine::{CycleBreakdown, Engine};
 use crate::metrics::LoopCycleTracker;
-use spt_interp::Event;
+use spt_interp::Step;
 use spt_mach::{CacheSim, MachineConfig};
 use spt_trace::{Pipe, StallClass, TraceEvent, TraceSink};
 
@@ -48,9 +48,10 @@ impl PipelineCore {
         self.engine.approx_bytes()
     }
 
-    /// Issue one event; returns the cycle delta it cost. The before/after
+    /// Issue one step; returns the cycle delta it cost. The before/after
     /// breakdown is remembered for a later [`PipelineCore::note_stall`].
-    pub fn issue(&mut self, ev: &Event, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    #[inline(always)]
+    pub fn issue(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
         let before = self.engine.cycle();
         let before_bd = self.engine.breakdown();
         self.engine.issue(ev, cache, cfg);
@@ -61,7 +62,8 @@ impl PipelineCore {
     /// [`PipelineCore::issue`] without the before/after breakdown capture:
     /// for untraced runs, where no [`PipelineCore::note_stall`] will ever
     /// consume it. Same engine mutation, so timing is identical.
-    pub fn issue_quiet(&mut self, ev: &Event, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    #[inline(always)]
+    pub fn issue_quiet(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
         let before = self.engine.cycle();
         self.engine.issue(ev, cache, cfg);
         self.engine.cycle() - before
@@ -69,7 +71,8 @@ impl PipelineCore {
 
     /// Commit one already-computed SRB result at replay bandwidth;
     /// returns the cycle delta.
-    pub fn commit_slot(&mut self, ev: &Event) -> u64 {
+    #[inline(always)]
+    pub fn commit_slot(&mut self, ev: &Step) -> u64 {
         let before = self.engine.cycle();
         self.engine.commit_slot(ev);
         self.engine.cycle() - before
@@ -106,9 +109,10 @@ impl PipelineCore {
 
     /// The canonical main-pipeline step: issue, attribute the cycle delta
     /// to the loop tracker, and note any stall transition.
+    #[inline(always)]
     pub fn step_issue(
         &mut self,
-        ev: &Event,
+        ev: &Step,
         cache: &mut CacheSim,
         cfg: &MachineConfig,
         tracker: &mut LoopCycleTracker<'_>,
@@ -122,10 +126,11 @@ impl PipelineCore {
     }
 
     /// [`PipelineCore::step_issue`] for untraced runs: no breakdown
-    /// capture, no stall note, no per-event virtual sink call.
+    /// capture, no stall note, no per-step virtual sink call.
+    #[inline(always)]
     pub fn step_issue_quiet(
         &mut self,
-        ev: &Event,
+        ev: &Step,
         cache: &mut CacheSim,
         cfg: &MachineConfig,
         tracker: &mut LoopCycleTracker<'_>,

@@ -48,9 +48,9 @@ use crate::pipeline::PipelineCore;
 use crate::recovery::policy_for;
 use crate::specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 use crate::ssb::{SpecMem, Ssb};
-use spt_interp::{Cursor, DecodedProgram, EvKind, Event, Memory};
+use spt_interp::{Cursor, DecOp, DecodedProgram, Loc, Memory, Step};
 use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy};
-use spt_sir::{BlockId, FuncId, Op, Program, Reg};
+use spt_sir::{BlockId, FuncId, Program};
 use spt_trace::{NullSink, Pipe, TraceEvent, TraceSink};
 
 /// Result of an SPT run.
@@ -135,6 +135,43 @@ impl SptReport {
     }
 }
 
+/// One speculation-result-buffer entry: what replay reads back of a
+/// speculative step — its position (for the control-divergence check),
+/// whether it executed, the value it moved (destination value or stored
+/// value, as in [`Step::val`]) and its memory access. Lifetime-free, so
+/// the arena retains SRB allocations across runs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SrbEntry {
+    loc: Loc,
+    executed: bool,
+    /// An executed load: `addr` is the word it read.
+    load: bool,
+    /// An executed store: `addr` and `val` are the word and value it
+    /// wrote.
+    store: bool,
+    addr: u64,
+    val: i64,
+}
+
+/// Pin the entry's size: a full 1024-entry SRB is 32 KiB per thread.
+const _: () = assert!(std::mem::size_of::<SrbEntry>() <= 32);
+
+impl SrbEntry {
+    #[inline(always)]
+    fn of(s: &Step) -> Self {
+        let mem = s.addr.is_some();
+        let store = s.is_store();
+        SrbEntry {
+            loc: s.loc(),
+            executed: s.executed,
+            load: mem && !store,
+            store: mem && store,
+            addr: s.addr.unwrap_or(0),
+            val: s.val,
+        }
+    }
+}
+
 /// State of one live speculative thread.
 struct SpecState<'p> {
     cursor: Cursor<'p>,
@@ -143,7 +180,7 @@ struct SpecState<'p> {
     ssb: Ssb,
     /// Load address buffer: speculative loads that went to cache/memory.
     lab: AddrMembers,
-    srb: Vec<Event>,
+    srb: Vec<SrbEntry>,
     /// Fork-level registers read by the speculative thread before writing.
     live_in_reads: RegSet,
     /// `(register, fork-time value)` per live-in, captured lazily at the
@@ -163,8 +200,9 @@ struct SpecState<'p> {
     fork_level: usize,
     /// `frames.len()` at fork (start-point depth).
     start_depth: usize,
-    /// Static position of the start-point.
-    start_pos: EvKind,
+    /// Static position of the start-point: the first statement (or the
+    /// terminator of an empty block) of the forked block.
+    start_pos: Loc,
     /// Cached earliest main-pipeline cycle this thread's next instruction
     /// could issue (`u64::MAX` once halted). Refreshed after each of the
     /// thread's own steps (nothing else moves its cursor or engine).
@@ -197,7 +235,7 @@ impl<'a> SpecState<'a> {
         start: BlockId,
         mem_words: usize,
         core: usize,
-        start_pos: EvKind,
+        start_pos: Loc,
         loop_idx: Option<usize>,
         fork_cycle: u64,
     ) -> SpecState<'a> {
@@ -410,17 +448,6 @@ impl<'p> SptSim<'p> {
     /// Surrender the decoded program (for [`SimArena::put_decoded`]).
     pub fn into_decoded(self) -> DecodedProgram {
         self.dec
-    }
-
-    /// Static position of the first thing executed in `block` of `func`.
-    fn position_of(&self, func: FuncId, block: BlockId) -> EvKind {
-        self.dec.position_of(func, block)
-    }
-
-    /// Precise operand registers of the statement behind an event
-    /// (the event's own `srcs` are capacity-limited for timing).
-    fn static_srcs(&self, ev: &Event) -> &[Reg] {
-        self.dec.srcs_of(ev.kind)
     }
 
     /// Recompute a thread's cached gate: the earliest cycle its next
@@ -669,7 +696,11 @@ impl<'p> SptSim<'p> {
                                 start,
                                 mem.len(),
                                 free,
-                                self.position_of(func, start),
+                                Loc {
+                                    func,
+                                    block: start,
+                                    idx: 0,
+                                },
                                 loop_idx,
                                 parent_cycle,
                             );
@@ -695,18 +726,13 @@ impl<'p> SptSim<'p> {
                     }
                     // Park check: the thread reached its successor's
                     // start-point, so hold it rather than re-execute the
-                    // successor's iteration. Raw frame fields suffice —
-                    // `start_pos` always points at the first event of its
-                    // block (`position_of`), which is what
-                    // `at_block_start` tests — and stepping is the only
-                    // way to get here, so checking after every step
-                    // covers every park transition.
+                    // successor's iteration. Stepping is the only way to
+                    // get there, so checking after every step covers
+                    // every park transition.
                     if i + 1 < spec.len() {
                         let nxt = &spec[i + 1];
                         if spec[i].cursor.depth() == nxt.start_depth
-                            && spec[i]
-                                .cursor
-                                .at_block_start(nxt.start_pos.func(), nxt.start_pos.block())
+                            && spec[i].cursor.at(nxt.start_pos)
                         {
                             spec[i].stalled = true;
                         }
@@ -736,18 +762,12 @@ impl<'p> SptSim<'p> {
                 .unwrap_or(u64::MAX);
             // The oldest thread's start-point is static for the whole inner
             // loop (every path that mutates `spec` exits via `continue
-            // 'outer`), so hoist its components and let the per-event
-            // arrival check be three field compares instead of an `EvKind`
-            // construction. `start_pos` always points at the first event of
-            // its block (`position_of`), which is what `at_block_start`
-            // tests.
-            let arrive = spec
-                .first()
-                .map(|s| (s.start_pos.func(), s.start_pos.block(), s.start_depth));
+            // 'outer`), so hoist it out of the per-step arrival check.
+            let arrive = spec.first().map(|s| (s.start_pos, s.start_depth));
             loop {
                 // Arrival at the oldest thread's start-point?
-                if let Some((af, ab, ad)) = arrive {
-                    if main.at_block_start(af, ab) && main.depth() == ad {
+                if let Some((at, ad)) = arrive {
+                    if main.at(at) && main.depth() == ad {
                         let sp = spec.remove(0);
                         lead = lead.saturating_sub(1);
                         let spec_core_idx = sp.core - 1;
@@ -825,10 +845,10 @@ impl<'p> SptSim<'p> {
                 }
 
                 // Fork?
-                if let Some(start) = ev.fork {
+                if let Some(start) = ev.fork() {
                     if spec.is_empty() {
                         forks += 1;
-                        let func = ev.kind.func();
+                        let func = ev.func();
                         let loop_idx = self.annots.by_fork_start(func, start).or_else(|| {
                             tracker.current() // fall back to enclosing annotated loop
                         });
@@ -858,7 +878,11 @@ impl<'p> SptSim<'p> {
                             start,
                             mem.len(),
                             1,
-                            self.position_of(func, start),
+                            Loc {
+                                func,
+                                block: start,
+                                idx: 0,
+                            },
                             loop_idx,
                             main_core.engine.cycle(),
                         );
@@ -881,7 +905,7 @@ impl<'p> SptSim<'p> {
                             sink.emit(
                                 main_core.engine.cycle(),
                                 TraceEvent::ForkIgnored {
-                                    func: ev.kind.func(),
+                                    func: ev.func(),
                                     start_block: start,
                                 },
                             );
@@ -891,7 +915,7 @@ impl<'p> SptSim<'p> {
                 }
 
                 // Kill?
-                if ev.kill {
+                if ev.kill() {
                     kill_all_threads(
                         &mut spec,
                         &mut pool,
@@ -907,28 +931,29 @@ impl<'p> SptSim<'p> {
                 }
 
                 // Track main post-fork register writes and store-address checks
-                // against every live thread. Most events are neither an
+                // against every live thread. Most steps are neither an
                 // executed store nor (under the mark-based policy) a register
                 // write, so screen once before walking the ring.
                 if !spec.is_empty() {
-                    let store = matches!(ev.mem, Some(m) if m.is_store && ev.executed);
-                    let mark_write = cfg.reg_check == RegCheckPolicy::MarkBased && ev.dst.is_some();
-                    if store || mark_write {
+                    let store = ev.addr.filter(|_| ev.is_store());
+                    let mark_write =
+                        cfg.reg_check == RegCheckPolicy::MarkBased && ev.dst().is_some();
+                    if store.is_some() || mark_write {
                         for sp in spec.iter_mut() {
                             // Post-fork write marks feed only the mark-based
                             // register check; the value-based check reads the
                             // cursor's dirty masks and the thread's lazily
                             // captured fork values instead.
                             if mark_write {
-                                if let Some(dst) = ev.dst {
+                                if let Some(dst) = ev.dst() {
                                     if ev.dst_depth() as usize == sp.fork_level {
                                         sp.post_fork_writes.insert(dst.0);
                                     }
                                 }
                             }
-                            if let Some(m) = ev.mem {
-                                if m.is_store && ev.executed && sp.lab.contains(m.addr) {
-                                    sp.violated_addrs.insert(m.addr);
+                            if let Some(addr) = store {
+                                if sp.lab.contains(addr) {
+                                    sp.violated_addrs.insert(addr);
                                 }
                             }
                         }
@@ -1037,10 +1062,10 @@ impl<'p> SptSim<'p> {
         // whole-frame copy.
         if ev.depth as usize == sp.fork_level {
             if sp.cursor.depth() > sp.fork_level {
-                for r in dec.srcs_of(ev.kind) {
+                for r in ev.operands(dec) {
                     if !sp.spec_written.contains(r.0) && !sp.live_in_reads.contains(r.0) {
                         sp.live_in_reads.insert(r.0);
-                        let v = if ev.executed && ev.dst == Some(*r) {
+                        let v = if ev.dst() == Some(*r) {
                             // This statement overwrote the register it read
                             // (e.g. `i = i + 1`): the fork-time value is
                             // the one the write displaced.
@@ -1055,7 +1080,7 @@ impl<'p> SptSim<'p> {
                 // A `ret` popped the fork frame before the operand could
                 // be read back; the only register a `ret` reads is the
                 // returned one, which the cursor preserves.
-                for r in dec.srcs_of(ev.kind) {
+                for r in ev.operands(dec) {
                     if !sp.spec_written.contains(r.0) && !sp.live_in_reads.contains(r.0) {
                         sp.live_in_reads.insert(r.0);
                         sp.live_in_vals.push((r.0, sp.cursor.last_ret_read()));
@@ -1063,45 +1088,32 @@ impl<'p> SptSim<'p> {
                 }
             }
         }
-        if let Some(dst) = ev.dst {
+        if let Some(dst) = ev.dst() {
             if ev.dst_depth() as usize == sp.fork_level {
                 sp.spec_written.insert(dst.0);
             }
         }
 
         // LAB: record loads that went to cache/memory (not SSB-forwarded).
-        // Some memory events need `mem` masked for timing; the event copy
-        // is skipped for the common case that needs no mask.
-        let mut mask_mem = false;
-        if let Some(m) = ev.mem {
-            if !m.is_store && ev.executed {
-                if sp.ssb.contains(m.addr) {
-                    // Forwarded from the store buffer: 1-cycle, no cache.
-                    mask_mem = true;
-                } else {
-                    sp.lab.insert(m.addr);
-                }
-            }
-            if m.is_store {
-                // Speculative stores do not touch the cache until commit.
-                mask_mem = true;
+        // Speculative stores do not touch the cache until commit, and a
+        // load the store buffer forwards costs one cycle without a cache
+        // access: both issue with the memory access hidden.
+        let mut tev = ev;
+        if let Some(addr) = ev.addr {
+            if ev.is_store() || sp.ssb.contains(addr) {
+                tev = ev.without_mem();
+            } else {
+                sp.lab.insert(addr);
             }
         }
-        let timing_ev;
-        let tev: &Event = if mask_mem {
-            timing_ev = Event { mem: None, ..ev };
-            &timing_ev
-        } else {
-            &ev
-        };
         if traced {
-            core.issue(tev, cache, cfg);
+            core.issue(&tev, cache, cfg);
         } else {
-            core.issue_quiet(tev, cache, cfg);
+            core.issue_quiet(&tev, cache, cfg);
         }
 
-        let fork_req = ev.fork.map(|start| (ev.kind.func(), start));
-        sp.srb.push(ev);
+        let fork_req = ev.fork().map(|start| (ev.func(), start));
+        sp.srb.push(SrbEntry::of(&ev));
         if sp.srb.len() >= cfg.srb_entries {
             sp.stalled = true;
         }
@@ -1295,7 +1307,7 @@ impl<'p> SptSim<'p> {
             }
             // Control divergence: the correct path no longer matches the
             // speculated one — kill and resume normal execution here.
-            if main.position() != Some(entry.kind) || main.is_halted() {
+            if !main.at(entry.loc) {
                 *divergence_kills += 1;
                 if let Some(li) = sp.loop_idx {
                     per_loop[li].kills += 1;
@@ -1319,16 +1331,14 @@ impl<'p> SptSim<'p> {
             // plus scoreboard propagation during replay).
             let mut missp = entry.executed != cev.executed;
             if !missp && cev.executed {
-                for r in self.static_srcs(&cev) {
+                for r in cev.operands(&self.dec) {
                     if updated.contains(cev.depth, r.0) {
                         missp = true;
                         break;
                     }
                 }
-                if let Some(m) = entry.mem {
-                    if !m.is_store && updated_addrs.contains(m.addr) {
-                        missp = true;
-                    }
+                if entry.load && updated_addrs.contains(entry.addr) {
+                    missp = true;
                 }
             }
 
@@ -1347,10 +1357,12 @@ impl<'p> SptSim<'p> {
             };
             tracker.observe(&cev, delta);
 
-            // Propagate "updated" marks.
-            if let Some(dst) = cev.dst {
+            // Propagate "updated" marks. A non-store entry's `val` is its
+            // destination value (0 without one), and an entry at the same
+            // position as a destination-writing step is no store.
+            if let Some(dst) = cev.dst() {
                 let converged = cfg.reg_check == RegCheckPolicy::ValueBased
-                    && cev.dst_val == entry.dst_val
+                    && cev.val == entry.val
                     && cev.executed == entry.executed;
                 if missp && !converged {
                     updated.insert(cev.dst_depth(), dst.0);
@@ -1358,25 +1370,19 @@ impl<'p> SptSim<'p> {
                     updated.remove(cev.dst_depth(), dst.0);
                 }
             }
-            if let Some(m) = cev.mem {
-                if m.is_store && cev.executed {
-                    let spec_val = entry.mem.filter(|em| em.is_store).map(|em| em.value);
-                    if missp && spec_val != Some(m.value) {
-                        updated_addrs.insert(m.addr);
-                    } else {
-                        updated_addrs.remove(m.addr);
-                    }
+            if let Some(addr) = cev.addr.filter(|_| cev.is_store()) {
+                let spec_val = entry.store.then_some(entry.val);
+                if missp && spec_val != Some(cev.val) {
+                    updated_addrs.insert(addr);
+                } else {
+                    updated_addrs.remove(addr);
                 }
             }
             // Calls: a poisoned argument poisons the callee parameter.
-            if cev.is_call() {
-                if let EvKind::Inst { func, sref } = cev.kind {
-                    if let Op::Call { args, .. } = &self.prog.func(func).inst(sref).op {
-                        for (i, a) in args.iter().enumerate() {
-                            if updated.contains(cev.depth, a.0) {
-                                updated.insert(cev.depth + 1, i as u32);
-                            }
-                        }
+            if let DecOp::Call { args, .. } = cev.inst().op {
+                for (i, a) in self.dec.func(cev.func()).operands(args).iter().enumerate() {
+                    if updated.contains(cev.depth, a.0) {
+                        updated.insert(cev.depth + 1, i as u32);
                     }
                 }
             }

@@ -498,13 +498,13 @@ mod tests {
         s.guard_prob = Some(0.3);
         s.body_alu = 10;
         let (prog, _) = run_loop(&s, 200);
-        // Count suppressed events in a fresh run.
+        // Count suppressed statements in a fresh run.
         let mut mem = Memory::for_program(&prog);
         let dec = DecodedProgram::new(&prog);
         let mut cur = Cursor::at_entry(&dec);
         let (mut pass, mut fail) = (0u64, 0u64);
         while let Some(ev) = cur.step(&mut mem) {
-            if matches!(ev.kind, spt_interp::EvKind::Inst { .. }) {
+            if ev.sref().is_some() {
                 if ev.executed {
                     pass += 1;
                 } else {
