@@ -43,7 +43,7 @@ fn bench_cache(c: &mut Criterion) {
     let cfg = MachineConfig::default();
     c.bench_function("mach/cache_stream_64k", |b| {
         b.iter(|| {
-            let mut cs = CacheSim::new(&cfg);
+            let mut cs = CacheSim::new(&cfg.core);
             let mut total = 0u64;
             for i in 0..65536u64 {
                 total += cs.access(i % 8192, i);
@@ -57,7 +57,7 @@ fn bench_baseline_sim(c: &mut Criterion) {
     let prog = array_map(256, 12);
     let cfg = MachineConfig::default();
     c.bench_function("sim/baseline_array_map", |b| {
-        b.iter(|| simulate_baseline(&prog, &cfg, &LoopAnnotations::empty(), 10_000_000).cycles)
+        b.iter(|| simulate_baseline(&prog, &cfg.core, &LoopAnnotations::empty(), 10_000_000).cycles)
     });
 }
 

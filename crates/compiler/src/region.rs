@@ -211,7 +211,7 @@ mod tests {
         let (seq, _) = run(&prog, FUEL);
         let base = simulate_baseline(
             &prog,
-            &MachineConfig::default(),
+            &MachineConfig::default().core,
             &LoopAnnotations::empty(),
             FUEL,
         );

@@ -8,7 +8,7 @@
 //! trace-driven simulator that tags each cache and memory access with a
 //! time stamp.
 
-use crate::config::{CacheParams, MachineConfig};
+use crate::config::{CacheParams, CoreConfig};
 
 /// One set-associative level with LRU replacement.
 pub struct CacheLevel {
@@ -133,7 +133,7 @@ pub struct CacheSim {
 }
 
 impl CacheSim {
-    pub fn new(cfg: &MachineConfig) -> Self {
+    pub fn new(cfg: &CoreConfig) -> Self {
         CacheSim {
             l1: CacheLevel::new(cfg.l1d),
             l2: CacheLevel::new(cfg.l2),
@@ -144,7 +144,7 @@ impl CacheSim {
 
     /// Reset to exactly [`CacheSim::new`]`(cfg)` state, reusing every
     /// level's allocations (arena path, DESIGN.md §3i).
-    pub fn reset(&mut self, cfg: &MachineConfig) {
+    pub fn reset(&mut self, cfg: &CoreConfig) {
         self.l1.reset(cfg.l1d);
         self.l2.reset(cfg.l2);
         self.l3.reset(cfg.l3);
@@ -191,8 +191,8 @@ impl CacheSim {
 mod tests {
     use super::*;
 
-    fn tiny_cfg() -> MachineConfig {
-        let mut c = MachineConfig::default();
+    fn tiny_cfg() -> CoreConfig {
+        let mut c = CoreConfig::default();
         // 2 sets x 2 ways x 64B blocks = 256B L1 for easy eviction tests.
         c.l1d = CacheParams {
             size_bytes: 256,
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn table1_hierarchy_latencies() {
-        let mut cs = CacheSim::new(&MachineConfig::default());
+        let mut cs = CacheSim::new(&CoreConfig::default());
         assert_eq!(cs.access(1000, 0), 150); // cold
         assert_eq!(cs.access(1000, 1), 1); // L1
     }

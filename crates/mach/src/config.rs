@@ -49,13 +49,11 @@ pub enum RegCheckPolicy {
     ValueBased,
 }
 
-/// Full machine configuration. `MachineConfig::default()` is Table 1.
+/// The timing model of one in-order core and the cache hierarchy under
+/// it: everything the baseline simulation reads. The SPT fabric runs every
+/// core on these same parameters.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MachineConfig {
-    /// Total cores in the speculation fabric: core 0 is architectural,
-    /// cores 1..N-1 run successive speculative iterations in a ring
-    /// (Table 1 / the paper: 2; N>2 follows Prophet's successor ring).
-    pub cores: usize,
+pub struct CoreConfig {
     pub l1i: CacheParams,
     pub l1d: CacheParams,
     pub l2: CacheParams,
@@ -64,22 +62,12 @@ pub struct MachineConfig {
     pub mem_latency: u64,
     /// Normal fetch/issue width (per core).
     pub issue_width: u64,
-    /// Replay fetch/issue width (main core during replay).
-    pub replay_width: u64,
     /// Register-file read/write ports (informational; Table 1 lists 12).
     pub rf_ports: u64,
     /// GAg branch predictor entries.
     pub bp_entries: usize,
     /// Mispredicted-branch penalty in cycles.
     pub bp_penalty: u64,
-    /// Minimum register-file copy overhead at fork, cycles.
-    pub rf_copy_overhead: u64,
-    /// Minimum fast-commit overhead, cycles.
-    pub fast_commit_overhead: u64,
-    /// Speculation result buffer entries.
-    pub srb_entries: usize,
-    pub recovery: RecoveryKind,
-    pub reg_check: RegCheckPolicy,
     // Functional-unit latencies.
     pub lat_alu: u64,
     pub lat_mul: u64,
@@ -88,11 +76,10 @@ pub struct MachineConfig {
     pub lat_call: u64,
 }
 
-impl Default for MachineConfig {
-    /// The Table 1 configuration.
+impl Default for CoreConfig {
+    /// The Table 1 core.
     fn default() -> Self {
-        MachineConfig {
-            cores: 2,
+        CoreConfig {
             l1i: CacheParams {
                 size_bytes: 16 * 1024,
                 assoc: 4,
@@ -119,20 +106,52 @@ impl Default for MachineConfig {
             },
             mem_latency: 150,
             issue_width: 6,
-            replay_width: 12,
             rf_ports: 12,
             bp_entries: 1024,
             bp_penalty: 5,
-            rf_copy_overhead: 1,
-            fast_commit_overhead: 5,
-            srb_entries: 1024,
-            recovery: RecoveryKind::SrxFc,
-            reg_check: RegCheckPolicy::ValueBased,
             lat_alu: 1,
             lat_mul: 4,
             lat_div: 12,
             lat_store: 1,
             lat_call: 1,
+        }
+    }
+}
+
+/// Full machine configuration: the per-core timing model plus the
+/// speculation fabric around it. `MachineConfig::default()` is Table 1.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MachineConfig {
+    /// Total cores in the speculation fabric: core 0 is architectural,
+    /// cores 1..N-1 run successive speculative iterations in a ring
+    /// (Table 1 / the paper: 2; N>2 follows Prophet's successor ring).
+    pub cores: usize,
+    /// Timing model of every core (the baseline's whole machine).
+    pub core: CoreConfig,
+    /// Replay fetch/issue width (main core during replay).
+    pub replay_width: u64,
+    /// Minimum register-file copy overhead at fork, cycles.
+    pub rf_copy_overhead: u64,
+    /// Minimum fast-commit overhead, cycles.
+    pub fast_commit_overhead: u64,
+    /// Speculation result buffer entries.
+    pub srb_entries: usize,
+    pub recovery: RecoveryKind,
+    pub reg_check: RegCheckPolicy,
+}
+
+impl Default for MachineConfig {
+    /// The Table 1 configuration.
+    fn default() -> Self {
+        MachineConfig {
+            cores: 2,
+            core: CoreConfig::default(),
+            replay_width: 12,
+            rf_copy_overhead: 1,
+            fast_commit_overhead: 5,
+            srb_entries: 1024,
+            recovery: RecoveryKind::SrxFc,
+            reg_check: RegCheckPolicy::ValueBased,
         }
     }
 }
@@ -154,29 +173,32 @@ impl MachineConfig {
                 "Processor cores".into(),
                 format!("{} Itanium2-like in-order cores", self.cores),
             ),
-            ("L1 (separate I/D)".into(), cache(&self.l1d)),
-            ("L2".into(), cache(&self.l2)),
-            ("L3".into(), cache(&self.l3)),
+            ("L1 (separate I/D)".into(), cache(&self.core.l1d)),
+            ("L2".into(), cache(&self.core.l2)),
+            ("L3".into(), cache(&self.core.l3)),
             (
                 "Memory latency".into(),
-                format!("{} cycles", self.mem_latency),
+                format!("{} cycles", self.core.mem_latency),
             ),
             (
                 "Normal fetch/issue width".into(),
-                format!("{}", self.issue_width),
+                format!("{}", self.core.issue_width),
             ),
             (
                 "Replay fetch/issue width".into(),
                 format!("{}", self.replay_width),
             ),
-            ("RF read/write ports".into(), format!("{}", self.rf_ports)),
+            (
+                "RF read/write ports".into(),
+                format!("{}", self.core.rf_ports),
+            ),
             (
                 "Branch predictor".into(),
-                format!("GAg with {} entries", self.bp_entries),
+                format!("GAg with {} entries", self.core.bp_entries),
             ),
             (
                 "Mispredicted branch penalty".into(),
-                format!("{} cycles", self.bp_penalty),
+                format!("{} cycles", self.core.bp_penalty),
             ),
             (
                 "RF copy overhead".into(),
@@ -219,21 +241,21 @@ mod tests {
     fn table1_defaults_match_paper() {
         let c = MachineConfig::default();
         assert_eq!(c.cores, 2);
-        assert_eq!(c.l1d.size_bytes, 16 * 1024);
-        assert_eq!(c.l1d.assoc, 4);
-        assert_eq!(c.l1d.block_bytes, 64);
-        assert_eq!(c.l1d.latency, 1);
-        assert_eq!(c.l2.size_bytes, 256 * 1024);
-        assert_eq!(c.l2.latency, 5);
-        assert_eq!(c.l3.size_bytes, 3 * 1024 * 1024);
-        assert_eq!(c.l3.assoc, 12);
-        assert_eq!(c.l3.block_bytes, 128);
-        assert_eq!(c.l3.latency, 12);
-        assert_eq!(c.mem_latency, 150);
-        assert_eq!(c.issue_width, 6);
+        assert_eq!(c.core.l1d.size_bytes, 16 * 1024);
+        assert_eq!(c.core.l1d.assoc, 4);
+        assert_eq!(c.core.l1d.block_bytes, 64);
+        assert_eq!(c.core.l1d.latency, 1);
+        assert_eq!(c.core.l2.size_bytes, 256 * 1024);
+        assert_eq!(c.core.l2.latency, 5);
+        assert_eq!(c.core.l3.size_bytes, 3 * 1024 * 1024);
+        assert_eq!(c.core.l3.assoc, 12);
+        assert_eq!(c.core.l3.block_bytes, 128);
+        assert_eq!(c.core.l3.latency, 12);
+        assert_eq!(c.core.mem_latency, 150);
+        assert_eq!(c.core.issue_width, 6);
         assert_eq!(c.replay_width, 12);
-        assert_eq!(c.bp_entries, 1024);
-        assert_eq!(c.bp_penalty, 5);
+        assert_eq!(c.core.bp_entries, 1024);
+        assert_eq!(c.core.bp_penalty, 5);
         assert_eq!(c.rf_copy_overhead, 1);
         assert_eq!(c.fast_commit_overhead, 5);
         assert_eq!(c.srb_entries, 1024);
@@ -244,8 +266,8 @@ mod tests {
     #[test]
     fn cache_sets_computed() {
         let c = MachineConfig::default();
-        assert_eq!(c.l1d.sets(), 16 * 1024 / 64 / 4);
-        assert_eq!(c.l3.sets(), 3 * 1024 * 1024 / 128 / 12);
+        assert_eq!(c.core.l1d.sets(), 16 * 1024 / 64 / 4);
+        assert_eq!(c.core.l3.sets(), 3 * 1024 * 1024 / 128 / 12);
     }
 
     #[test]
@@ -264,14 +286,38 @@ mod tests {
     fn config_debug_is_structural() {
         // The sweep engine's memo cache keys configs by their Debug
         // rendering: it must name every field that affects simulation.
+        // The baseline keys on the nested core alone, so its rendering
+        // must name every core field too.
+        let core_fields = [
+            "l1i",
+            "l1d",
+            "l2",
+            "l3",
+            "mem_latency",
+            "issue_width",
+            "rf_ports",
+            "bp_entries",
+            "bp_penalty",
+            "lat_alu",
+            "lat_mul",
+            "lat_div",
+            "lat_store",
+            "lat_call",
+        ];
+        let core = format!("{:?}", CoreConfig::default());
+        for field in core_fields {
+            assert!(core.contains(field), "CoreConfig Debug missing {field}");
+        }
         let dbg = format!("{:?}", MachineConfig::default());
+        assert!(dbg.contains(&format!("core: {core}")), "{dbg}");
         for field in [
             "cores",
+            "replay_width",
+            "rf_copy_overhead",
+            "fast_commit_overhead",
             "srb_entries",
             "recovery",
             "reg_check",
-            "mem_latency",
-            "issue_width",
         ] {
             assert!(dbg.contains(field), "Debug output missing {field}");
         }

@@ -20,5 +20,5 @@ pub mod scoreboard;
 
 pub use branch::GagPredictor;
 pub use cache::{CacheLevel, CacheSim, CacheStats};
-pub use config::{CacheParams, MachineConfig, RecoveryKind, RegCheckPolicy};
+pub use config::{CacheParams, CoreConfig, MachineConfig, RecoveryKind, RegCheckPolicy};
 pub use scoreboard::{ProducerKind, Scoreboard};

@@ -2,7 +2,7 @@
 //! behaviour, predictor accounting, scoreboard monotonicity.
 
 use proptest::prelude::*;
-use spt_mach::{CacheSim, GagPredictor, MachineConfig, ProducerKind, Scoreboard};
+use spt_mach::{CacheSim, CoreConfig, GagPredictor, ProducerKind, Scoreboard};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -11,7 +11,7 @@ proptest! {
     /// one of the four configured levels; stats add up.
     #[test]
     fn cache_latencies_well_formed(addrs in prop::collection::vec(0..4096u64, 1..200)) {
-        let cfg = MachineConfig::default();
+        let cfg = CoreConfig::default();
         let mut cs = CacheSim::new(&cfg);
         let valid = [cfg.l1d.latency, cfg.l2.latency, cfg.l3.latency, cfg.mem_latency];
         let mut n = 0u64;
@@ -31,7 +31,7 @@ proptest! {
     /// A working set smaller than L1 eventually stops missing entirely.
     #[test]
     fn small_working_set_converges(start in 0..1024u64) {
-        let cfg = MachineConfig::default();
+        let cfg = CoreConfig::default();
         let mut cs = CacheSim::new(&cfg);
         let set: Vec<u64> = (start..start + 64).collect(); // 512B << 16KB
         for round in 0..4 {

@@ -23,7 +23,7 @@ use crate::specset::{AddrList, AddrMembers, RegSet};
 use crate::spt::SrbEntry;
 use crate::ssb::Ssb;
 use spt_interp::{CursorParts, DecodedProgram, Memory};
-use spt_mach::{CacheSim, MachineConfig};
+use spt_mach::{CacheSim, CoreConfig};
 use spt_sir::Program;
 use spt_trace::Pipe;
 use std::cell::RefCell;
@@ -170,7 +170,7 @@ impl SimArena {
     }
 
     /// Cache hierarchy in exactly [`CacheSim::new`]`(cfg)` state.
-    pub fn take_cache(&mut self, cfg: &MachineConfig) -> CacheSim {
+    pub fn take_cache(&mut self, cfg: &CoreConfig) -> CacheSim {
         match self.cache.take() {
             Some(mut c) => {
                 Self::reused();
@@ -189,7 +189,7 @@ impl SimArena {
     }
 
     /// Pipeline core in exactly [`PipelineCore::new`]`(cfg, pipe)` state.
-    pub fn take_core(&mut self, cfg: &MachineConfig, pipe: Pipe) -> PipelineCore {
+    pub fn take_core(&mut self, cfg: &CoreConfig, pipe: Pipe) -> PipelineCore {
         match self.cores.pop() {
             Some(mut c) => {
                 Self::reused();
@@ -325,7 +325,7 @@ mod tests {
         a.put_mem(Memory::for_program(&tiny_prog(1024)));
         a.publish_retained();
         assert!(a.published_bytes >= 1024 * 8);
-        a.put_cache(CacheSim::new(&MachineConfig::default()));
+        a.put_cache(CacheSim::new(&CoreConfig::default()));
         a.publish_retained();
         assert!(a.published_bytes > 1024 * 8);
     }

@@ -5,7 +5,7 @@ use crate::arena::{self, SimArena};
 use crate::engine::CycleBreakdown;
 use crate::metrics::{LoopAnnotations, LoopCycleTracker};
 use spt_interp::{Cursor, DecodedProgram, Memory};
-use spt_mach::{CacheStats, MachineConfig};
+use spt_mach::{CacheStats, CoreConfig};
 use spt_sir::Program;
 use spt_trace::{NullSink, Pipe, TraceSink};
 
@@ -45,7 +45,7 @@ impl BaselineReport {
 /// [`SimArena`].
 pub fn simulate_baseline(
     prog: &Program,
-    cfg: &MachineConfig,
+    cfg: &CoreConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
 ) -> BaselineReport {
@@ -67,7 +67,7 @@ pub fn simulate_baseline_in(
     arena: &mut SimArena,
     fp: u64,
     prog: &Program,
-    cfg: &MachineConfig,
+    cfg: &CoreConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
     sink: &mut dyn TraceSink,
@@ -87,7 +87,7 @@ fn baseline_core(
     arena: &mut SimArena,
     dec: &DecodedProgram,
     prog: &Program,
-    cfg: &MachineConfig,
+    cfg: &CoreConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
     sink: &mut dyn TraceSink,
@@ -173,7 +173,7 @@ mod tests {
         let prog = array_sum(100);
         let rep = simulate_baseline(
             &prog,
-            &MachineConfig::default(),
+            &CoreConfig::default(),
             &LoopAnnotations::empty(),
             1_000_000,
         );
@@ -197,7 +197,7 @@ mod tests {
                 fork_start: None,
             }],
         };
-        let rep = simulate_baseline(&prog, &MachineConfig::default(), &annots, 1_000_000);
+        let rep = simulate_baseline(&prog, &CoreConfig::default(), &annots, 1_000_000);
         assert_eq!(rep.loop_cycles.len(), 1);
         // The loop dominates execution.
         assert!(
@@ -221,7 +221,7 @@ mod tests {
         let prog = pb.finish(id, 0);
         let rep = simulate_baseline(
             &prog,
-            &MachineConfig::default(),
+            &CoreConfig::default(),
             &LoopAnnotations::empty(),
             100,
         );
@@ -234,7 +234,7 @@ mod tests {
         let prog = array_sum(50);
         let rep = simulate_baseline(
             &prog,
-            &MachineConfig::default(),
+            &CoreConfig::default(),
             &LoopAnnotations::empty(),
             1_000_000,
         );

@@ -12,7 +12,7 @@
 //! SPT overheads), and *D-cache stall* (waiting on a load result).
 
 use spt_interp::Step;
-use spt_mach::{CacheSim, GagPredictor, MachineConfig, ProducerKind, Scoreboard};
+use spt_mach::{CacheSim, CoreConfig, GagPredictor, ProducerKind, Scoreboard};
 use spt_sir::LatClass;
 
 /// Why the pipeline was idle.
@@ -79,7 +79,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(cfg: &MachineConfig) -> Self {
+    pub fn new(cfg: &CoreConfig) -> Self {
         Engine {
             cycle: 0,
             slots_used: 0,
@@ -100,7 +100,7 @@ impl Engine {
     /// scoreboard frame slots and predictor table (arena path, DESIGN.md
     /// §3i). `reset_all(0)` leaves the scoreboard observationally fresh:
     /// stale entries are dead behind the generation stamps it bumps.
-    pub fn reset(&mut self, cfg: &MachineConfig) {
+    pub fn reset(&mut self, cfg: &CoreConfig) {
         self.cycle = 0;
         self.slots_used = 0;
         self.width = cfg.issue_width;
@@ -209,7 +209,7 @@ impl Engine {
     /// limits, latency (loads via `cache`), branch prediction. Returns the
     /// completion cycle of the step's result.
     #[inline(always)]
-    pub fn issue(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    pub fn issue(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &CoreConfig) -> u64 {
         // 1. Operand readiness (baseline + per-operand fold, frame located
         // once — see `Scoreboard::operands_ready`).
         let (ready, cause) = self
@@ -313,7 +313,7 @@ impl Engine {
     }
 
     #[inline(always)]
-    fn latency_of(&self, ev: &Step, at: u64, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    fn latency_of(&self, ev: &Step, at: u64, cache: &mut CacheSim, cfg: &CoreConfig) -> u64 {
         if !ev.executed {
             return 1; // predicated-off: occupies the slot only
         }
@@ -347,8 +347,8 @@ mod tests {
     use spt_interp::{Cursor, DecodedProgram, Memory};
     use spt_sir::{BinOp, Program, ProgramBuilder};
 
-    fn cfg() -> MachineConfig {
-        MachineConfig::default()
+    fn cfg() -> CoreConfig {
+        CoreConfig::default()
     }
 
     /// Run a whole program through a single engine; return (cycles, instrs).

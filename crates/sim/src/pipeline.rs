@@ -10,7 +10,7 @@
 use crate::engine::{CycleBreakdown, Engine};
 use crate::metrics::LoopCycleTracker;
 use spt_interp::Step;
-use spt_mach::{CacheSim, MachineConfig};
+use spt_mach::{CacheSim, CoreConfig};
 use spt_trace::{Pipe, StallClass, TraceEvent, TraceSink};
 
 /// An in-order pipeline plus its trace-facing stall state.
@@ -25,7 +25,7 @@ pub struct PipelineCore {
 }
 
 impl PipelineCore {
-    pub fn new(cfg: &MachineConfig, pipe: Pipe) -> Self {
+    pub fn new(cfg: &CoreConfig, pipe: Pipe) -> Self {
         PipelineCore {
             engine: Engine::new(cfg),
             pipe,
@@ -36,7 +36,7 @@ impl PipelineCore {
 
     /// Reset to exactly [`PipelineCore::new`]`(cfg, pipe)` state, reusing
     /// the engine's heap allocations (arena path, DESIGN.md §3i).
-    pub fn reset(&mut self, cfg: &MachineConfig, pipe: Pipe) {
+    pub fn reset(&mut self, cfg: &CoreConfig, pipe: Pipe) {
         self.engine.reset(cfg);
         self.pipe = pipe;
         self.last_stall = None;
@@ -51,7 +51,7 @@ impl PipelineCore {
     /// Issue one step; returns the cycle delta it cost. The before/after
     /// breakdown is remembered for a later [`PipelineCore::note_stall`].
     #[inline(always)]
-    pub fn issue(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    pub fn issue(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &CoreConfig) -> u64 {
         let before = self.engine.cycle();
         let before_bd = self.engine.breakdown();
         self.engine.issue(ev, cache, cfg);
@@ -63,7 +63,7 @@ impl PipelineCore {
     /// for untraced runs, where no [`PipelineCore::note_stall`] will ever
     /// consume it. Same engine mutation, so timing is identical.
     #[inline(always)]
-    pub fn issue_quiet(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &MachineConfig) -> u64 {
+    pub fn issue_quiet(&mut self, ev: &Step, cache: &mut CacheSim, cfg: &CoreConfig) -> u64 {
         let before = self.engine.cycle();
         self.engine.issue(ev, cache, cfg);
         self.engine.cycle() - before
@@ -114,7 +114,7 @@ impl PipelineCore {
         &mut self,
         ev: &Step,
         cache: &mut CacheSim,
-        cfg: &MachineConfig,
+        cfg: &CoreConfig,
         tracker: &mut LoopCycleTracker<'_>,
         sink: &mut dyn TraceSink,
     ) {
@@ -132,7 +132,7 @@ impl PipelineCore {
         &mut self,
         ev: &Step,
         cache: &mut CacheSim,
-        cfg: &MachineConfig,
+        cfg: &CoreConfig,
         tracker: &mut LoopCycleTracker<'_>,
     ) {
         let delta = self.issue_quiet(ev, cache, cfg);
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn step_issue_matches_manual_sequence() {
-        let cfg = MachineConfig::default();
+        let cfg = CoreConfig::default();
         let prog = loady_program();
         let mut core = PipelineCore::new(&cfg, Pipe::Main);
         let mut cache = CacheSim::new(&cfg);
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn stall_transitions_emitted_on_class_change_only() {
-        let cfg = MachineConfig::default();
+        let cfg = CoreConfig::default();
         let prog = loady_program();
         let mut core = PipelineCore::new(&cfg, Pipe::Spec);
         let mut cache = CacheSim::new(&cfg);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn note_stall_without_issue_is_noop() {
-        let cfg = MachineConfig::default();
+        let cfg = CoreConfig::default();
         let mut core = PipelineCore::new(&cfg, Pipe::Main);
         let mut sink = RingBufferSink::unbounded();
         core.note_stall(&mut sink);

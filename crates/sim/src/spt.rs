@@ -532,14 +532,14 @@ impl<'p> SptSim<'p> {
         let cfg = &self.cfg;
         let cores = cfg.cores.max(2);
         let mut mem = arena.take_mem(self.prog);
-        let mut cache = arena.take_cache(cfg);
+        let mut cache = arena.take_cache(&cfg.core);
         let mut main = Cursor::at_entry_in(&self.dec, arena.take_cursor_parts());
-        let mut main_core = arena.take_core(cfg, Pipe::Main);
+        let mut main_core = arena.take_core(&cfg.core, Pipe::Main);
         // Speculative cores are created once and reused across threads:
         // `advance_to` + `reset_context` at each spawn model the RF copy,
         // while the engine keeps accumulating its per-core statistics.
         let mut spec_cores: Vec<PipelineCore> = (1..cores)
-            .map(|_| arena.take_core(cfg, Pipe::Spec))
+            .map(|_| arena.take_core(&cfg.core, Pipe::Spec))
             .collect();
         let mut tracker = LoopCycleTracker::new(&self.annots);
         // Live speculative threads, oldest (next to be checked) first.
@@ -839,9 +839,9 @@ impl<'p> SptSim<'p> {
                 };
                 steps += 1;
                 if traced {
-                    main_core.step_issue(&ev, &mut cache, cfg, &mut tracker, sink);
+                    main_core.step_issue(&ev, &mut cache, &cfg.core, &mut tracker, sink);
                 } else {
-                    main_core.step_issue_quiet(&ev, &mut cache, cfg, &mut tracker);
+                    main_core.step_issue_quiet(&ev, &mut cache, &cfg.core, &mut tracker);
                 }
 
                 // Fork?
@@ -1107,9 +1107,9 @@ impl<'p> SptSim<'p> {
             }
         }
         if traced {
-            core.issue(&tev, cache, cfg);
+            core.issue(&tev, cache, &cfg.core);
         } else {
-            core.issue_quiet(&tev, cache, cfg);
+            core.issue_quiet(&tev, cache, &cfg.core);
         }
 
         let fork_req = ev.fork().map(|start| (ev.func(), start));
@@ -1344,7 +1344,7 @@ impl<'p> SptSim<'p> {
 
             // Timing: commit correct results directly; re-execute the rest.
             let delta = if missp {
-                let d = main_core.issue(&cev, cache, cfg);
+                let d = main_core.issue(&cev, cache, &cfg.core);
                 *spec_misspec += 1;
                 reexec_n += 1;
                 if let Some(li) = sp.loop_idx {
@@ -1388,7 +1388,7 @@ impl<'p> SptSim<'p> {
             }
         }
 
-        main_core.engine.set_width(cfg.issue_width);
+        main_core.engine.set_width(cfg.core.issue_width);
         if sink.enabled() {
             sink.emit(
                 main_core.engine.cycle(),
@@ -1596,7 +1596,7 @@ mod tests {
     #[test]
     fn spt_speeds_up_parallel_loop() {
         let (prog, annots) = parallel_loop(200, 16);
-        let base = simulate_baseline(&prog, &MachineConfig::default(), &annots, FUEL);
+        let base = simulate_baseline(&prog, &MachineConfig::default().core, &annots, FUEL);
         let sim = SptSim::new(&prog, MachineConfig::default(), annots);
         let rep = sim.run(FUEL);
         assert_eq!(rep.ret, base.ret);
@@ -1631,7 +1631,7 @@ mod tests {
     fn serial_loop_not_much_slower_than_baseline() {
         // Selective re-execution should keep the damage bounded.
         let (prog, annots) = serial_loop(100, 6);
-        let base = simulate_baseline(&prog, &MachineConfig::default(), &annots, FUEL);
+        let base = simulate_baseline(&prog, &MachineConfig::default().core, &annots, FUEL);
         let sim = SptSim::new(&prog, MachineConfig::default(), annots);
         let rep = sim.run(FUEL);
         assert_eq!(rep.ret, base.ret);

@@ -205,7 +205,8 @@ fn spt_run(
 }
 
 fn baseline_run(arena: &mut SimArena, fp: u64, prog: &Program, annots: &LoopAnnotations) -> String {
-    let (rep, mem) = simulate_baseline_in(arena, fp, prog, &cfg(1), annots, FUEL, &mut NullSink);
+    let (rep, mem) =
+        simulate_baseline_in(arena, fp, prog, &cfg(1).core, annots, FUEL, &mut NullSink);
     arena.put_mem(mem);
     format!("{rep:?}")
 }

@@ -2,26 +2,25 @@
 //! case study, and the implied ablations), producing structured data that
 //! the `spt-bench` binaries render.
 //!
-//! Every experiment comes in two forms:
-//!
-//! * a method on [`Sweep`] that fans per-benchmark work across the engine's
-//!   worker pool, reuses phase results through the memo cache, and returns
-//!   the experiment data together with a [`RunReport`] of per-phase
-//!   timings and cache counters;
-//! * a free function with the original signature, which runs on a fresh
-//!   [`Sweep::auto`] engine and discards the report.
+//! Every experiment is one method on [`Sweep`]: it fans per-benchmark
+//! work across the engine's worker pool, reuses phase results through the
+//! memo cache, and returns the experiment data together with a
+//! [`RunReport`] of per-phase timings and cache counters. The SRB,
+//! core-count and policy sweeps share one grid primitive that runs every
+//! (benchmark, variant) item through compile, baseline and SPT
+//! simulation.
 //!
 //! Parallel and sequential runs produce identical data: work items are
 //! independent, results are collected in item order, and all timing
 //! information is confined to the `RunReport`.
 
 use crate::report::arithmetic_mean;
-use crate::solution::{EvalOutcome, RunConfig};
-use crate::sweep::{BenchRecord, PhaseTimings, RunReport, Sweep};
-use spt_compiler::CompileResult;
+use crate::solution::{spt_annotations, EvalOutcome, RunConfig};
+use crate::sweep::{BenchRecord, PhaseStamp, RunReport, Sweep};
+use spt_compiler::{CompileOptions, CompileResult};
 use spt_mach::{MachineConfig, RecoveryKind, RegCheckPolicy};
 use spt_profile::ProgramProfile;
-use spt_sim::{LoopAnnot, LoopAnnotations};
+use spt_sim::LoopAnnotations;
 use spt_workloads::{benchmark, kernels, suite, Scale, Workload};
 use std::time::Instant;
 
@@ -54,11 +53,6 @@ pub const FIG6_LIMITS: [f64; 9] = [
     100_000.0,
     1_000_000.0,
 ];
-
-/// Compute Figure 6 for every suite benchmark.
-pub fn fig6(scale: Scale, fuel: u64) -> Vec<Fig6Series> {
-    Sweep::auto().fig6(scale, fuel).0
-}
 
 fn fig6_points(prof: &ProgramProfile) -> Vec<(f64, f64)> {
     let mut loops: Vec<(f64, f64)> = prof
@@ -125,10 +119,6 @@ fn fig7_row(name: &str, compiled: &CompileResult) -> Fig7Row {
     }
 }
 
-pub fn fig7(scale: Scale, cfg: &RunConfig) -> Vec<Fig7Row> {
-    Sweep::auto().fig7(scale, cfg).0
-}
-
 /// Figure 8: per-benchmark SPT loop-level performance.
 #[derive(Clone, Debug)]
 pub struct Fig8Row {
@@ -154,11 +144,6 @@ pub struct Fig9Row {
     pub dcache_contrib: f64,
 }
 
-/// Evaluate the full suite once (shared by Figures 8 and 9).
-pub fn eval_suite(scale: Scale, cfg: &RunConfig) -> Vec<EvalOutcome> {
-    Sweep::auto().eval_suite(scale, cfg).outcomes
-}
-
 /// A suite evaluation: outcomes in suite order, plus the run's metrics.
 #[derive(Debug)]
 pub struct SuiteRun {
@@ -166,15 +151,9 @@ pub struct SuiteRun {
     pub report: RunReport,
 }
 
-fn split<A, B>(pairs: Vec<(A, B)>) -> (Vec<A>, Vec<B>) {
-    let mut xs = Vec::with_capacity(pairs.len());
-    let mut ys = Vec::with_capacity(pairs.len());
-    for (a, b) in pairs {
-        xs.push(a);
-        ys.push(b);
-    }
-    (xs, ys)
-}
+/// What a simulation grid item runs with: its compile options and its
+/// machine.
+type SimVariant = (CompileOptions, MachineConfig);
 
 impl Sweep {
     /// Evaluate the full suite across the worker pool. Semantics of every
@@ -183,8 +162,10 @@ impl Sweep {
         let t0 = Instant::now();
         let before = self.memo_stats();
         let ws = suite(scale);
-        let results = self.map(&ws, |_, w| self.evaluate(w.name, &w.program, cfg));
-        let (outcomes, records) = split(results);
+        let (outcomes, records): (Vec<EvalOutcome>, Vec<BenchRecord>) = self
+            .map(&ws, |_, w| self.evaluate(w.name, &w.program, cfg))
+            .into_iter()
+            .unzip();
         for o in &outcomes {
             assert!(
                 o.semantics_ok(),
@@ -203,24 +184,19 @@ impl Sweep {
         let t0 = Instant::now();
         let before = self.memo_stats();
         let ws = suite(scale);
-        let results = self.map(&ws, |_, w| {
-            let (prof, stamp) = self.profile(&w.program, fuel);
-            let series = Fig6Series {
-                name: w.name.to_string(),
-                points: fig6_points(&prof),
-            };
-            let record = BenchRecord {
-                name: w.name.to_string(),
-                timings: PhaseTimings {
-                    profile_ms: stamp.ms,
-                    ..Default::default()
-                },
-                profile_hit: stamp.hit,
-                ..Default::default()
-            };
-            (series, record)
-        });
-        let (series, records) = split(results);
+        let (series, records): (Vec<Fig6Series>, Vec<BenchRecord>) = self
+            .map(&ws, |_, w| {
+                let (prof, stamp) = self.profile(&w.program, fuel);
+                let series = Fig6Series {
+                    name: w.name.to_string(),
+                    points: fig6_points(&prof),
+                };
+                let none = PhaseStamp::default();
+                let stamps = [stamp, none, none, none];
+                (series, BenchRecord::new(w.name.to_string(), stamps, None))
+            })
+            .into_iter()
+            .unzip();
         (series, self.report_since("fig6", t0, before, records))
     }
 
@@ -229,23 +205,18 @@ impl Sweep {
         let t0 = Instant::now();
         let before = self.memo_stats();
         let ws = suite(scale);
-        let results = self.map(&ws, |_, w| {
-            let (compiled, cstamp, pstamp) = self.compile(&w.program, &cfg.compile);
-            let row = fig7_row(w.name, &compiled);
-            let record = BenchRecord {
-                name: w.name.to_string(),
-                timings: PhaseTimings {
-                    profile_ms: pstamp.ms,
-                    compile_ms: cstamp.ms,
-                    ..Default::default()
-                },
-                profile_hit: pstamp.hit,
-                compile_hit: cstamp.hit,
-                ..Default::default()
-            };
-            (row, record)
-        });
-        let (rows, records) = split(results);
+        let (rows, records): (Vec<Fig7Row>, Vec<BenchRecord>) = self
+            .map(&ws, |_, w| {
+                let (compiled, cstamp, pstamp) = self.compile(&w.program, &cfg.compile);
+                let none = PhaseStamp::default();
+                let stamps = [pstamp, cstamp, none, none];
+                (
+                    fig7_row(w.name, &compiled),
+                    BenchRecord::new(w.name.to_string(), stamps, None),
+                )
+            })
+            .into_iter()
+            .unzip();
         (rows, self.report_since("fig7", t0, before, records))
     }
 
@@ -261,9 +232,62 @@ impl Sweep {
         )
     }
 
-    /// Ablation A1 across the worker pool: one item per
-    /// (benchmark, SRB size) pair; the compile and baseline simulation are
-    /// shared per benchmark through the memo cache.
+    /// The grid primitive: one item per (benchmark, variant) pair across
+    /// the worker pool, each turned by `item` into a record named
+    /// `bench@label`. Returns, per benchmark, the items' speedups in
+    /// variant order.
+    fn grid<V: Sync>(
+        &self,
+        experiment: &str,
+        bench_names: &[&str],
+        scale: Scale,
+        variants: &[(String, V)],
+        item: impl Fn(String, &Workload, &V) -> BenchRecord + Sync,
+    ) -> (Vec<Vec<f64>>, RunReport) {
+        let t0 = Instant::now();
+        let before = self.memo_stats();
+        let ws: Vec<Workload> = bench_names.iter().map(|n| benchmark(n, scale)).collect();
+        let items: Vec<(&Workload, &(String, V))> = ws
+            .iter()
+            .flat_map(|w| variants.iter().map(move |v| (w, v)))
+            .collect();
+        let records = self.map(&items, |_, &(w, (label, v))| {
+            item(format!("{}@{label}", w.name), w, v)
+        });
+        let n = variants.len();
+        let speedups = (0..ws.len())
+            .map(|b| {
+                records[b * n..][..n]
+                    .iter()
+                    .filter_map(|r| r.speedup)
+                    .collect()
+            })
+            .collect();
+        (speedups, self.report_since(experiment, t0, before, records))
+    }
+
+    /// One item of the SRB, core-count and policy grids: compile with the
+    /// variant's options, then simulate the original program on the
+    /// baseline and the compiled one on SPT, both on the variant's
+    /// machine. The baseline runs unannotated and its memo key holds only
+    /// the machine's core, so the variants of a benchmark that change only
+    /// the speculation fabric share one baseline run.
+    fn sim_item(
+        &self,
+        name: String,
+        w: &Workload,
+        (copts, machine): &SimVariant,
+        fuel: u64,
+    ) -> BenchRecord {
+        let (compiled, cstamp, pstamp) = self.compile(&w.program, copts);
+        let (base, bstamp) = self.baseline(&w.program, machine, &LoopAnnotations::empty(), fuel);
+        let annots = spt_annotations(&compiled);
+        let (spt, sstamp) = self.spt_sim(&compiled.program, machine, &annots, fuel);
+        BenchRecord::new(name, [pstamp, cstamp, bstamp, sstamp], Some((&base, &spt)))
+    }
+
+    /// Ablation A1: speculation result buffer size sweep, one grid item
+    /// per (benchmark, SRB size) pair.
     pub fn ablation_srb(
         &self,
         bench_names: &[&str],
@@ -271,68 +295,36 @@ impl Sweep {
         scale: Scale,
         cfg: &RunConfig,
     ) -> (SrbData, RunReport) {
-        let t0 = Instant::now();
-        let before = self.memo_stats();
-        let ws: Vec<Workload> = bench_names.iter().map(|n| benchmark(n, scale)).collect();
-        let items: Vec<(usize, usize)> = (0..ws.len())
-            .flat_map(|b| sizes.iter().map(move |&s| (b, s)))
-            .collect();
-        let results = self.map(&items, |_, &(b, s)| {
-            let w = &ws[b];
-            let (compiled, cstamp, pstamp) = self.compile(&w.program, &cfg.compile);
-            let annots = annots_of(&compiled);
-            let (base, bstamp) = self.baseline(
-                &w.program,
-                &cfg.machine,
-                &LoopAnnotations::empty(),
-                cfg.fuel,
-            );
-            let mut m = cfg.machine.clone();
-            m.srb_entries = s;
-            let (rep, sstamp) = self.spt_sim(&compiled.program, &m, &annots, cfg.fuel);
-            let speedup = base.cycles as f64 / rep.cycles as f64;
-            let record = BenchRecord {
-                name: format!("{}@srb{}", w.name, s),
-                timings: PhaseTimings {
-                    profile_ms: pstamp.ms,
-                    compile_ms: cstamp.ms,
-                    baseline_ms: bstamp.ms,
-                    spt_ms: sstamp.ms,
-                },
-                profile_hit: pstamp.hit,
-                compile_hit: cstamp.hit,
-                baseline_hit: bstamp.hit,
-                spt_hit: sstamp.hit,
-                baseline_cycles: Some(base.cycles),
-                spt_cycles: Some(rep.cycles),
-                speedup: Some(speedup),
-                semantics_ok: None,
-                ..Default::default()
-            };
-            (speedup, record)
-        });
-        let (speedups, records) = split(results);
-        let data = bench_names
+        let variants: Vec<(String, SimVariant)> = sizes
             .iter()
-            .enumerate()
-            .map(|(b, name)| {
-                let series = sizes
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &s)| (s, speedups[b * sizes.len() + j]))
-                    .collect();
-                (name.to_string(), series)
+            .map(|&s| {
+                let machine = MachineConfig {
+                    srb_entries: s,
+                    ..cfg.machine.clone()
+                };
+                (format!("srb{s}"), (cfg.compile.clone(), machine))
             })
             .collect();
-        (data, self.report_since("ablation_srb", t0, before, records))
+        let (speedups, report) = self.grid(
+            "ablation_srb",
+            bench_names,
+            scale,
+            &variants,
+            |name, w, v| self.sim_item(name, w, v, cfg.fuel),
+        );
+        let data = bench_names
+            .iter()
+            .zip(speedups)
+            .map(|(name, row)| (name.to_string(), sizes.iter().copied().zip(row).collect()))
+            .collect();
+        (data, report)
     }
 
-    /// Core-count scaling sweep (the `fig_scale` experiment): one item per
-    /// (benchmark, core count) pair. The compiler's cost model is told the
-    /// fabric width (its partition search targets the deeper iteration
-    /// pipeline) and the SPT machine gets the matching number of cores; the
-    /// baseline machine stays at the reference configuration so its
-    /// simulation is shared per benchmark through the memo cache.
+    /// Core-count scaling sweep (the `fig_scale` experiment), one grid
+    /// item per (benchmark, core count) pair. The compiler's cost model is
+    /// told the fabric width (its partition search targets the deeper
+    /// iteration pipeline) and the machine gets the matching number of
+    /// cores.
     pub fn fig_scale(
         &self,
         bench_names: &[&str],
@@ -340,167 +332,89 @@ impl Sweep {
         scale: Scale,
         cfg: &RunConfig,
     ) -> (ScaleData, RunReport) {
-        let t0 = Instant::now();
-        let before = self.memo_stats();
-        let ws: Vec<Workload> = bench_names.iter().map(|n| benchmark(n, scale)).collect();
-        let items: Vec<(usize, usize)> = (0..ws.len())
-            .flat_map(|b| core_counts.iter().map(move |&n| (b, n)))
-            .collect();
-        let results = self.map(&items, |_, &(b, n)| {
-            let w = &ws[b];
-            let mut copts = cfg.compile.clone();
-            copts.cost.cores = n;
-            let (compiled, cstamp, pstamp) = self.compile(&w.program, &copts);
-            let annots = annots_of(&compiled);
-            let (base, bstamp) = self.baseline(
-                &w.program,
-                &cfg.machine,
-                &LoopAnnotations::empty(),
-                cfg.fuel,
-            );
-            let mut m = cfg.machine.clone();
-            m.cores = n;
-            let (rep, sstamp) = self.spt_sim(&compiled.program, &m, &annots, cfg.fuel);
-            let speedup = base.cycles as f64 / rep.cycles as f64;
-            let record = BenchRecord {
-                name: format!("{}@cores{}", w.name, n),
-                timings: PhaseTimings {
-                    profile_ms: pstamp.ms,
-                    compile_ms: cstamp.ms,
-                    baseline_ms: bstamp.ms,
-                    spt_ms: sstamp.ms,
-                },
-                profile_hit: pstamp.hit,
-                compile_hit: cstamp.hit,
-                baseline_hit: bstamp.hit,
-                spt_hit: sstamp.hit,
-                baseline_cycles: Some(base.cycles),
-                spt_cycles: Some(rep.cycles),
-                speedup: Some(speedup),
-                semantics_ok: None,
-                ..Default::default()
-            };
-            (speedup, record)
-        });
-        let (speedups, records) = split(results);
-        let data = bench_names
+        let variants: Vec<(String, SimVariant)> = core_counts
             .iter()
-            .enumerate()
-            .map(|(b, name)| {
-                let series = core_counts
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &n)| (n, speedups[b * core_counts.len() + j]))
-                    .collect();
-                (name.to_string(), series)
+            .map(|&n| {
+                let mut copts = cfg.compile.clone();
+                copts.cost.cores = n;
+                let machine = MachineConfig {
+                    cores: n,
+                    ..cfg.machine.clone()
+                };
+                (format!("cores{n}"), (copts, machine))
             })
             .collect();
-        (data, self.report_since("fig_scale", t0, before, records))
+        let (speedups, report) =
+            self.grid("fig_scale", bench_names, scale, &variants, |name, w, v| {
+                self.sim_item(name, w, v, cfg.fuel)
+            });
+        let data = bench_names
+            .iter()
+            .zip(speedups)
+            .map(|(name, row)| {
+                (
+                    name.to_string(),
+                    core_counts.iter().copied().zip(row).collect(),
+                )
+            })
+            .collect();
+        (data, report)
     }
 
-    /// Ablations A2/A3 across the worker pool: one item per
-    /// (benchmark, machine variant) pair.
+    /// Ablations A2/A3: recovery mechanism and register checking policy,
+    /// one grid item per (benchmark, machine variant) pair.
     pub fn ablation_policies(
         &self,
         bench_names: &[&str],
         scale: Scale,
         cfg: &RunConfig,
     ) -> (LabeledData, RunReport) {
-        let t0 = Instant::now();
-        let before = self.memo_stats();
-        let variants = policy_variants(&cfg.machine);
-        let ws: Vec<Workload> = bench_names.iter().map(|n| benchmark(n, scale)).collect();
-        let items: Vec<(usize, usize)> = (0..ws.len())
-            .flat_map(|b| (0..variants.len()).map(move |v| (b, v)))
-            .collect();
-        let results = self.map(&items, |_, &(b, v)| {
-            let w = &ws[b];
-            let (label, m) = &variants[v];
-            let (compiled, cstamp, pstamp) = self.compile(&w.program, &cfg.compile);
-            let annots = annots_of(&compiled);
-            let (base, bstamp) = self.baseline(
-                &w.program,
-                &cfg.machine,
-                &LoopAnnotations::empty(),
-                cfg.fuel,
-            );
-            let (rep, sstamp) = self.spt_sim(&compiled.program, m, &annots, cfg.fuel);
-            let speedup = base.cycles as f64 / rep.cycles as f64;
-            let record = BenchRecord {
-                name: format!("{}@{}", w.name, label),
-                timings: PhaseTimings {
-                    profile_ms: pstamp.ms,
-                    compile_ms: cstamp.ms,
-                    baseline_ms: bstamp.ms,
-                    spt_ms: sstamp.ms,
-                },
-                profile_hit: pstamp.hit,
-                compile_hit: cstamp.hit,
-                baseline_hit: bstamp.hit,
-                spt_hit: sstamp.hit,
-                baseline_cycles: Some(base.cycles),
-                spt_cycles: Some(rep.cycles),
-                speedup: Some(speedup),
-                semantics_ok: None,
-                ..Default::default()
-            };
-            ((label.clone(), speedup), record)
-        });
-        let (pairs, records) = split(results);
-        let data = bench_names
-            .iter()
-            .enumerate()
-            .map(|(b, name)| {
-                let rows = (0..variants.len())
-                    .map(|v| pairs[b * variants.len() + v].clone())
-                    .collect();
-                (name.to_string(), rows)
-            })
-            .collect();
-        (
-            data,
-            self.report_since("ablation_policies", t0, before, records),
-        )
+        let variants = policy_variants(cfg);
+        let (speedups, report) = self.grid(
+            "ablation_policies",
+            bench_names,
+            scale,
+            &variants,
+            |name, w, v| self.sim_item(name, w, v, cfg.fuel),
+        );
+        (labeled(bench_names, &variants, speedups), report)
     }
 
-    /// Ablation A4 across the worker pool: one item per
-    /// (benchmark, compiler variant) pair, each a full evaluation.
+    /// Ablation A4: compiler features (no SVP, no unroll, naive
+    /// partition), one grid item per (benchmark, compiler variant) pair,
+    /// each a full evaluation.
     pub fn ablation_compiler(
         &self,
         bench_names: &[&str],
         scale: Scale,
         cfg: &RunConfig,
     ) -> (LabeledData, RunReport) {
-        let t0 = Instant::now();
-        let before = self.memo_stats();
         let variants = compiler_variants(cfg);
-        let ws: Vec<Workload> = bench_names.iter().map(|n| benchmark(n, scale)).collect();
-        let items: Vec<(usize, usize)> = (0..ws.len())
-            .flat_map(|b| (0..variants.len()).map(move |v| (b, v)))
-            .collect();
-        let results = self.map(&items, |_, &(b, v)| {
-            let w = &ws[b];
-            let (label, rc) = &variants[v];
-            let (out, mut record) = self.evaluate(w.name, &w.program, rc);
-            record.name = format!("{}@{}", w.name, label);
-            ((label.clone(), out.speedup()), record)
-        });
-        let (pairs, records) = split(results);
-        let data = bench_names
-            .iter()
-            .enumerate()
-            .map(|(b, name)| {
-                let rows = (0..variants.len())
-                    .map(|v| pairs[b * variants.len() + v].clone())
-                    .collect();
-                (name.to_string(), rows)
-            })
-            .collect();
-        (
-            data,
-            self.report_since("ablation_compiler", t0, before, records),
-        )
+        let (speedups, report) = self.grid(
+            "ablation_compiler",
+            bench_names,
+            scale,
+            &variants,
+            |name, w, rc| self.evaluate(&name, &w.program, rc).1,
+        );
+        (labeled(bench_names, &variants, speedups), report)
     }
+}
+
+/// Pair each benchmark's per-variant speedups with the variant labels.
+fn labeled<V>(
+    bench_names: &[&str],
+    variants: &[(String, V)],
+    speedups: Vec<Vec<f64>>,
+) -> LabeledData {
+    bench_names
+        .iter()
+        .zip(speedups)
+        .map(|(name, row)| {
+            let labels = variants.iter().map(|(label, _)| label.clone());
+            (name.to_string(), labels.zip(row).collect())
+        })
+        .collect()
 }
 
 pub fn fig8_rows(outcomes: &[EvalOutcome]) -> Vec<Fig8Row> {
@@ -578,63 +492,36 @@ fn case_study_of(out: EvalOutcome) -> CaseStudy {
     }
 }
 
-pub fn fig1_case_study(nodes: usize, cfg: &RunConfig) -> CaseStudy {
-    Sweep::auto().fig1_case_study(nodes, cfg).0
-}
-
-/// Ablation A1: speculation result buffer size sweep.
-pub fn ablation_srb(
-    bench_names: &[&str],
-    sizes: &[usize],
-    scale: Scale,
-    cfg: &RunConfig,
-) -> SrbData {
-    Sweep::auto().ablation_srb(bench_names, sizes, scale, cfg).0
-}
-
-/// Core-count scaling sweep over the suite.
-pub fn fig_scale(
-    bench_names: &[&str],
-    core_counts: &[usize],
-    scale: Scale,
-    cfg: &RunConfig,
-) -> ScaleData {
-    Sweep::auto()
-        .fig_scale(bench_names, core_counts, scale, cfg)
-        .0
-}
-
 /// The machine variants of ablations A2/A3 (recovery × register checking).
-fn policy_variants(machine: &MachineConfig) -> Vec<(String, MachineConfig)> {
-    vec![
-        ("SRX+FC value".into(), machine.clone()),
+fn policy_variants(cfg: &RunConfig) -> Vec<(String, SimVariant)> {
+    let m = &cfg.machine;
+    [
+        ("SRX+FC value", m.clone()),
         (
-            "SRX+FC mark".into(),
+            "SRX+FC mark",
             MachineConfig {
                 reg_check: RegCheckPolicy::MarkBased,
-                ..machine.clone()
+                ..m.clone()
             },
         ),
         (
-            "SRX only".into(),
+            "SRX only",
             MachineConfig {
                 recovery: RecoveryKind::SrxOnly,
-                ..machine.clone()
+                ..m.clone()
             },
         ),
         (
-            "Squash".into(),
+            "Squash",
             MachineConfig {
                 recovery: RecoveryKind::Squash,
-                ..machine.clone()
+                ..m.clone()
             },
         ),
     ]
-}
-
-/// Ablation A2/A3: recovery mechanism and register checking policy.
-pub fn ablation_policies(bench_names: &[&str], scale: Scale, cfg: &RunConfig) -> LabeledData {
-    Sweep::auto().ablation_policies(bench_names, scale, cfg).0
+    .into_iter()
+    .map(|(label, machine)| (label.to_string(), (cfg.compile.clone(), machine)))
+    .collect()
 }
 
 /// The compiler-feature variants of ablation A4.
@@ -653,27 +540,6 @@ fn compiler_variants(cfg: &RunConfig) -> Vec<(String, RunConfig)> {
         ("no-unroll".into(), no_unroll),
         ("no-motion".into(), naive),
     ]
-}
-
-/// Ablation A4: compiler features (no SVP, no unroll, naive partition).
-pub fn ablation_compiler(bench_names: &[&str], scale: Scale, cfg: &RunConfig) -> LabeledData {
-    Sweep::auto().ablation_compiler(bench_names, scale, cfg).0
-}
-
-fn annots_of(compiled: &CompileResult) -> LoopAnnotations {
-    LoopAnnotations {
-        loops: compiled
-            .loops
-            .iter()
-            .enumerate()
-            .map(|(i, l)| LoopAnnot {
-                id: i,
-                func: l.func,
-                blocks: vec![l.body_block],
-                fork_start: Some(l.body_block),
-            })
-            .collect(),
-    }
 }
 
 /// Average program speedup across outcomes (the paper's headline 15.6%).
@@ -720,7 +586,7 @@ mod tests {
 
     #[test]
     fn fig1_case_study_shape() {
-        let cs = fig1_case_study(400, &quick_cfg());
+        let cs = Sweep::new(2).fig1_case_study(400, &quick_cfg()).0;
         assert!(cs.outcome.semantics_ok());
         assert!(cs.loop_speedup > 1.1, "speedup {}", cs.loop_speedup);
         assert!(cs.invalid_ratio < 0.5);
@@ -729,7 +595,7 @@ mod tests {
 
     #[test]
     fn fig7_reports_selection() {
-        let rows = fig7(Scale::Test, &quick_cfg());
+        let rows = Sweep::new(2).fig7(Scale::Test, &quick_cfg()).0;
         assert_eq!(rows.len(), 10);
         let parsers = rows.iter().find(|r| r.name == "parsers").unwrap();
         assert!(parsers.n_spt_loops >= 1);
@@ -764,19 +630,36 @@ mod tests {
 
     #[test]
     fn ablation_srb_shares_compile_and_baseline() {
-        let sw = Sweep::new(2);
+        // The SRB sizes and the four recovery/check machines change only
+        // fabric fields, which neither the compile nor the baseline reads:
+        // one compile and one baseline per benchmark, and a distinct SPT
+        // simulation per item.
         let mut cfg = quick_cfg();
         cfg.fuel = 10_000_000;
-        let sizes = [16usize, 1024];
-        let (data, report) = sw.ablation_srb(&["parsers", "mcfs"], &sizes, Scale::Test, &cfg);
-        assert_eq!(data.len(), 2);
-        assert_eq!(data[0].1.len(), 2);
-        // 2 benches × 2 sizes = 4 items, but only 2 compiles, 2 baselines;
-        // every SPT sim is distinct (machine differs per size).
-        assert_eq!(report.cache.compile_misses, 2);
-        assert_eq!(report.cache.compile_hits, 2);
-        assert_eq!(report.cache.baseline_misses, 2);
-        assert_eq!(report.cache.baseline_hits, 2);
-        assert_eq!(report.cache.spt_misses, 4);
+        let benches = ["parsers", "mcfs"];
+        let (srb, srb_report) =
+            Sweep::new(2).ablation_srb(&benches, &[16, 1024], Scale::Test, &cfg);
+        let (policies, policy_report) =
+            Sweep::new(2).ablation_policies(&benches, Scale::Test, &cfg);
+        let series = [
+            (
+                srb.iter().map(|(_, s)| s.len() as u64).collect::<Vec<_>>(),
+                srb_report,
+                2,
+            ),
+            (
+                policies.iter().map(|(_, s)| s.len() as u64).collect(),
+                policy_report,
+                4,
+            ),
+        ];
+        for (lens, report, per_bench) in series {
+            assert_eq!(lens, [per_bench; 2]);
+            assert_eq!(report.cache.compile_misses, 2);
+            assert_eq!(report.cache.compile_hits, 2 * (per_bench - 1));
+            assert_eq!(report.cache.baseline_misses, 2);
+            assert_eq!(report.cache.baseline_hits, 2 * (per_bench - 1));
+            assert_eq!(report.cache.spt_misses, 2 * per_bench);
+        }
     }
 }

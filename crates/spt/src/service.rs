@@ -192,18 +192,13 @@ pub fn run_experiment(
             let mut off_cfg = cfg.clone();
             off_cfg.compile.enable_svp = false;
             let configs = [("svp-off", off_cfg), ("svp-on", on_cfg)];
-            let results = sweep.map(&configs, |_, (name, c)| sweep.evaluate(name, &prog, c));
-            let records = results.iter().map(|(_, r)| r.clone()).collect();
+            let (outcomes, records): (Vec<_>, Vec<_>) = sweep
+                .map(&configs, |_, (name, c)| sweep.evaluate(name, &prog, c))
+                .into_iter()
+                .unzip();
             Ok(ExperimentOutput {
-                table: render_fig5(&results[0].0, &results[1].0),
-                report: RunReport {
-                    experiment: "fig5".into(),
-                    workers: sweep.workers(),
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    records,
-                    cache: sweep.memo_stats().since(&before),
-                    histograms: None,
-                },
+                table: render_fig5(&outcomes[0], &outcomes[1]),
+                report: sweep.report_since("fig5", t0, before, records),
             })
         }
         "fig6" => {
@@ -404,6 +399,43 @@ mod tests {
                 out.report.deterministic_json().dump()
             );
         }
+    }
+
+    #[test]
+    fn baseline_census_per_experiment() {
+        // Baseline memo misses each experiment adds on one sequential
+        // engine. fig1 and fig5 run their own kernels, fig8 annotates every
+        // benchmark by its selected loops, and fig_scale's unannotated runs
+        // then serve ablation_srb and ablation_recovery, whose machines
+        // differ from fig_scale's only in the speculation fabric. Two of
+        // ablation_compiler's variants change a benchmark's selection.
+        let sweep = Sweep::sequential();
+        let mut census = Vec::new();
+        for name in EXPERIMENT_NAMES {
+            let mut req = ExperimentRequest::new(name, Scale::Test);
+            if *name == "spt_explain" {
+                req.bench = Some("parsers".into());
+            }
+            let before = sweep.memo_stats().baseline_misses;
+            run_experiment(&sweep, &req, &RunConfig::default()).unwrap();
+            census.push((*name, sweep.memo_stats().baseline_misses - before));
+        }
+        let expect = [
+            ("table1", 0),
+            ("fig1", 1),
+            ("fig5", 2),
+            ("fig6", 0),
+            ("fig7", 0),
+            ("fig8", 10),
+            ("fig9", 0),
+            ("fig_scale", 10),
+            ("ablation_srb", 0),
+            ("ablation_recovery", 0),
+            ("ablation_compiler", 2),
+            ("spt_explain", 0),
+        ];
+        assert_eq!(census, expect);
+        assert_eq!(sweep.memo_stats().baseline_misses, 25);
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub fn evaluate_program(name: &str, prog: &Program, cfg: &RunConfig) -> EvalOutc
     let compiled = compile(prog, &cfg.compile);
 
     let base_annots = original_annotations(prog, &compiled);
-    let baseline = simulate_baseline(prog, &cfg.machine, &base_annots, cfg.fuel);
+    let baseline = simulate_baseline(prog, &cfg.machine.core, &base_annots, cfg.fuel);
 
     let annots = spt_annotations(&compiled);
     let sim = SptSim::new(&compiled.program, cfg.machine.clone(), annots);

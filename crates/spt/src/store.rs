@@ -50,7 +50,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `MachineConfig` lost two fields, so every config-derived key changed.
 /// v4: programs are fingerprinted from their derived `Hash` rather than
 /// their printed text, so every program-derived key changed.
-pub const STORE_SCHEMA: u32 = 4;
+/// v5: `MachineConfig`'s core timing fields moved into a nested
+/// `CoreConfig`, which changed every SPT key, and baseline keys now hold
+/// that core alone instead of the whole machine.
+pub const STORE_SCHEMA: u32 = 5;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -302,40 +305,55 @@ fn ret_from(j: &Json) -> Option<Option<i64>> {
     }
 }
 
-/// Encode a [`BaselineReport`] with every field but the two always-zero
-/// memo counters (store payload form).
-pub fn baseline_report_json(r: &BaselineReport) -> Json {
-    Json::obj()
-        .with("cycles", r.cycles)
-        .with("instrs", r.instrs)
-        .with("breakdown", breakdown_json(&r.breakdown))
-        .with("cache", cache_json(&r.cache))
-        .with("bp_mispredicts", r.bp_mispredicts)
-        .with("bp_lookups", r.bp_lookups)
-        .with("loop_cycles", u64s_json(&r.loop_cycles))
-        .with("loop_instrs", u64s_json(&r.loop_instrs))
-        .with("ret", ret_json(r.ret))
-        .with("steps", r.steps)
-        .with("out_of_fuel", r.out_of_fuel)
+/// A phase result the store persists: its entry kind plus a payload
+/// encoding that round-trips exactly.
+pub(crate) trait Stored: Sized {
+    /// Entry kind, the file-name prefix of its entries.
+    const KIND: &'static str;
+    fn to_payload(&self) -> Json;
+    /// Inverse of [`Stored::to_payload`]; `None` on any missing or
+    /// mistyped field.
+    fn from_payload(j: &Json) -> Option<Self>;
 }
 
-/// Decode a [`BaselineReport`]; `None` on any missing or mistyped field.
-pub fn baseline_report_from_json(j: &Json) -> Option<BaselineReport> {
-    Some(BaselineReport {
-        cycles: j.get("cycles")?.as_u64()?,
-        instrs: j.get("instrs")?.as_u64()?,
-        breakdown: breakdown_from(j.get("breakdown")?)?,
-        cache: cache_from(j.get("cache")?)?,
-        bp_mispredicts: j.get("bp_mispredicts")?.as_u64()?,
-        bp_lookups: j.get("bp_lookups")?.as_u64()?,
-        loop_cycles: u64s_from(j.get("loop_cycles")?)?,
-        loop_instrs: u64s_from(j.get("loop_instrs")?)?,
-        ret: ret_from(j.get("ret")?)?,
-        steps: j.get("steps")?.as_u64()?,
-        out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
-        superstep_hits: 0,
-        superstep_misses: 0,
-    })
+impl Stored for BaselineReport {
+    const KIND: &'static str = "baseline";
+
+    /// Encode a [`BaselineReport`] with every field but the two always-zero
+    /// memo counters (store payload form).
+    fn to_payload(&self) -> Json {
+        Json::obj()
+            .with("cycles", self.cycles)
+            .with("instrs", self.instrs)
+            .with("breakdown", breakdown_json(&self.breakdown))
+            .with("cache", cache_json(&self.cache))
+            .with("bp_mispredicts", self.bp_mispredicts)
+            .with("bp_lookups", self.bp_lookups)
+            .with("loop_cycles", u64s_json(&self.loop_cycles))
+            .with("loop_instrs", u64s_json(&self.loop_instrs))
+            .with("ret", ret_json(self.ret))
+            .with("steps", self.steps)
+            .with("out_of_fuel", self.out_of_fuel)
+    }
+
+    /// Decode a [`BaselineReport`]; `None` on any missing or mistyped field.
+    fn from_payload(j: &Json) -> Option<Self> {
+        Some(BaselineReport {
+            cycles: j.get("cycles")?.as_u64()?,
+            instrs: j.get("instrs")?.as_u64()?,
+            breakdown: breakdown_from(j.get("breakdown")?)?,
+            cache: cache_from(j.get("cache")?)?,
+            bp_mispredicts: j.get("bp_mispredicts")?.as_u64()?,
+            bp_lookups: j.get("bp_lookups")?.as_u64()?,
+            loop_cycles: u64s_from(j.get("loop_cycles")?)?,
+            loop_instrs: u64s_from(j.get("loop_instrs")?)?,
+            ret: ret_from(j.get("ret")?)?,
+            steps: j.get("steps")?.as_u64()?,
+            out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
+            superstep_hits: 0,
+            superstep_misses: 0,
+        })
+    }
 }
 
 fn per_loop_json(l: &PerLoopStats) -> Json {
@@ -386,74 +404,78 @@ fn per_core_from(j: &Json) -> Option<PerCoreStats> {
     })
 }
 
-/// Encode an [`SptReport`] with every field but the two always-zero memo
-/// counters (store payload form).
-pub fn spt_report_json(r: &SptReport) -> Json {
-    Json::obj()
-        .with("cycles", r.cycles)
-        .with("instrs", r.instrs)
-        .with("breakdown", breakdown_json(&r.breakdown))
-        .with("cache", cache_json(&r.cache))
-        .with("forks", r.forks)
-        .with("forks_ignored", r.forks_ignored)
-        .with("fast_commits", r.fast_commits)
-        .with("replays", r.replays)
-        .with("kills", r.kills)
-        .with("divergence_kills", r.divergence_kills)
-        .with("spec_instrs_checked", r.spec_instrs_checked)
-        .with("spec_instrs_discarded", r.spec_instrs_discarded)
-        .with("spec_misspec", r.spec_misspec)
-        .with(
-            "per_loop",
-            Json::Array(r.per_loop.iter().map(per_loop_json).collect()),
-        )
-        .with(
-            "per_core",
-            Json::Array(r.per_core.iter().map(per_core_json).collect()),
-        )
-        .with("bp_mispredicts", r.bp_mispredicts)
-        .with("bp_lookups", r.bp_lookups)
-        .with("ret", ret_json(r.ret))
-        .with("steps", r.steps)
-        .with("out_of_fuel", r.out_of_fuel)
-}
+impl Stored for SptReport {
+    const KIND: &'static str = "spt_sim";
 
-/// Decode an [`SptReport`]; `None` on any missing or mistyped field.
-pub fn spt_report_from_json(j: &Json) -> Option<SptReport> {
-    Some(SptReport {
-        cycles: j.get("cycles")?.as_u64()?,
-        instrs: j.get("instrs")?.as_u64()?,
-        breakdown: breakdown_from(j.get("breakdown")?)?,
-        cache: cache_from(j.get("cache")?)?,
-        forks: j.get("forks")?.as_u64()?,
-        forks_ignored: j.get("forks_ignored")?.as_u64()?,
-        fast_commits: j.get("fast_commits")?.as_u64()?,
-        replays: j.get("replays")?.as_u64()?,
-        kills: j.get("kills")?.as_u64()?,
-        divergence_kills: j.get("divergence_kills")?.as_u64()?,
-        spec_instrs_checked: j.get("spec_instrs_checked")?.as_u64()?,
-        spec_instrs_discarded: j.get("spec_instrs_discarded")?.as_u64()?,
-        spec_misspec: j.get("spec_misspec")?.as_u64()?,
-        per_loop: j
-            .get("per_loop")?
-            .as_array()?
-            .iter()
-            .map(per_loop_from)
-            .collect::<Option<Vec<_>>>()?,
-        per_core: j
-            .get("per_core")?
-            .as_array()?
-            .iter()
-            .map(per_core_from)
-            .collect::<Option<Vec<_>>>()?,
-        bp_mispredicts: j.get("bp_mispredicts")?.as_u64()?,
-        bp_lookups: j.get("bp_lookups")?.as_u64()?,
-        ret: ret_from(j.get("ret")?)?,
-        steps: j.get("steps")?.as_u64()?,
-        out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
-        superstep_hits: 0,
-        superstep_misses: 0,
-    })
+    /// Encode an [`SptReport`] with every field but the two always-zero memo
+    /// counters (store payload form).
+    fn to_payload(&self) -> Json {
+        Json::obj()
+            .with("cycles", self.cycles)
+            .with("instrs", self.instrs)
+            .with("breakdown", breakdown_json(&self.breakdown))
+            .with("cache", cache_json(&self.cache))
+            .with("forks", self.forks)
+            .with("forks_ignored", self.forks_ignored)
+            .with("fast_commits", self.fast_commits)
+            .with("replays", self.replays)
+            .with("kills", self.kills)
+            .with("divergence_kills", self.divergence_kills)
+            .with("spec_instrs_checked", self.spec_instrs_checked)
+            .with("spec_instrs_discarded", self.spec_instrs_discarded)
+            .with("spec_misspec", self.spec_misspec)
+            .with(
+                "per_loop",
+                Json::Array(self.per_loop.iter().map(per_loop_json).collect()),
+            )
+            .with(
+                "per_core",
+                Json::Array(self.per_core.iter().map(per_core_json).collect()),
+            )
+            .with("bp_mispredicts", self.bp_mispredicts)
+            .with("bp_lookups", self.bp_lookups)
+            .with("ret", ret_json(self.ret))
+            .with("steps", self.steps)
+            .with("out_of_fuel", self.out_of_fuel)
+    }
+
+    /// Decode an [`SptReport`]; `None` on any missing or mistyped field.
+    fn from_payload(j: &Json) -> Option<Self> {
+        Some(SptReport {
+            cycles: j.get("cycles")?.as_u64()?,
+            instrs: j.get("instrs")?.as_u64()?,
+            breakdown: breakdown_from(j.get("breakdown")?)?,
+            cache: cache_from(j.get("cache")?)?,
+            forks: j.get("forks")?.as_u64()?,
+            forks_ignored: j.get("forks_ignored")?.as_u64()?,
+            fast_commits: j.get("fast_commits")?.as_u64()?,
+            replays: j.get("replays")?.as_u64()?,
+            kills: j.get("kills")?.as_u64()?,
+            divergence_kills: j.get("divergence_kills")?.as_u64()?,
+            spec_instrs_checked: j.get("spec_instrs_checked")?.as_u64()?,
+            spec_instrs_discarded: j.get("spec_instrs_discarded")?.as_u64()?,
+            spec_misspec: j.get("spec_misspec")?.as_u64()?,
+            per_loop: j
+                .get("per_loop")?
+                .as_array()?
+                .iter()
+                .map(per_loop_from)
+                .collect::<Option<Vec<_>>>()?,
+            per_core: j
+                .get("per_core")?
+                .as_array()?
+                .iter()
+                .map(per_core_from)
+                .collect::<Option<Vec<_>>>()?,
+            bp_mispredicts: j.get("bp_mispredicts")?.as_u64()?,
+            bp_lookups: j.get("bp_lookups")?.as_u64()?,
+            ret: ret_from(j.get("ret")?)?,
+            steps: j.get("steps")?.as_u64()?,
+            out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
+            superstep_hits: 0,
+            superstep_misses: 0,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -555,12 +577,9 @@ mod tests {
         let prog = array_map(64, 8);
         let cfg = spt_mach::MachineConfig::default();
         let annots = spt_sim::LoopAnnotations::empty();
-        let base = spt_sim::simulate_baseline(&prog, &cfg, &annots, 10_000_000);
-        let back = baseline_report_from_json(&baseline_report_json(&base)).unwrap();
-        assert_eq!(
-            baseline_report_json(&back).dump(),
-            baseline_report_json(&base).dump()
-        );
+        let base = spt_sim::simulate_baseline(&prog, &cfg.core, &annots, 10_000_000);
+        let back = BaselineReport::from_payload(&base.to_payload()).unwrap();
+        assert_eq!(back.to_payload().dump(), base.to_payload().dump());
         assert_eq!(back.cycles, base.cycles);
         assert_eq!(back.ret, base.ret);
         assert_eq!(back.bp_lookups, base.bp_lookups);
@@ -575,8 +594,8 @@ mod tests {
             },
         );
         let spt = out.spt;
-        let back = spt_report_from_json(&spt_report_json(&spt)).unwrap();
-        assert_eq!(spt_report_json(&back).dump(), spt_report_json(&spt).dump());
+        let back = SptReport::from_payload(&spt.to_payload()).unwrap();
+        assert_eq!(back.to_payload().dump(), spt.to_payload().dump());
         assert_eq!(back.cycles, spt.cycles);
         assert_eq!(back.per_loop.len(), spt.per_loop.len());
         assert_eq!(back.per_core.len(), spt.per_core.len());

@@ -27,9 +27,9 @@
 
 use crate::json::{Json, ToJson};
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
-use crate::store::{self, DiskStore};
+use crate::store::{DiskStore, Stored};
 use spt_compiler::{candidate_keys, compile_with_deps, CompileOptions, CompileResult};
-use spt_mach::MachineConfig;
+use spt_mach::{CoreConfig, MachineConfig};
 use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
 use spt_sim::{
     simulate_baseline_in, with_thread_arena, BaselineReport, LoopAnnotations, SptReport, SptSim,
@@ -355,6 +355,34 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
+    /// The record of one item from its profile, compile, baseline and SPT
+    /// stamps (default stamps for phases it did not run) and, when it ran
+    /// the simulators, their two reports. `semantics_ok` stays unset: only
+    /// whole-pipeline evaluations check it.
+    pub(crate) fn new(
+        name: String,
+        [p, c, b, s]: [PhaseStamp; 4],
+        sims: Option<(&BaselineReport, &SptReport)>,
+    ) -> BenchRecord {
+        BenchRecord {
+            name,
+            timings: PhaseTimings {
+                profile_ms: p.ms,
+                compile_ms: c.ms,
+                baseline_ms: b.ms,
+                spt_ms: s.ms,
+            },
+            profile_hit: p.hit,
+            compile_hit: c.hit,
+            baseline_hit: b.hit,
+            spt_hit: s.hit,
+            baseline_cycles: sims.map(|(base, _)| base.cycles),
+            spt_cycles: sims.map(|(_, spt)| spt.cycles),
+            speedup: sims.map(|(base, spt)| base.cycles as f64 / spt.cycles as f64),
+            ..Default::default()
+        }
+    }
+
     /// Inverse of [`ToJson::to_json`]; `None` on any missing field.
     pub fn from_json(j: &Json) -> Option<BenchRecord> {
         let t = j.get("timings")?;
@@ -740,7 +768,11 @@ impl Sweep {
     }
 
     /// Baseline (sequential one-core) simulation, memoized on program
-    /// content, machine config, loop annotations and fuel.
+    /// content, the machine's core timing model, loop annotations and
+    /// fuel. The baseline reads nothing of the speculation fabric, so
+    /// machines that differ only there share one run; the annotations stay
+    /// in the key because they decide which loop a cycle is charged to
+    /// (DESIGN.md §3a).
     pub fn baseline(
         &self,
         prog: &Program,
@@ -748,33 +780,17 @@ impl Sweep {
         annots: &LoopAnnotations,
         fuel: u64,
     ) -> (Arc<BaselineReport>, PhaseStamp) {
-        let key = Key(
-            program_fingerprint(prog),
-            debug_fingerprint(machine),
-            debug_fingerprint(annots),
-            fuel,
-        );
-        let (r, stamp) = self.baselines.get_or_load(key, || {
-            if let Some(st) = &self.store {
-                if let Some(r) = st
-                    .load("baseline", key.mix())
-                    .and_then(|j| store::baseline_report_from_json(&j))
-                {
-                    return (r, true);
-                }
-            }
-            let r = run_baseline(key.0, prog, machine, annots, fuel, &mut NullSink);
-            if let Some(st) = &self.store {
-                st.save("baseline", key.mix(), &store::baseline_report_json(&r));
-            }
-            (r, false)
-        });
-        self.observe_phase("baseline_sim", stamp);
-        (r, stamp)
+        let core = &machine.core;
+        let fp = program_fingerprint(prog);
+        let key = Key(fp, debug_fingerprint(core), debug_fingerprint(annots), fuel);
+        self.sim_phase("baseline_sim", &self.baselines, key, || {
+            run_baseline(fp, prog, core, annots, fuel, &mut NullSink)
+        })
     }
 
-    /// Two-core SPT simulation of a (transformed) program, memoized like
-    /// [`Sweep::baseline`].
+    /// SPT simulation of a (transformed) program on the whole machine,
+    /// memoized on program content, machine config, loop annotations and
+    /// fuel.
     pub fn spt_sim(
         &self,
         prog: &Program,
@@ -782,28 +798,39 @@ impl Sweep {
         annots: &LoopAnnotations,
         fuel: u64,
     ) -> (Arc<SptReport>, PhaseStamp) {
+        let fp = program_fingerprint(prog);
         let key = Key(
-            program_fingerprint(prog),
+            fp,
             debug_fingerprint(machine),
             debug_fingerprint(annots),
             fuel,
         );
-        let (r, stamp) = self.spts.get_or_load(key, || {
-            if let Some(st) = &self.store {
-                if let Some(r) = st
-                    .load("spt_sim", key.mix())
-                    .and_then(|j| store::spt_report_from_json(&j))
-                {
-                    return (r, true);
-                }
+        self.sim_phase("spt_sim", &self.spts, key, || {
+            run_spt(fp, prog, machine, annots, fuel, &mut NullSink)
+        })
+    }
+
+    /// One simulation-phase lookup: the in-memory memo, then the attached
+    /// store, then `run`, whose result the store persists.
+    fn sim_phase<T: Stored>(
+        &self,
+        phase: &'static str,
+        shard: &Shard<T>,
+        key: Key,
+        run: impl FnOnce() -> T,
+    ) -> (Arc<T>, PhaseStamp) {
+        let (r, stamp) = shard.get_or_load(key, || {
+            let st = self.store.as_deref();
+            if let Some(r) = st.and_then(|st| T::from_payload(&st.load(T::KIND, key.mix())?)) {
+                return (r, true);
             }
-            let r = run_spt(key.0, prog, machine, annots, fuel, &mut NullSink);
-            if let Some(st) = &self.store {
-                st.save("spt_sim", key.mix(), &store::spt_report_json(&r));
+            let r = run();
+            if let Some(st) = st {
+                st.save(T::KIND, key.mix(), &r.to_payload());
             }
             (r, false)
         });
-        self.observe_phase("spt_sim", stamp);
+        self.observe_phase(phase, stamp);
         (r, stamp)
     }
 
@@ -834,24 +861,12 @@ impl Sweep {
             spt: (*spt).clone(),
             compiled: (*compiled).clone(),
         };
-        let record = BenchRecord {
-            name: name.to_string(),
-            timings: PhaseTimings {
-                profile_ms: pstamp.ms,
-                compile_ms: cstamp.ms,
-                baseline_ms: bstamp.ms,
-                spt_ms: sstamp.ms,
-            },
-            profile_hit: pstamp.hit,
-            compile_hit: cstamp.hit,
-            baseline_hit: bstamp.hit,
-            spt_hit: sstamp.hit,
-            baseline_cycles: Some(outcome.baseline.cycles),
-            spt_cycles: Some(outcome.spt.cycles),
-            speedup: Some(outcome.speedup()),
-            semantics_ok: Some(outcome.semantics_ok()),
-            ..Default::default()
-        };
+        let mut record = BenchRecord::new(
+            name.to_string(),
+            [pstamp, cstamp, bstamp, sstamp],
+            Some((&baseline, &spt)),
+        );
+        record.semantics_ok = Some(outcome.semantics_ok());
         (outcome, record)
     }
 
@@ -882,13 +897,13 @@ impl Sweep {
 pub(crate) fn run_baseline(
     fp: u64,
     prog: &Program,
-    machine: &MachineConfig,
+    core: &CoreConfig,
     annots: &LoopAnnotations,
     fuel: u64,
     sink: &mut dyn TraceSink,
 ) -> BaselineReport {
     with_thread_arena(|a| {
-        let (r, mem) = simulate_baseline_in(a, fp, prog, machine, annots, fuel, sink);
+        let (r, mem) = simulate_baseline_in(a, fp, prog, core, annots, fuel, sink);
         a.put_mem(mem);
         r
     })
@@ -927,7 +942,8 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spt_sir::{Guard, Reg};
+    use spt_sim::LoopAnnot;
+    use spt_sir::{BinOp, BlockId, Guard, ProgramBuilder, Reg};
     use spt_workloads::kernels::array_map;
     use spt_workloads::{benchmark, Scale, BENCHMARK_NAMES};
 
@@ -967,6 +983,142 @@ mod tests {
         let mut m2 = MachineConfig::default();
         m2.srb_entries = 16;
         assert_ne!(debug_fingerprint(&m1), debug_fingerprint(&m2));
+        // A fabric field leaves the core (the baseline's key) unchanged.
+        assert_eq!(debug_fingerprint(&m1.core), debug_fingerprint(&m2.core));
+
+        // Every nested core field reaches both the core's and the whole
+        // machine's fingerprint.
+        let core_edits: [&dyn Fn(&mut CoreConfig); 14] = [
+            &|c| c.l1i.size_bytes *= 2,
+            &|c| c.l1d.assoc *= 2,
+            &|c| c.l2.latency += 1,
+            &|c| c.l3.block_bytes *= 2,
+            &|c| c.mem_latency += 1,
+            &|c| c.issue_width += 1,
+            &|c| c.rf_ports += 1,
+            &|c| c.bp_entries *= 2,
+            &|c| c.bp_penalty += 1,
+            &|c| c.lat_alu += 1,
+            &|c| c.lat_mul += 1,
+            &|c| c.lat_div += 1,
+            &|c| c.lat_store += 1,
+            &|c| c.lat_call += 1,
+        ];
+        for (i, edit) in core_edits.iter().enumerate() {
+            let mut m = MachineConfig::default();
+            edit(&mut m.core);
+            assert_ne!(
+                debug_fingerprint(&m1.core),
+                debug_fingerprint(&m.core),
+                "core field {i}"
+            );
+            assert_ne!(
+                debug_fingerprint(&m1),
+                debug_fingerprint(&m),
+                "machine via core field {i}"
+            );
+        }
+    }
+
+    /// `main` runs loop A (block 1), which calls `inner` on each
+    /// iteration; `inner`'s loop B (block 1) runs only inside those calls.
+    /// Returns the program and the annotations of A and B.
+    fn loop_calling_loop() -> (Program, LoopAnnot, LoopAnnot) {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.func("inner", 1);
+        let n = f.param(0);
+        let i = f.const_reg(0);
+        let acc = f.const_reg(0);
+        let (body, exit) = (f.new_block(), f.new_block());
+        f.jmp(body);
+        f.switch_to(body);
+        f.bin(BinOp::Add, acc, acc, i);
+        f.addi(i, i, 1);
+        let c = f.reg();
+        f.bin(BinOp::CmpLt, c, i, n);
+        f.br(c, body, exit);
+        f.switch_to(exit);
+        f.ret(Some(acc));
+        let inner = f.finish();
+
+        let mut f = pb.func("main", 0);
+        let j = f.const_reg(0);
+        let sum = f.const_reg(0);
+        let n = f.const_reg(16);
+        let (body, exit) = (f.new_block(), f.new_block());
+        f.jmp(body);
+        f.switch_to(body);
+        let r = f.reg();
+        f.call(inner, &[n], Some(r));
+        f.bin(BinOp::Add, sum, sum, r);
+        f.addi(j, j, 1);
+        let c = f.reg();
+        f.bin(BinOp::CmpLt, c, j, n);
+        f.br(c, body, exit);
+        f.switch_to(exit);
+        f.ret(Some(sum));
+        let main = f.finish();
+
+        let annot = |id, func| LoopAnnot {
+            id,
+            func,
+            blocks: vec![BlockId(1)],
+            fork_start: None,
+        };
+        (pb.finish(main, 1), annot(0, main), annot(1, inner))
+    }
+
+    #[test]
+    fn baseline_key_keeps_the_loop_selection() {
+        // A cycle goes to the outermost annotated loop on the call stack,
+        // the same exclusive rule the SPT side attributes by. So selected
+        // loop B, reached only through calls from selected loop A, is
+        // charged nothing, while B selected alone is charged: the
+        // selection changes the result, so it must stay in the key.
+        let (prog, a, b) = loop_calling_loop();
+        let m = MachineConfig::default();
+        let sw = Sweep::sequential();
+        let both = LoopAnnotations {
+            loops: vec![a, b.clone()],
+        };
+        let alone = LoopAnnotations {
+            loops: vec![LoopAnnot { id: 0, ..b }],
+        };
+        let (with_a, _) = sw.baseline(&prog, &m, &both, 1_000_000);
+        let (without_a, _) = sw.baseline(&prog, &m, &alone, 1_000_000);
+        assert_eq!(with_a.ret, Some(16 * 120));
+        assert!(with_a.loop_cycles[0] > 0);
+        assert_eq!(with_a.loop_cycles[1], 0, "B runs only inside A's calls");
+        assert!(without_a.loop_cycles[0] > 0, "B selected alone is charged");
+        assert_eq!(with_a.cycles, without_a.cycles);
+        assert_eq!(sw.memo_stats().baseline_misses, 2);
+    }
+
+    #[test]
+    fn baseline_key_is_the_core_timing_model() {
+        let prog = array_map(64, 8);
+        let none = LoopAnnotations::empty();
+        let table1 = MachineConfig::default();
+
+        // Machines that differ only in the speculation fabric share one run.
+        let sw = Sweep::sequential();
+        let fabric = MachineConfig {
+            srb_entries: 16,
+            ..MachineConfig::default()
+        };
+        let (r1, _) = sw.baseline(&prog, &table1, &none, 5_000_000);
+        let (r2, stamp) = sw.baseline(&prog, &fabric, &none, 5_000_000);
+        assert!(stamp.hit && Arc::ptr_eq(&r1, &r2));
+        assert_eq!(sw.memo_stats().baseline_misses, 1);
+
+        // A core timing field is part of the key.
+        let sw = Sweep::sequential();
+        let mut slow = MachineConfig::default();
+        slow.core.mem_latency += 50;
+        let (r1, _) = sw.baseline(&prog, &table1, &none, 5_000_000);
+        let (r2, _) = sw.baseline(&prog, &slow, &none, 5_000_000);
+        assert_eq!(sw.memo_stats().baseline_misses, 2);
+        assert!(r2.cycles > r1.cycles);
     }
 
     #[test]

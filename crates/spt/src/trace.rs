@@ -20,7 +20,7 @@
 use crate::json::{Json, ToJson};
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
 use crate::sweep::{program_fingerprint, run_baseline, run_spt};
-use crate::sweep::{BenchRecord, PhaseTimings, RunReport, Sweep};
+use crate::sweep::{BenchRecord, PhaseStamp, RunReport, Sweep};
 use spt_compiler::compile_with_deps;
 use spt_sir::Program;
 use spt_trace::{
@@ -557,7 +557,14 @@ impl Sweep {
         let base_annots = original_annotations(prog, &compiled);
         let mut bsink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let baseline = run_baseline(fp, prog, &cfg.machine, &base_annots, cfg.fuel, &mut bsink);
+        let baseline = run_baseline(
+            fp,
+            prog,
+            &cfg.machine.core,
+            &base_annots,
+            cfg.fuel,
+            &mut bsink,
+        );
         let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let annots = spt_annotations(&compiled);
@@ -588,24 +595,21 @@ impl Sweep {
             spt: ssink.into_records(),
         };
         let fold = trace.fold();
-        let record = BenchRecord {
-            name: name.to_string(),
-            timings: PhaseTimings {
-                profile_ms: pstamp.ms,
-                compile_ms,
-                baseline_ms,
-                spt_ms,
-            },
-            profile_hit: pstamp.hit,
-            compile_hit: false,
-            baseline_hit: false,
-            spt_hit: false,
-            baseline_cycles: Some(outcome.baseline.cycles),
-            spt_cycles: Some(outcome.spt.cycles),
-            speedup: Some(outcome.speedup()),
-            semantics_ok: Some(outcome.semantics_ok()),
+        let computed = |ms| PhaseStamp {
+            ms,
             ..Default::default()
         };
+        let mut record = BenchRecord::new(
+            name.to_string(),
+            [
+                pstamp,
+                computed(compile_ms),
+                computed(baseline_ms),
+                computed(spt_ms),
+            ],
+            Some((&outcome.baseline, &outcome.spt)),
+        );
+        record.semantics_ok = Some(outcome.semantics_ok());
         (
             TraceRun {
                 outcome,
@@ -624,13 +628,10 @@ impl Sweep {
         let t0 = Instant::now();
         let before = self.memo_stats();
         let ws = suite(scale);
-        let pairs = self.map(&ws, |_, w| self.trace_program(w.name, &w.program, cfg));
-        let mut runs = Vec::with_capacity(pairs.len());
-        let mut records = Vec::with_capacity(pairs.len());
-        for (run, rec) in pairs {
-            runs.push(run);
-            records.push(rec);
-        }
+        let (runs, records): (Vec<TraceRun>, Vec<BenchRecord>) = self
+            .map(&ws, |_, w| self.trace_program(w.name, &w.program, cfg))
+            .into_iter()
+            .unzip();
         let mut report = self.report_since("trace_suite", t0, before, records);
         let mut hists = Json::obj();
         for run in &runs {

@@ -65,7 +65,7 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
                     arena,
                     base_fp,
                     &w.program,
-                    &m,
+                    &m.core,
                     &base_annots,
                     cfg.fuel,
                     sink,

@@ -10,13 +10,12 @@
 //! cargo run --release -p spt --example parser_free_list
 //! ```
 
-use spt::experiments::fig1_case_study;
 use spt::report::{gain, pct};
-use spt::RunConfig;
+use spt::{RunConfig, Sweep};
 
 fn main() {
     let cfg = RunConfig::default();
-    let cs = fig1_case_study(2000, &cfg);
+    let (cs, _) = Sweep::auto().fig1_case_study(2000, &cfg);
 
     println!("Figure 1 case study: parser list-free loop (2000 nodes)");
     println!("=======================================================\n");

@@ -81,7 +81,7 @@ fn main() {
 
     let base = simulate_baseline(
         &prog,
-        &MachineConfig::default(),
+        &MachineConfig::default().core,
         &LoopAnnotations::empty(),
         10_000_000,
     );

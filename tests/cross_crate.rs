@@ -34,7 +34,7 @@ fn recovery_policies_all_preserve_semantics() {
     let an = annots(&compiled);
     let base = simulate_baseline(
         &w.program,
-        &MachineConfig::default(),
+        &MachineConfig::default().core,
         &LoopAnnotations::empty(),
         FUEL,
     );

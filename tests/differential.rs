@@ -264,7 +264,15 @@ fn check_differential(body: &[Stmt], trip: u8) {
     let base_annots = original_annotations(&prog, &compiled);
     let fp = program_fingerprint(&prog);
     let (base_rep, base_mem) = with_thread_arena(|a| {
-        simulate_baseline_in(a, fp, &prog, &machine, &base_annots, FUEL, &mut NullSink)
+        simulate_baseline_in(
+            a,
+            fp,
+            &prog,
+            &machine.core,
+            &base_annots,
+            FUEL,
+            &mut NullSink,
+        )
     });
     assert!(
         !base_rep.out_of_fuel,
