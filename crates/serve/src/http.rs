@@ -1,57 +1,37 @@
 //! Minimal HTTP/1.1 scrape endpoint: `GET /metrics` returns the
 //! Prometheus text exposition, nothing else is served.
 //!
-//! This is deliberately not a web server: one nonblocking accept loop
-//! polled against the daemon's stop flag (the same discipline as the
-//! main protocol listener), connections handled inline because a scrape
-//! is a render of in-memory atomics and takes microseconds, and every
-//! response closes the connection. Stock Prometheus speaks exactly this
-//! much HTTP.
+//! This is deliberately not a web server: one accept loop blocked in
+//! `accept` and woken on stop by a connection to its own address (the
+//! same [`accept_until_stop`] discipline as the main protocol listener),
+//! connections handled inline because a scrape is a render of in-memory
+//! atomics and takes microseconds, and every response closes the
+//! connection. Stock Prometheus speaks exactly this much HTTP.
 
-use crate::Shared;
+use crate::{accept_until_stop, Shared};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crate::ACCEPT_POLL;
 
 /// Per-scrape socket timeout: generous for a scraper, short enough that
 /// a stuck client cannot wedge the (single-threaded) scrape loop.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Bind `addr` (TCP only; port 0 picks a free port) and serve scrapes
-/// until the daemon's stop flag is set. Returns the bound address and
-/// the loop's thread handle.
-pub(crate) fn spawn(addr: &str, shared: Arc<Shared>) -> std::io::Result<(String, JoinHandle<()>)> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let bound = listener.local_addr()?.to_string();
-    let handle = std::thread::spawn(move || scrape_loop(listener, &shared));
-    Ok((bound, handle))
-}
-
-fn scrape_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // One slow scraper must not take the endpoint down with
-                // it; errors just drop the connection.
-                let _ = serve_scrape(stream, shared);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
+/// Serve scrapes on `listener` until the daemon stops.
+pub(crate) fn scrape_loop(listener: TcpListener, shared: &Shared) {
+    accept_until_stop(
+        shared,
+        || listener.accept(),
+        |(stream, _)| {
+            // One slow scraper must not take the endpoint down with it;
+            // errors just drop the connection.
+            let _ = serve_scrape(stream, shared);
+        },
+    );
 }
 
 /// Read one request head, answer it, close.
-fn serve_scrape(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
+fn serve_scrape(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     stream.set_read_timeout(Some(SCRAPE_TIMEOUT))?;
     stream.set_write_timeout(Some(SCRAPE_TIMEOUT))?;
 

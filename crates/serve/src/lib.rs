@@ -21,13 +21,18 @@
 //!   is closed.
 //! * **Coalescing** — duplicate concurrent requests share one
 //!   computation and receive byte-identical payloads (a per-request-key
-//!   `OnceLock`, the same at-most-once discipline the sweep memo uses
-//!   per phase).
+//!   `OnceLock` in a [`MemoTable`], the same at-most-once, LRU-bounded
+//!   table the sweep memo uses per phase). A memo or store hit is
+//!   answered by splicing the cached payload bytes into the response
+//!   line, without parsing them.
 //! * **Warm store** — full response payloads are persisted in the
 //!   [`DiskStore`] under the request fingerprint, so a repeated request
-//!   after restart is served from disk without simulating anything.
-//! * **Timeouts & shutdown** — every connection has a read timeout, and
-//!   a `shutdown` request (or [`Server::shutdown`]) stops the listener,
+//!   after restart, or after its memo entry was evicted, is served from
+//!   disk without simulating anything.
+//! * **Timeouts & shutdown** — every connection has a read timeout.
+//!   Listeners block in `accept`; a `shutdown` request, [`Server::shutdown`]
+//!   or dropping the [`Server`] sets the stop flag and wakes each listener
+//!   with a connection to its own address, so the daemon stops at once,
 //!   drains in-flight connections, and flushes the store.
 //!
 //! * **Telemetry** — every daemon carries a [`ServeMetrics`] plane
@@ -41,15 +46,16 @@
 //! construction: both funnel through [`spt::service::run_experiment`].
 
 use spt::sweep::debug_fingerprint;
-use spt::{run_experiment, DiskStore, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
+use spt::{
+    run_experiment, DiskStore, ExperimentRequest, Json, MemoTable, RunConfig, Sweep, ToJson,
+};
 use spt_workloads::BENCHMARK_NAMES;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,9 +65,12 @@ pub mod metrics;
 
 pub use metrics::{ServeMetrics, SweepMetrics};
 
-/// How the listener polls for new connections while staying responsive
-/// to the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept` (say, out of file descriptors), so the
+/// loop cannot spin on an error that persists.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on a stop wake-up's TCP connect; loopback connects at once.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Longest request line the daemon reads, newline included. Far above the
 /// largest real request (well under 1 KiB); it bounds the memory one
@@ -242,15 +251,47 @@ impl Served {
 
 type WorkResult = Result<Arc<str>, String>;
 
+/// Where a stopping daemon connects to wake a listener blocked in
+/// `accept`. The connection itself is the message: the woken loop sees
+/// the stop flag and drops it unserved.
+enum Wake {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl Wake {
+    /// The address that reaches a TCP listener bound to `local`: the
+    /// loopback address of its family when it is bound to all interfaces.
+    fn tcp(mut local: SocketAddr) -> Wake {
+        if local.ip().is_unspecified() {
+            local.set_ip(match local {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Wake::Tcp(local)
+    }
+
+    fn send(&self) {
+        // A failed connect means the listener is already gone.
+        let _ = match self {
+            Wake::Tcp(addr) => TcpStream::connect_timeout(addr, WAKE_TIMEOUT).map(drop),
+            Wake::Unix(path) => UnixStream::connect(path).map(drop),
+        };
+    }
+}
+
 /// State shared by every connection thread.
 pub(crate) struct Shared {
     sweep: Sweep,
     run_cfg: RunConfig,
-    pub(crate) stop: AtomicBool,
+    stop: AtomicBool,
+    /// One wake-up per listener, sent once by [`Shared::request_stop`].
+    wake: Vec<Wake>,
     read_timeout: Duration,
     /// Response memo + in-flight coalescing: request fingerprint → the
-    /// serialized payload, computed at most once.
-    responses: Mutex<HashMap<u64, Arc<OnceLock<WorkResult>>>>,
+    /// serialized payload, computed at most once while held.
+    responses: MemoTable<u64, WorkResult>,
     served: [AtomicU64; 4],
     requests: AtomicU64,
     errors: AtomicU64,
@@ -258,6 +299,21 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// True once the daemon is stopping.
+    pub(crate) fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Set the stop flag and, the first time, wake every listener blocked
+    /// in `accept`.
+    fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            for w in &self.wake {
+                w.send();
+            }
+        }
+    }
+
     fn count(&self, how: Served) {
         self.served[how.idx()].fetch_add(1, Ordering::Relaxed);
     }
@@ -298,17 +354,7 @@ impl Shared {
     /// layered over the on-disk store.
     fn serve(self: &Arc<Self>, req: &Request) -> (WorkResult, Served) {
         let key = self.request_key(req);
-        let (cell, preexisting) = {
-            let mut map = self.responses.lock().unwrap();
-            match map.get(&key) {
-                Some(c) => (c.clone(), true),
-                None => {
-                    let c = Arc::new(OnceLock::new());
-                    map.insert(key, c.clone());
-                    (c.clone(), false)
-                }
-            }
-        };
+        let (cell, preexisting) = self.responses.cell(key);
         let already_done = cell.get().is_some();
         let mut how = if already_done {
             Served::Memo
@@ -346,26 +392,31 @@ impl Shared {
                 return Ok((j, true));
             }
         }
-        let payload = match req {
-            Request::Experiment(exp) => run_experiment(&self.sweep, exp, &self.run_cfg)?.to_json(),
-            Request::Eval { bench, scale, fuel } => {
-                let w = spt_workloads::benchmark(bench, *scale);
-                let mut cfg = self.run_cfg.clone();
-                if let Some(f) = fuel {
-                    cfg.fuel = *f;
-                }
-                let (outcome, record) = self.sweep.evaluate(w.name, &w.program, &cfg);
-                Json::obj()
-                    .with("outcome", outcome.to_json())
-                    .with("record", record.to_json())
-            }
-            // ping/stats/shutdown are answered inline, never cached.
-            other => return Err(format!("internal: {other:?} is not cacheable")),
-        };
+        let payload = work(&self.sweep, &self.run_cfg, req)?;
         if let Some(st) = self.sweep.store() {
             st.save("response", key, &payload);
         }
         Ok((payload, false))
+    }
+}
+
+/// The payload of a cacheable request, computed on `sweep`.
+fn work(sweep: &Sweep, run_cfg: &RunConfig, req: &Request) -> Result<Json, String> {
+    match req {
+        Request::Experiment(exp) => Ok(run_experiment(sweep, exp, run_cfg)?.to_json()),
+        Request::Eval { bench, scale, fuel } => {
+            let w = spt_workloads::benchmark(bench, *scale);
+            let mut cfg = run_cfg.clone();
+            if let Some(f) = fuel {
+                cfg.fuel = *f;
+            }
+            let (outcome, record) = sweep.evaluate(w.name, &w.program, &cfg);
+            Ok(Json::obj()
+                .with("outcome", outcome.to_json())
+                .with("record", record.to_json()))
+        }
+        // ping/stats/shutdown are answered inline, never cached.
+        other => Err(format!("internal: {other:?} is not cacheable")),
     }
 }
 
@@ -382,14 +433,19 @@ impl Listener {
             // A stale socket file from a previous run refuses rebinding.
             let _ = std::fs::remove_file(&path);
             let l = UnixListener::bind(&path)?;
-            l.set_nonblocking(true)?;
-            Ok((Listener::Unix(l, path.clone()), addr.to_string()))
+            Ok((Listener::Unix(l, path), addr.to_string()))
         } else {
             let l = TcpListener::bind(addr)?;
-            l.set_nonblocking(true)?;
             let bound = l.local_addr()?.to_string();
             Ok((Listener::Tcp(l), bound))
         }
+    }
+
+    fn wake(&self) -> std::io::Result<Wake> {
+        Ok(match self {
+            Listener::Tcp(l) => Wake::tcp(l.local_addr()?),
+            Listener::Unix(_, path) => Wake::Unix(path.clone()),
+        })
     }
 
     fn accept(&self) -> std::io::Result<Conn> {
@@ -418,12 +474,10 @@ impl Conn {
     fn configure(&self, read_timeout: Duration) -> std::io::Result<()> {
         match self {
             Conn::Tcp(s) => {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(read_timeout))?;
                 s.set_write_timeout(Some(read_timeout))
             }
             Conn::Unix(s) => {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(read_timeout))?;
                 s.set_write_timeout(Some(read_timeout))
             }
@@ -476,6 +530,15 @@ impl Server {
     /// socket (and the metrics listener, if configured) is listening.
     pub fn start(cfg: &ServeConfig) -> std::io::Result<Server> {
         let (listener, addr) = Listener::bind(&cfg.listen)?;
+        let mut wake = vec![listener.wake()?];
+        let scrape = match &cfg.metrics {
+            Some(m) => {
+                let l = TcpListener::bind(m)?;
+                wake.push(Wake::tcp(l.local_addr()?));
+                Some(l)
+            }
+            None => None,
+        };
         let metrics = ServeMetrics::new();
         let mut sweep = match &cfg.cache_dir {
             Some(dir) => {
@@ -489,16 +552,19 @@ impl Server {
             sweep,
             run_cfg: RunConfig::default(),
             stop: AtomicBool::new(false),
+            wake,
             read_timeout: cfg.read_timeout,
-            responses: Mutex::new(HashMap::new()),
+            responses: MemoTable::default(),
             served: Default::default(),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             metrics,
         });
-        let (metrics_addr, metrics_thread) = match &cfg.metrics {
-            Some(m) => {
-                let (bound, handle) = http::spawn(m, shared.clone())?;
+        let (metrics_addr, metrics_thread) = match scrape {
+            Some(l) => {
+                let bound = l.local_addr()?.to_string();
+                let sh = shared.clone();
+                let handle = std::thread::spawn(move || http::scrape_loop(l, &sh));
                 (Some(bound), Some(handle))
             }
             None => (None, None),
@@ -527,26 +593,24 @@ impl Server {
 
     /// True once a shutdown request has been received.
     pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Relaxed)
+        self.shared.stopping()
     }
 
     /// Block until the daemon stops (shutdown request or [`Server::shutdown`]).
     pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.metrics_thread.take() {
-            let _ = t.join();
-        }
+        self.join();
     }
 
     /// Stop accepting, drain in-flight connections, flush the store.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.metrics_thread.take() {
+    pub fn shutdown(self) {
+        drop(self); // `Drop` stops, drains and flushes.
+    }
+
+    fn join(&mut self) {
+        for t in [self.accept_thread.take(), self.metrics_thread.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = t.join();
         }
     }
@@ -554,34 +618,47 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        self.shared.request_stop();
+        self.join();
+    }
+}
+
+/// The accept discipline both listeners share: block in `accept` and,
+/// after every accept, check the stop flag. A stopping daemon wakes the
+/// listener with a connection of its own ([`Shared::request_stop`]), which
+/// is dropped here unserved. The only sleep is the back-off after a
+/// failed `accept`.
+pub(crate) fn accept_until_stop<C>(
+    shared: &Shared,
+    mut accept: impl FnMut() -> std::io::Result<C>,
+    mut serve: impl FnMut(C),
+) {
+    while !shared.stopping() {
+        let accepted = accept();
+        if shared.stopping() {
+            break;
         }
-        if let Some(t) = self.metrics_thread.take() {
-            let _ = t.join();
+        match accepted {
+            Ok(conn) => serve(conn),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
-/// Accept loop: poll the nonblocking listener so the stop flag stays
-/// responsive, hand each connection to its own thread, and on stop join
-/// every connection thread (drain) before flushing the store.
+/// Accept loop: hand each connection to its own thread until the daemon
+/// stops, then join every connection thread (drain) before flushing the
+/// store.
 fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(conn) => {
-                let sh = shared.clone();
-                conns.push(std::thread::spawn(move || handle_conn(conn, &sh)));
-                conns.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
+    accept_until_stop(
+        &shared,
+        || listener.accept(),
+        |conn| {
+            let sh = shared.clone();
+            conns.push(std::thread::spawn(move || handle_conn(conn, &sh)));
+            conns.retain(|t| !t.is_finished());
+        },
+    );
     // Graceful drain: every connection thread observes the stop flag at
     // its next request boundary (or its read timeout) and exits.
     for t in conns {
@@ -637,7 +714,7 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
         // request to resynchronize on: answer it, then close.
         let too_large = buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
         let t0 = Instant::now();
-        let (response, op, served) = if too_large {
+        let (mut line, op, served) = if too_large {
             shared.requests.fetch_add(1, Ordering::Relaxed);
             refuse(shared, "too_large")
         } else {
@@ -652,29 +729,43 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
         shared
             .metrics
             .response(op, served, t0.elapsed().as_micros() as u64);
-        let mut body = response.dump();
-        body.push('\n');
-        shared.metrics.add_bytes_written(body.len() as u64);
-        if writer.write_all(body.as_bytes()).is_err() || writer.flush().is_err() {
+        line.push('\n');
+        shared.metrics.add_bytes_written(line.len() as u64);
+        if writer.write_all(line.as_bytes()).is_err() || writer.flush().is_err() {
             return;
         }
-        if too_large || shared.stop.load(Ordering::Relaxed) {
+        if too_large || shared.stopping() {
             return;
         }
     }
 }
 
-fn error_json(msg: &str) -> Json {
-    Json::obj().with("ok", false).with("error", msg)
+/// A refusal line.
+fn error_line(msg: &str) -> String {
+    Json::obj().with("ok", false).with("error", msg).dump()
+}
+
+/// A success line around an already serialized payload. Splicing the
+/// bytes gives exactly what dumping the envelope around the parsed
+/// payload gives, because every cached payload is `dump` output and
+/// `dump` is canonical.
+fn payload_line(how: Served, payload: &str) -> String {
+    let mut line = String::with_capacity(payload.len() + 48);
+    line.push_str("{\"ok\":true,\"served\":\"");
+    line.push_str(how.name());
+    line.push_str("\",\"payload\":");
+    line.push_str(payload);
+    line.push('}');
+    line
 }
 
 /// Count a request that never reached an op as an error and build its
 /// refusal, labelled `invalid`.
-fn refuse(shared: &Shared, msg: &str) -> (Json, &'static str, &'static str) {
+fn refuse(shared: &Shared, msg: &str) -> (String, &'static str, &'static str) {
     shared.errors.fetch_add(1, Ordering::Relaxed);
     shared.metrics.request("invalid");
     shared.metrics.error();
-    (error_json(msg), "invalid", "error")
+    (error_line(msg), "invalid", "error")
 }
 
 /// The metric label for a request's op — a closed set regardless of
@@ -691,8 +782,8 @@ fn op_label(req: &Request) -> &'static str {
 }
 
 /// Decode, dispatch, and encode one request; never panics the daemon.
-/// Returns the response plus the `(op, served)` metric labels.
-fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'static str) {
+/// Returns the response line plus the `(op, served)` metric labels.
+fn handle_request(shared: &Arc<Shared>, line: &str) -> (String, &'static str, &'static str) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let req = match Json::parse(line)
         .map_err(|e| format!("bad JSON: {e}"))
@@ -703,62 +794,36 @@ fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'st
     };
     let op = op_label(&req);
     shared.metrics.request(op);
-    let response = match req {
-        Request::Ping => Json::obj()
-            .with("ok", true)
-            .with("served", "computed")
-            .with("payload", "pong"),
-        Request::Stats => Json::obj()
-            .with("ok", true)
-            .with("served", "computed")
-            .with("payload", shared.stats_json()),
-        Request::Metrics => Json::obj()
-            .with("ok", true)
-            .with("served", "computed")
-            .with("payload", shared.metrics_text()),
+    let payload = match req {
+        Request::Ping => Json::from("pong"),
+        Request::Stats => shared.stats_json(),
+        Request::Metrics => Json::from(shared.metrics_text()),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::Relaxed);
-            Json::obj()
-                .with("ok", true)
-                .with("served", "computed")
-                .with("payload", "shutting down")
+            shared.request_stop();
+            Json::from("shutting down")
         }
         cacheable => {
             let (result, how) = shared.serve(&cacheable);
-            match result {
+            return match result {
                 Ok(payload) => {
                     shared.count(how);
-                    // Coalesced duplicates share one serialized payload;
-                    // `dump` is canonical, so parse→splice→dump yields
-                    // byte-identical payload sections for all of them.
-                    match Json::parse(&payload) {
-                        Ok(p) => {
-                            let response = Json::obj()
-                                .with("ok", true)
-                                .with("served", how.name())
-                                .with("payload", p);
-                            return (response, op, how.name());
-                        }
-                        Err(e) => {
-                            shared.errors.fetch_add(1, Ordering::Relaxed);
-                            shared.metrics.error();
-                            return (
-                                error_json(&format!("internal: cached payload unparseable: {e}")),
-                                op,
-                                "error",
-                            );
-                        }
-                    }
+                    // Coalesced duplicates share one serialized payload,
+                    // so their lines are byte-identical.
+                    (payload_line(how, &payload), op, how.name())
                 }
                 Err(e) => {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.error();
-                    return (error_json(&e), op, "error");
+                    (error_line(&e), op, "error")
                 }
-            }
+            };
         }
     };
-    (response, op, "computed")
+    (
+        payload_line(Served::Computed, &payload.dump()),
+        op,
+        "computed",
+    )
 }
 
 #[cfg(test)]
@@ -793,6 +858,39 @@ mod tests {
         }
         let names: Vec<&str> = Served::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names, ["computed", "coalesced", "memo", "store"]);
+    }
+
+    #[test]
+    fn spliced_payload_lines_match_parse_and_dump() {
+        // The line a cached payload is answered with must be the bytes the
+        // envelope built around the parsed payload dumps to: checked on
+        // every test-scale experiment and one eval.
+        let (sweep, cfg) = (Sweep::sequential(), RunConfig::default());
+        let mut reqs: Vec<Request> = spt::EXPERIMENT_NAMES
+            .iter()
+            .map(|name| {
+                let mut req = ExperimentRequest::new(name, spt_workloads::Scale::Test);
+                if *name == "spt_explain" {
+                    req.bench = Some("parsers".into());
+                }
+                Request::Experiment(req)
+            })
+            .collect();
+        reqs.push(Request::Eval {
+            bench: "parsers".into(),
+            scale: spt_workloads::Scale::Test,
+            fuel: None,
+        });
+        for req in &reqs {
+            let payload = work(&sweep, &cfg, req).unwrap().dump();
+            for how in Served::ALL {
+                let tree = Json::obj()
+                    .with("ok", true)
+                    .with("served", how.name())
+                    .with("payload", Json::parse(&payload).unwrap());
+                assert_eq!(payload_line(how, &payload), tree.dump(), "{req:?}");
+            }
+        }
     }
 
     #[test]

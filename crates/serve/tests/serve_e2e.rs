@@ -330,3 +330,138 @@ fn unix_socket_transport_works() {
     server.shutdown();
     assert!(!sock.exists(), "socket file removed on shutdown");
 }
+
+/// The three ways a daemon is told to stop.
+#[derive(Clone, Copy, Debug)]
+enum Stop {
+    Shutdown,
+    Drop,
+    Op,
+}
+
+/// Stop `server` the `how` way on a helper thread, failing instead of
+/// hanging if the daemon has not stopped within 10 s. `op_addr` is where
+/// the `shutdown` op is sent.
+fn stop(server: Server, how: Stop, op_addr: &str) {
+    let op_addr = op_addr.to_string();
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        match how {
+            Stop::Shutdown => server.shutdown(),
+            Stop::Drop => drop(server),
+            Stop::Op => {
+                let bye = client::request(&op_addr, &Json::obj().with("op", "shutdown")).unwrap();
+                assert_eq!(bye.payload.as_str(), Some("shutting down"));
+                server.wait();
+            }
+        }
+        done.send(()).unwrap();
+    });
+    let waited = stopped.recv_timeout(Duration::from_secs(10));
+    assert!(
+        waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "{how:?} did not stop the daemon"
+    );
+    stopper.join().unwrap();
+}
+
+const STOPS: [Stop; 3] = [Stop::Shutdown, Stop::Drop, Stop::Op];
+
+#[test]
+fn every_stop_path_stops_a_tcp_daemon_with_no_traffic() {
+    // Bound to all interfaces: the stop wake-up goes to loopback.
+    for how in STOPS {
+        let server = Server::start(&ServeConfig {
+            listen: "0.0.0.0:0".into(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let port = server.addr().rsplit(':').next().unwrap().to_string();
+        let loopback = format!("127.0.0.1:{port}");
+        stop(server, how, &loopback);
+        assert!(TcpStream::connect(&loopback).is_err(), "{how:?}");
+    }
+}
+
+#[test]
+fn every_stop_path_stops_a_unix_socket_daemon_with_no_traffic() {
+    for how in STOPS {
+        let sock =
+            std::env::temp_dir().join(format!("spt-serve-e2e-{}-{how:?}.sock", std::process::id()));
+        let addr = sock.to_str().unwrap().to_string();
+        let server = Server::start(&ServeConfig {
+            listen: addr.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        stop(server, how, &addr);
+        assert!(!sock.exists(), "{how:?}: socket file removed");
+    }
+}
+
+#[test]
+fn every_stop_path_stops_a_metrics_daemon_with_no_traffic() {
+    for how in STOPS {
+        let server = Server::start(&ServeConfig {
+            metrics: Some("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (addr, maddr) = (
+            server.addr().to_string(),
+            server.metrics_addr().unwrap().to_string(),
+        );
+        stop(server, how, &addr);
+        assert!(TcpStream::connect(&maddr).is_err(), "{how:?}");
+    }
+}
+
+#[test]
+fn a_fresh_connection_per_request_waits_for_nothing() {
+    // The benchmark's clients open a connection per request. A listener
+    // that polled for connections every 25 ms would need 2.5 s here.
+    let server = start(None);
+    let addr = server.addr().to_string();
+    let t0 = Instant::now();
+    for _ in 0..100 {
+        let pong = client::request(&addr, &Json::obj().with("op", "ping")).unwrap();
+        assert_eq!(pong.payload.as_str(), Some("pong"));
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "100 pings took {took:?}");
+    server.shutdown();
+}
+
+#[test]
+fn evicted_responses_come_back_from_the_store() {
+    // More unique-fuel evals than the response memo holds: the oldest is
+    // evicted and served from the store, byte-identical, while a key
+    // touched between the evals stays in memory.
+    let dir = tmp_dir("evict");
+    let server = start(Some(dir.clone()));
+    let addr = server.addr().to_string();
+    let eval = |fuel: Option<u64>| {
+        let mut body = Json::obj()
+            .with("op", "eval")
+            .with("bench", "parsers")
+            .with("scale", "test");
+        if let Some(f) = fuel {
+            body = body.with("fuel", f);
+        }
+        client::request(&addr, &body).unwrap()
+    };
+    let fuel = RunConfig::default().fuel;
+    let first = eval(Some(fuel + 1));
+    assert_eq!(first.served, "computed");
+    for i in 2..=70 {
+        assert_eq!(eval(Some(fuel + i)).served, "computed");
+        let hot = eval(None);
+        assert_eq!(hot.served, if i == 2 { "computed" } else { "memo" });
+    }
+    let again = eval(Some(fuel + 1));
+    assert_eq!(again.served, "store");
+    assert_eq!(again.payload.dump(), first.payload.dump());
+    assert_eq!(eval(None).served, "memo");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -233,46 +233,45 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.s.get(self.i) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.s.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.s[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one step. Both are ASCII, so the run ends on a
+            // UTF-8 boundary of the (valid) input.
+            let run = self.s[self.i..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let end = self.i + run;
+            out.push_str(std::str::from_utf8(&self.s[self.i..end]).map_err(|e| e.to_string())?);
+            self.i = end;
+            if self.s[self.i] == b'"' {
+                self.i += 1;
+                return Ok(out);
             }
+            // A backslash: decode one escape.
+            self.i += 1;
+            match self.s.get(self.i) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .s
+                        .get(self.i + 1..self.i + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                        16,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    out.push(char::from_u32(code).ok_or("bad \\u escape")?);
+                    self.i += 4;
+                }
+                _ => return Err(format!("bad escape at offset {}", self.i)),
+            }
+            self.i += 1;
         }
     }
 
@@ -664,5 +663,36 @@ mod tests {
         assert_eq!(j.get("s").and_then(Json::as_str), Some("v"));
         assert_eq!(j.get("f").and_then(Json::as_f64), Some(2.5));
         assert!(j.get("missing").is_none());
+    }
+
+    #[test]
+    fn megabyte_string_with_every_escape_roundtrips() {
+        // Plain ASCII runs, 2-, 3- and 4-byte UTF-8, and every character
+        // `dump` escapes. A parse that re-validated the rest of the input
+        // per character would take minutes on this.
+        let unit = "plain text é € 😀 \" \\ \n \r \t \u{1} \u{1f} / ";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let j = Json::obj().with("s", big.as_str()).with("k", 1u64);
+        let text = j.dump();
+        assert_eq!(Json::parse(&text).unwrap(), j);
+        assert_eq!(Json::parse(&text).unwrap().dump(), text);
+        // The escapes only `parse` accepts: `\/` and `\u` for any scalar.
+        assert_eq!(
+            Json::parse("\"a\\/b\\u00e9\\u20ac\\u0041\"").unwrap(),
+            Json::from("a/bé€A")
+        );
+    }
+
+    #[test]
+    fn string_error_messages_are_stable() {
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(err("\"unterminated"), "unterminated string");
+        assert_eq!(err("{\"k"), "unterminated string");
+        assert_eq!(err("\"a\\qb\""), "bad escape at offset 3");
+        assert_eq!(err("\"ab\\"), "bad escape at offset 4");
+        assert_eq!(err("\"\\u12\""), "truncated \\u escape");
+        assert_eq!(err("\"\\ud800\""), "bad \\u escape");
+        assert_eq!(err("\"\\uzzzz\""), "invalid digit found in string");
     }
 }

@@ -29,6 +29,7 @@
 
 pub mod experiments;
 pub mod json;
+pub mod memo;
 pub mod report;
 pub mod service;
 pub mod solution;
@@ -37,6 +38,7 @@ pub mod sweep;
 pub mod trace;
 
 pub use json::{Json, ToJson};
+pub use memo::{MemoTable, MEMO_CAP};
 pub use service::{run_experiment, ExperimentOutput, ExperimentRequest, EXPERIMENT_NAMES};
 pub use solution::{
     evaluate_program, evaluate_workload, original_annotations, spt_annotations, EvalOutcome,

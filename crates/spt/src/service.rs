@@ -436,6 +436,13 @@ mod tests {
         ];
         assert_eq!(census, expect);
         assert_eq!(sweep.memo_stats().baseline_misses, 25);
+
+        // The whole run's working set per memo table (profile, dependence,
+        // compile, baseline, SPT) fits under the cap, so nothing was
+        // evicted: each table holds one entry per miss.
+        let misses: [u64; 5] = [22, 12, 42, 25, 58];
+        assert_eq!(sweep.memo_census(), misses.map(|m| (m as usize, m)));
+        assert!(misses.iter().all(|&m| m <= crate::MEMO_CAP as u64));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! what they produce.
 
 use crate::json::{Json, ToJson};
+use crate::memo::MemoTable;
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
 use crate::store::{DiskStore, Stored};
 use spt_compiler::{candidate_keys, compile_with_deps, CompileOptions, CompileResult};
@@ -36,10 +37,9 @@ use spt_sim::{
 };
 use spt_sir::Program;
 use spt_trace::{NullSink, TraceSink};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -143,12 +143,16 @@ pub trait PhaseObserver: Send + Sync {
     fn phase_done(&self, phase: &'static str, stamp: PhaseStamp);
 }
 
-/// One phase's memo table. `Arc<OnceLock<..>>` guarantees at-most-once
-/// computation per key even when several workers request it concurrently:
-/// the map lock is held only for the entry lookup, and `get_or_init`
-/// serializes initialization per cell.
+/// One phase's memo table: a [`MemoTable`] of `Arc<OnceLock<..>>` cells,
+/// which guarantees at-most-once computation per key even when several
+/// workers request it concurrently (the table lock is held only for the
+/// entry lookup, and `get_or_init` serializes initialization per cell),
+/// plus this phase's hit/miss counters. The table keeps at most
+/// [`MEMO_CAP`](crate::MEMO_CAP) completed entries; a key evicted and
+/// looked up again is recomputed (or reloaded from the store) and counts
+/// as a miss again.
 struct Shard<T> {
-    map: Mutex<HashMap<Key, Arc<OnceLock<Arc<T>>>>>,
+    memo: MemoTable<Key, Arc<T>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -156,7 +160,7 @@ struct Shard<T> {
 impl<T> Default for Shard<T> {
     fn default() -> Self {
         Shard {
-            map: Mutex::new(HashMap::new()),
+            memo: MemoTable::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -175,10 +179,7 @@ impl<T> Shard<T> {
     /// so per-record accounting — and `RunReport::total_sim_cycles`, which
     /// only sums phases that actually simulated — stays honest.
     fn get_or_load(&self, key: Key, f: impl FnOnce() -> (T, bool)) -> (Arc<T>, PhaseStamp) {
-        let cell = {
-            let mut m = self.map.lock().unwrap();
-            m.entry(key).or_default().clone()
-        };
+        let (cell, _) = self.memo.cell(key);
         let t0 = Instant::now();
         let mut computed = false;
         let mut loaded = false;
@@ -680,6 +681,22 @@ impl Sweep {
         }
     }
 
+    /// Per memo table (profile, dependence, compile, baseline, SPT): the
+    /// entries held and the misses counted so far.
+    #[cfg(test)]
+    pub(crate) fn memo_census(&self) -> [(usize, u64); 5] {
+        fn of<T>(s: &Shard<T>) -> (usize, u64) {
+            (s.memo.len(), s.misses.load(Ordering::Relaxed))
+        }
+        [
+            of(&self.profiles),
+            of(&self.deps),
+            of(&self.compiles),
+            of(&self.baselines),
+            of(&self.spts),
+        ]
+    }
+
     /// Fan `items` across the worker pool, preserving order: `result[i]`
     /// is `f(i, &items[i])` regardless of which worker ran it or when.
     /// With one worker (or one item) this runs inline on the caller's
@@ -942,6 +959,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::MEMO_CAP;
     use spt_sim::LoopAnnot;
     use spt_sir::{BinOp, BlockId, Guard, ProgramBuilder, Reg};
     use spt_workloads::kernels::array_map;
@@ -1147,6 +1165,64 @@ mod tests {
         let stats = sw.memo_stats();
         assert_eq!(stats.profile_misses, 1);
         assert_eq!(stats.profile_hits, 15);
+    }
+
+    #[test]
+    fn memo_table_keeps_the_cap_and_the_recently_used_entry() {
+        let sw = Sweep::sequential();
+        let prog = array_map(16, 2);
+        let (m, none) = (MachineConfig::default(), LoopAnnotations::empty());
+        let run = |fuel| sw.baseline(&prog, &m, &none, fuel);
+        let (first, _) = run(1_000_000);
+        let hot = 2_000_000;
+        run(hot);
+        for i in 1..=MEMO_CAP as u64 + 8 {
+            run(1_000_000 + i);
+            assert!(run(hot).1.hit, "the most recently used entry survives");
+        }
+        assert!(sw.baselines.memo.len() <= MEMO_CAP);
+        // The first key was evicted: it is recomputed, equal, and a miss.
+        let misses = sw.memo_stats().baseline_misses;
+        assert_eq!(misses, MEMO_CAP as u64 + 10);
+        let (again, stamp) = run(1_000_000);
+        assert!(!stamp.hit);
+        assert_eq!(sw.memo_stats().baseline_misses, misses + 1);
+        assert_eq!(again.to_json().dump(), first.to_json().dump());
+    }
+
+    #[test]
+    fn in_flight_memo_entries_are_never_evicted() {
+        let shard = &Shard::<u64>::default();
+        let key = |i| Key(i, 0, 0, 0);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let slow = s.spawn(move || {
+                shard.get_or_compute(key(0), || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    42
+                })
+            });
+            started_rx.recv().unwrap();
+            for i in 1..=2 * MEMO_CAP as u64 {
+                shard.get_or_compute(key(i), || i);
+            }
+            assert!(shard.memo.contains(&key(0)));
+            assert_eq!(shard.memo.len(), MEMO_CAP);
+            // A second thread asking for the in-flight key joins its
+            // computation instead of starting another.
+            let waiter = s.spawn(move || shard.get_or_compute(key(0), || unreachable!()));
+            release_tx.send(()).unwrap();
+            let (a, sa) = slow.join().unwrap();
+            let (b, sb) = waiter.join().unwrap();
+            assert!(Arc::ptr_eq(&a, &b) && *a == 42);
+            assert!(!sa.hit && sb.hit);
+        });
+        assert_eq!(
+            shard.misses.load(Ordering::Relaxed),
+            1 + 2 * MEMO_CAP as u64
+        );
     }
 
     #[test]
