@@ -41,38 +41,47 @@ pub fn request_with_timeout(
     timeout: Duration,
 ) -> Result<Response, String> {
     let conn = connect(addr, timeout)?;
-    let mut writer = conn
-        .try_clone()
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
     let mut line = body.dump();
     line.push('\n');
+    let mut writer = &conn;
     writer
         .write_all(line.as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| format!("cannot send request: {e}"))?;
+    // One request per connection: the half-close lets the daemon's worker
+    // see the end of the connection as soon as it has replied. It fails
+    // only when the daemon already closed (say, after a `busy` reply),
+    // and then the reply is still there to read.
+    let _ = conn.shutdown_write();
 
     let mut reply = String::new();
-    BufReader::new(conn)
+    BufReader::new(&conn)
         .read_line(&mut reply)
         .map_err(|e| format!("cannot read response: {e}"))?;
     if reply.trim().is_empty() {
         return Err("server closed the connection without responding".into());
     }
     let doc = Json::parse(reply.trim()).map_err(|e| format!("bad response JSON: {e}"))?;
-    match doc.get("ok").and_then(Json::as_bool) {
+    // Move the fields out of the parsed object: a payload can be kilobytes
+    // of tree, and the response is the only owner it needs.
+    let mut pairs = match doc {
+        Json::Object(pairs) => pairs,
+        _ => Vec::new(),
+    };
+    let mut take = |key: &str| {
+        let i = pairs.iter().position(|(k, _)| k == key)?;
+        Some(pairs.remove(i).1)
+    };
+    let text = |v: Option<Json>, default: &str| match v {
+        Some(Json::Str(s)) => s,
+        _ => default.to_string(),
+    };
+    match take("ok").as_ref().and_then(Json::as_bool) {
         Some(true) => Ok(Response {
-            served: doc
-                .get("served")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            payload: doc.get("payload").cloned().unwrap_or(Json::Null),
+            served: text(take("served"), "unknown"),
+            payload: take("payload").unwrap_or(Json::Null),
         }),
-        Some(false) => Err(doc
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("unspecified server error")
-            .to_string()),
+        Some(false) => Err(text(take("error"), "unspecified server error")),
         None => Err("response missing boolean key \"ok\"".into()),
     }
 }

@@ -19,6 +19,11 @@
 //!   daemon. A request line longer than [`MAX_REQUEST_LINE`] bytes is
 //!   answered with `{"ok":false,"error":"too_large"}` and the connection
 //!   is closed.
+//! * **Connection workers** — connections are served by a pool of
+//!   long-lived worker threads, grown only when none is idle and capped at
+//!   [`MAX_CONNS`]; a connection past the cap is answered
+//!   `{"ok":false,"error":"busy"}` and closed. Each worker starts every
+//!   connection on an empty simulator arena, as a fresh thread would.
 //! * **Coalescing** — duplicate concurrent requests share one
 //!   computation and receive byte-identical payloads (a per-request-key
 //!   `OnceLock` in a [`MemoTable`], the same at-most-once, LRU-bounded
@@ -33,7 +38,8 @@
 //!   Listeners block in `accept`; a `shutdown` request, [`Server::shutdown`]
 //!   or dropping the [`Server`] sets the stop flag and wakes each listener
 //!   with a connection to its own address, so the daemon stops at once,
-//!   drains in-flight connections, and flushes the store.
+//!   drains in-flight connections, wakes and joins its parked workers, and
+//!   flushes the store.
 //!
 //! * **Telemetry** — every daemon carries a [`ServeMetrics`] plane
 //!   (request latency histograms by op × provenance, connection and
@@ -45,6 +51,8 @@
 //! Served results are bit-identical to direct `spt-bench` runs by
 //! construction: both funnel through [`spt::service::run_experiment`].
 
+use pool::{Offer, Pool};
+use spt::sim::SimArena;
 use spt::sweep::debug_fingerprint;
 use spt::{
     run_experiment, DiskStore, ExperimentRequest, Json, MemoTable, RunConfig, Sweep, ToJson,
@@ -53,6 +61,7 @@ use spt_workloads::BENCHMARK_NAMES;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,8 +71,10 @@ use std::time::{Duration, Instant};
 pub mod client;
 mod http;
 pub mod metrics;
+mod pool;
 
 pub use metrics::{ServeMetrics, SweepMetrics};
+pub use pool::MAX_CONNS;
 
 /// Pause after a failed `accept` (say, out of file descriptors), so the
 /// loop cannot spin on an error that persists.
@@ -74,7 +85,7 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Longest request line the daemon reads, newline included. Far above the
 /// largest real request (well under 1 KiB); it bounds the memory one
-/// client can make a connection thread buffer.
+/// client can make a connection worker buffer.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Configuration of one daemon instance.
@@ -281,14 +292,18 @@ impl Wake {
     }
 }
 
-/// State shared by every connection thread.
+/// State shared by every connection worker.
 pub(crate) struct Shared {
     sweep: Sweep,
     run_cfg: RunConfig,
+    /// `debug_fingerprint(&run_cfg)`, the run configuration's part of every
+    /// request key, hashed once at start.
+    run_cfg_key: u64,
     stop: AtomicBool,
     /// One wake-up per listener, sent once by [`Shared::request_stop`].
     wake: Vec<Wake>,
     read_timeout: Duration,
+    pool: Pool,
     /// Response memo + in-flight coalescing: request fingerprint → the
     /// serialized payload, computed at most once while held.
     responses: MemoTable<u64, WorkResult>,
@@ -345,9 +360,8 @@ impl Shared {
     /// chained with the run configuration, so a config change never
     /// serves a stale payload.
     fn request_key(&self, req: &Request) -> u64 {
-        let mut h = spt::store::fingerprint_bytes(req.to_json().dump().as_bytes());
-        h = spt::store::fnv1a(h, &debug_fingerprint(&self.run_cfg).to_le_bytes());
-        h
+        let h = spt::store::fingerprint_bytes(req.to_json().dump().as_bytes());
+        spt::store::fnv1a(h, &self.run_cfg_key.to_le_bytes())
     }
 
     /// Serve `req`'s payload with at-most-once computation per key,
@@ -369,7 +383,7 @@ impl Shared {
         if waiting {
             self.metrics.coalesce_wait_start();
         }
-        let res = cell.get_or_init(|| match self.compute(req) {
+        let res = cell.get_or_init(|| match self.compute(req, key) {
             Ok((payload, from_store)) => {
                 if from_store {
                     how = Served::Store;
@@ -384,9 +398,9 @@ impl Shared {
         (res.clone(), how)
     }
 
-    /// Compute (or load from disk) the payload for a cacheable request.
-    fn compute(&self, req: &Request) -> Result<(Json, bool), String> {
-        let key = self.request_key(req);
+    /// Compute (or load from disk) the payload for a cacheable request
+    /// whose key is `key`.
+    fn compute(&self, req: &Request, key: u64) -> Result<(Json, bool), String> {
         if let Some(st) = self.sweep.store() {
             if let Some(j) = st.load("response", key) {
                 return Ok((j, true));
@@ -484,34 +498,37 @@ impl Conn {
         }
     }
 
-    fn try_clone(&self) -> std::io::Result<Conn> {
+    /// Half-close: tell the peer nothing more will be sent.
+    fn shutdown_write(&self) -> std::io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
+            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Write),
         }
     }
 }
 
-impl std::io::Read for Conn {
+// Reads and writes go through shared references, as for the sockets
+// themselves, so one connection is both the reader and the writer.
+impl Read for &Conn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
+            Conn::Tcp(s) => (&*s).read(buf),
+            Conn::Unix(s) => (&*s).read(buf),
         }
     }
 }
 
-impl Write for Conn {
+impl Write for &Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
+            Conn::Tcp(s) => (&*s).write(buf),
+            Conn::Unix(s) => (&*s).write(buf),
         }
     }
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
+            Conn::Tcp(s) => (&*s).flush(),
+            Conn::Unix(s) => (&*s).flush(),
         }
     }
 }
@@ -548,12 +565,15 @@ impl Server {
             None => Sweep::new(cfg.workers.max(1)),
         };
         sweep.set_observer(metrics.sweep_observer());
+        let run_cfg = RunConfig::default();
         let shared = Arc::new(Shared {
             sweep,
-            run_cfg: RunConfig::default(),
+            run_cfg_key: debug_fingerprint(&run_cfg),
+            run_cfg,
             stop: AtomicBool::new(false),
             wake,
             read_timeout: cfg.read_timeout,
+            pool: Pool::new(metrics.clone()),
             responses: MemoTable::default(),
             served: Default::default(),
             requests: AtomicU64::new(0),
@@ -645,23 +665,38 @@ pub(crate) fn accept_until_stop<C>(
     }
 }
 
-/// Accept loop: hand each connection to its own thread until the daemon
-/// stops, then join every connection thread (drain) before flushing the
-/// store.
+/// Accept loop: hand each connection to the worker pool until the daemon
+/// stops, then close the pool and join every worker (drain) before
+/// flushing the store.
 fn accept_loop(listener: Listener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    let mut workers: Vec<JoinHandle<()>> = Vec::new();
     accept_until_stop(
         &shared,
         || listener.accept(),
-        |conn| {
-            let sh = shared.clone();
-            conns.push(std::thread::spawn(move || handle_conn(conn, &sh)));
-            conns.retain(|t| !t.is_finished());
+        |conn| match shared.pool.offer(conn) {
+            Offer::Queued => {}
+            Offer::Spawn(conn) => {
+                let sh = shared.clone();
+                let spawned = std::thread::Builder::new()
+                    .name("spt-conn".into())
+                    .spawn(move || conn_worker(conn, &sh));
+                match spawned {
+                    Ok(t) => workers.push(t),
+                    // The connection went down with the closure: closed.
+                    Err(_) => shared.pool.retire(),
+                }
+            }
+            Offer::Busy(conn) => {
+                let t0 = Instant::now();
+                respond(&shared, &conn, refuse_unread(&shared, "busy"), t0);
+            }
         },
     );
-    // Graceful drain: every connection thread observes the stop flag at
-    // its next request boundary (or its read timeout) and exits.
-    for t in conns {
+    // Graceful drain: a busy worker observes the stop flag at its next
+    // request boundary (or its read timeout); a parked one is woken by
+    // the close. Either way it exits.
+    shared.pool.close();
+    for t in workers {
         let _ = t.join();
     }
     if let Some(st) = shared.sweep.store() {
@@ -679,17 +714,32 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
+/// A pool worker: serve the connection it was spawned for, then every
+/// connection handed to it, until the pool closes.
+fn conn_worker(mut conn: Conn, shared: &Arc<Shared>) {
+    loop {
+        // A panicking request ends its connection, not the worker (whose
+        // slot in the pool would otherwise stay counted).
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_conn(&conn, shared)));
+        // Start the next connection on an empty arena, as a fresh thread
+        // would: a warm arena held per parked worker costs resident memory
+        // and bought no compute time (DESIGN.md §3e).
+        spt::sim::with_thread_arena(|a| *a = SimArena::new());
+        match shared.pool.next(conn) {
+            Some(next) => conn = next,
+            None => break,
+        }
+    }
+    shared.pool.retire();
+}
+
 /// Serve one connection: a loop of request line → response line.
-fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
+fn handle_conn(conn: &Conn, shared: &Arc<Shared>) {
     if conn.configure(shared.read_timeout).is_err() {
         return;
     }
-    let Ok(write_half) = conn.try_clone() else {
-        return;
-    };
     shared.metrics.conn_opened();
     let _guard = ConnGuard(&shared.metrics);
-    let mut writer = write_half;
     let mut reader = BufReader::new(conn);
     let mut buf = Vec::new();
     loop {
@@ -714,9 +764,8 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
         // request to resynchronize on: answer it, then close.
         let too_large = buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
         let t0 = Instant::now();
-        let (mut line, op, served) = if too_large {
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            refuse(shared, "too_large")
+        let reply = if too_large {
+            refuse_unread(shared, "too_large")
         } else {
             let Ok(line) = std::str::from_utf8(&buf) else {
                 return; // not UTF-8: not a protocol client
@@ -726,18 +775,25 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
             }
             handle_request(shared, line.trim())
         };
-        shared
-            .metrics
-            .response(op, served, t0.elapsed().as_micros() as u64);
-        line.push('\n');
-        shared.metrics.add_bytes_written(line.len() as u64);
-        if writer.write_all(line.as_bytes()).is_err() || writer.flush().is_err() {
-            return;
-        }
-        if too_large || shared.stopping() {
+        if !respond(shared, conn, reply, t0) || too_large || shared.stopping() {
             return;
         }
     }
+}
+
+/// A response line with its `(op, served)` metric labels.
+type Reply = (String, &'static str, &'static str);
+
+/// Record `reply` (its latency counted from `t0`) and send it; false when
+/// the client is gone.
+fn respond(shared: &Shared, mut writer: &Conn, reply: Reply, t0: Instant) -> bool {
+    let (mut line, op, served) = reply;
+    shared
+        .metrics
+        .response(op, served, t0.elapsed().as_micros() as u64);
+    line.push('\n');
+    shared.metrics.add_bytes_written(line.len() as u64);
+    writer.write_all(line.as_bytes()).is_ok() && writer.flush().is_ok()
 }
 
 /// A refusal line.
@@ -761,11 +817,18 @@ fn payload_line(how: Served, payload: &str) -> String {
 
 /// Count a request that never reached an op as an error and build its
 /// refusal, labelled `invalid`.
-fn refuse(shared: &Shared, msg: &str) -> (String, &'static str, &'static str) {
+fn refuse(shared: &Shared, msg: &str) -> Reply {
     shared.errors.fetch_add(1, Ordering::Relaxed);
     shared.metrics.request("invalid");
     shared.metrics.error();
     (error_line(msg), "invalid", "error")
+}
+
+/// [`refuse`] a request whose line is not read (`too_large`, `busy`); it
+/// still counts as a request. The connection is closed after the reply.
+fn refuse_unread(shared: &Shared, msg: &str) -> Reply {
+    shared.requests.fetch_add(1, Ordering::Relaxed);
+    refuse(shared, msg)
 }
 
 /// The metric label for a request's op — a closed set regardless of
@@ -783,7 +846,7 @@ fn op_label(req: &Request) -> &'static str {
 
 /// Decode, dispatch, and encode one request; never panics the daemon.
 /// Returns the response line plus the `(op, served)` metric labels.
-fn handle_request(shared: &Arc<Shared>, line: &str) -> (String, &'static str, &'static str) {
+fn handle_request(shared: &Arc<Shared>, line: &str) -> Reply {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let req = match Json::parse(line)
         .map_err(|e| format!("bad JSON: {e}"))
@@ -891,6 +954,26 @@ mod tests {
                 assert_eq!(payload_line(how, &payload), tree.dump(), "{req:?}");
             }
         }
+    }
+
+    #[test]
+    fn request_keys_keep_the_stored_formula() {
+        // A response store written before the run-config fingerprint was
+        // hashed once at start must stay valid: the key is still the
+        // request's wire form chained with the `RunConfig` Debug hash.
+        let server = Server::start(&ServeConfig::default()).unwrap();
+        let req = Request::Eval {
+            bench: "parsers".into(),
+            scale: spt_workloads::Scale::Test,
+            fuel: Some(1_000_000),
+        };
+        let wire = r#"{"op":"eval","bench":"parsers","scale":"test","fuel":1000000}"#;
+        let old = spt::store::fnv1a(
+            spt::store::fingerprint_bytes(wire.as_bytes()),
+            &debug_fingerprint(&RunConfig::default()).to_le_bytes(),
+        );
+        assert_eq!(server.shared.request_key(&req), old);
+        server.shutdown();
     }
 
     #[test]

@@ -84,6 +84,7 @@ pub struct ServeMetrics {
     errors: Arc<Counter>,
     timeouts: Arc<Counter>,
     active_connections: Arc<Gauge>,
+    conn_workers: Arc<Gauge>,
     inflight_coalescing: Arc<Gauge>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
@@ -128,6 +129,10 @@ impl ServeMetrics {
             active_connections: registry.gauge(
                 "spt_active_connections",
                 "Connections currently being served.",
+            ),
+            conn_workers: registry.gauge(
+                "spt_conn_workers",
+                "Connection workers alive in the pool (at most MAX_CONNS).",
             ),
             inflight_coalescing: registry.gauge(
                 "spt_inflight_coalescing",
@@ -207,6 +212,11 @@ impl ServeMetrics {
 
     pub fn conn_closed(&self) {
         self.active_connections.dec();
+    }
+
+    /// Publish the connection-worker pool's live count.
+    pub fn set_conn_workers(&self, live: usize) {
+        self.conn_workers.set(live as i64);
     }
 
     pub fn coalesce_wait_start(&self) {

@@ -1,10 +1,10 @@
 //! End-to-end tests of the `spt-serve` daemon over real sockets:
 //! differential identity vs direct mode, in-flight coalescing, the warm
-//! on-disk store across daemon restarts, timeouts, and graceful
-//! shutdown.
+//! on-disk store across daemon restarts, timeouts, graceful shutdown,
+//! and the bounded connection-worker pool.
 
 use spt::{run_experiment, ExperimentOutput, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
-use spt_serve::{client, ServeConfig, Server, MAX_REQUEST_LINE};
+use spt_serve::{client, ServeConfig, Server, MAX_CONNS, MAX_REQUEST_LINE};
 use spt_workloads::Scale;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -464,4 +464,96 @@ fn evicted_responses_come_back_from_the_store() {
     assert_eq!(eval(None).served, "memo");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn ping(addr: &str) -> Result<client::Response, String> {
+    client::request(addr, &Json::obj().with("op", "ping"))
+}
+
+/// The live connection-worker count, read through the `metrics` op.
+fn conn_workers(addr: &str) -> f64 {
+    let text = client::request(addr, &Json::obj().with("op", "metrics")).unwrap();
+    let scrape = spt_metrics::parse_exposition(text.payload.as_str().unwrap()).unwrap();
+    scrape
+        .get("spt_conn_workers")
+        .expect("gauge exported")
+        .value
+}
+
+#[test]
+fn a_connection_past_the_cap_is_busy_and_the_pool_recovers() {
+    let server = start(None);
+    let addr = server.addr().to_string();
+    // Each held, silent connection pins one worker until it closes.
+    let held: Vec<TcpStream> = (0..MAX_CONNS)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    let extra = TcpStream::connect(&addr).expect("connect");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(extra).read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim(), r#"{"ok":false,"error":"busy"}"#);
+
+    // The workers park again once they see their connections close; until
+    // one has, a new connection may still be turned away.
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let pong = loop {
+        match ping(&addr) {
+            Ok(pong) => break pong,
+            Err(e) => {
+                assert_eq!(e, "busy");
+                assert!(Instant::now() < deadline, "pool never freed a worker");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    };
+    assert_eq!(pong.payload.as_str(), Some("pong"));
+    // The pool grew to the cap and no further.
+    assert_eq!(conn_workers(&addr), MAX_CONNS as f64);
+    let stats = client::request(&addr, &Json::obj().with("op", "stats")).unwrap();
+    let errors = stats.payload.get("errors").and_then(Json::as_u64).unwrap();
+    assert!(errors >= 1, "a busy refusal counts as an error");
+    server.shutdown();
+}
+
+#[test]
+fn sequential_connections_reuse_their_workers() {
+    // No thread per connection: 200 fresh connections, one after the
+    // other, are served by the worker that parks after each (a second can
+    // be spawned when a connection arrives before the last worker parked).
+    let server = start(None);
+    let addr = server.addr().to_string();
+    for _ in 0..200 {
+        assert_eq!(ping(&addr).unwrap().payload.as_str(), Some("pong"));
+    }
+    let workers = conn_workers(&addr);
+    assert!(
+        (1.0..=2.0).contains(&workers),
+        "{workers} workers for sequential connections"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn every_stop_path_wakes_parked_workers() {
+    for how in STOPS {
+        let server = start(None);
+        let addr = server.addr().to_string();
+        // Concurrent clients leave several workers parked.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        assert_eq!(ping(&addr).unwrap().payload.as_str(), Some("pong"));
+                    }
+                });
+            }
+        });
+        assert!(conn_workers(&addr) >= 1.0);
+        stop(server, how, &addr);
+        assert!(TcpStream::connect(&addr).is_err(), "{how:?}");
+    }
 }
