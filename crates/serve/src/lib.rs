@@ -16,9 +16,10 @@
 //! * **Responses** — `{"ok":true,"served":HOW,"payload":...}` on success
 //!   (`served` is one of `computed`, `memo`, `store`, `coalesced`) or
 //!   `{"ok":false,"error":MSG}`; a malformed request never kills the
-//!   daemon. A request line longer than [`MAX_REQUEST_LINE`] bytes is
-//!   answered with `{"ok":false,"error":"too_large"}` and the connection
-//!   is closed.
+//!   daemon, and a request whose handling panics is answered
+//!   `{"ok":false,"error":"internal error"}`. A request line longer
+//!   than [`MAX_REQUEST_LINE`] bytes is answered with
+//!   `{"ok":false,"error":"too_large"}` and the connection is closed.
 //! * **Connection workers** — connections are served by a pool of
 //!   long-lived worker threads, grown only when none is idle and capped at
 //!   [`MAX_CONNS`]; a connection past the cap is answered
@@ -379,38 +380,31 @@ impl Shared {
         };
         // A coalesced request is about to block on another thread's
         // computation: surface the wait on the in-flight gauge.
-        let waiting = how == Served::Coalesced;
-        if waiting {
-            self.metrics.coalesce_wait_start();
-        }
-        let res = cell.get_or_init(|| match self.compute(req, key) {
-            Ok((payload, from_store)) => {
-                if from_store {
-                    how = Served::Store;
-                }
-                Ok(Arc::from(payload.dump().into_boxed_str()))
+        let _wait = (how == Served::Coalesced).then(|| CoalesceWait::start(&self.metrics));
+        let res = cell.get_or_init(|| {
+            let (payload, from_store) = self.compute(req, key)?;
+            if from_store {
+                how = Served::Store;
             }
-            Err(e) => Err(e),
+            Ok(payload)
         });
-        if waiting {
-            self.metrics.coalesce_wait_end();
-        }
         (res.clone(), how)
     }
 
-    /// Compute (or load from disk) the payload for a cacheable request
-    /// whose key is `key`.
-    fn compute(&self, req: &Request, key: u64) -> Result<(Json, bool), String> {
-        if let Some(st) = self.sweep.store() {
-            if let Some(j) = st.load("response", key) {
-                return Ok((j, true));
-            }
+    /// The serialized payload for a cacheable request whose key is `key`,
+    /// and whether it came from the on-disk store. A store hit is the
+    /// entry's checked bytes as they are; a computed payload is dumped
+    /// once, for both the memo cell and the store.
+    fn compute(&self, req: &Request, key: u64) -> Result<(Arc<str>, bool), String> {
+        let store = self.sweep.store();
+        if let Some(payload) = store.and_then(|st| st.load_raw("response", key)) {
+            return Ok((payload, true));
         }
-        let payload = work(&self.sweep, &self.run_cfg, req)?;
-        if let Some(st) = self.sweep.store() {
-            st.save("response", key, &payload);
+        let body = work(&self.sweep, &self.run_cfg, req)?.dump();
+        if let Some(st) = store {
+            st.save_raw("response", key, &body);
         }
-        Ok((payload, false))
+        Ok((Arc::from(body), false))
     }
 }
 
@@ -705,6 +699,24 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     drop(listener);
 }
 
+/// Holds the in-flight coalescing gauge up while a request waits on
+/// another's computation, and takes it down on every exit path, a panic
+/// included.
+struct CoalesceWait<'a>(&'a ServeMetrics);
+
+impl<'a> CoalesceWait<'a> {
+    fn start(metrics: &'a ServeMetrics) -> Self {
+        metrics.coalesce_wait_start();
+        CoalesceWait(metrics)
+    }
+}
+
+impl Drop for CoalesceWait<'_> {
+    fn drop(&mut self) {
+        self.0.coalesce_wait_end();
+    }
+}
+
 /// Decrements the active-connection gauge on every exit path.
 struct ConnGuard<'a>(&'a ServeMetrics);
 
@@ -718,8 +730,9 @@ impl Drop for ConnGuard<'_> {
 /// connection handed to it, until the pool closes.
 fn conn_worker(mut conn: Conn, shared: &Arc<Shared>) {
     loop {
-        // A panicking request ends its connection, not the worker (whose
-        // slot in the pool would otherwise stay counted).
+        // A request's own panic is answered at the request boundary
+        // (`catch_panic`); one anywhere else ends the connection, not the
+        // worker (whose slot in the pool would otherwise stay counted).
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_conn(&conn, shared)));
         // Start the next connection on an empty arena, as a fresh thread
         // would: a warm arena held per parked worker costs resident memory
@@ -857,6 +870,23 @@ fn handle_request(shared: &Arc<Shared>, line: &str) -> Reply {
     };
     let op = op_label(&req);
     shared.metrics.request(op);
+    catch_panic(shared, op, || answer(shared, req, op))
+}
+
+/// The request boundary: run `handle`, and answer a panic inside it with
+/// `{"ok":false,"error":"internal error"}` instead of a closed connection.
+/// The panic counts as an error and in `spt_panics_total`.
+fn catch_panic(shared: &Shared, op: &'static str, handle: impl FnOnce() -> Reply) -> Reply {
+    std::panic::catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|_| {
+        shared.errors.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.panic();
+        shared.metrics.error();
+        (error_line("internal error"), op, "error")
+    })
+}
+
+/// Dispatch a decoded request and encode its response.
+fn answer(shared: &Arc<Shared>, req: Request, op: &'static str) -> Reply {
     let payload = match req {
         Request::Ping => Json::from("pong"),
         Request::Stats => shared.stats_json(),
@@ -944,7 +974,10 @@ mod tests {
             scale: spt_workloads::Scale::Test,
             fuel: None,
         });
-        for req in &reqs {
+        let dir = std::env::temp_dir().join(format!("spt-serve-splice-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        for (key, req) in reqs.iter().enumerate() {
             let payload = work(&sweep, &cfg, req).unwrap().dump();
             for how in Served::ALL {
                 let tree = Json::obj()
@@ -953,7 +986,32 @@ mod tests {
                     .with("payload", Json::parse(&payload).unwrap());
                 assert_eq!(payload_line(how, &payload), tree.dump(), "{req:?}");
             }
+            // A store hit serves the saved bytes themselves, which equal
+            // the payload parsed out of the entry and dumped again.
+            store.save_raw("response", key as u64, &payload);
+            let raw = store.load_raw("response", key as u64).unwrap();
+            assert_eq!(&*raw, payload, "{req:?}");
+            let path = dir.join(format!("response-{key:016x}.json"));
+            let entry = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            assert_eq!(entry.get("payload").unwrap().dump(), &*raw, "{req:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_counted() {
+        let server = Server::start(&ServeConfig::default()).unwrap();
+        let shared = &server.shared;
+        let (line, op, served) = catch_panic(shared, "eval", || panic!("handler bug"));
+        assert_eq!(line, r#"{"ok":false,"error":"internal error"}"#);
+        assert_eq!((op, served), ("eval", "error"));
+        assert_eq!(shared.errors.load(Ordering::Relaxed), 1);
+        let scrape = spt_metrics::parse_exposition(&shared.metrics_text()).unwrap();
+        assert_eq!(scrape.get("spt_panics_total").unwrap().value, 1.0);
+        // A handler that returns is passed through untouched.
+        let ok = catch_panic(shared, "ping", || ("pong".into(), "ping", "computed"));
+        assert_eq!(ok, ("pong".to_string(), "ping", "computed"));
+        server.shutdown();
     }
 
     #[test]

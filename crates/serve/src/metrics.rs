@@ -82,6 +82,7 @@ pub struct ServeMetrics {
     /// request line to a serialized response, microseconds.
     latency: Arc<Family<Histogram>>,
     errors: Arc<Counter>,
+    panics: Arc<Counter>,
     timeouts: Arc<Counter>,
     active_connections: Arc<Gauge>,
     conn_workers: Arc<Gauge>,
@@ -122,6 +123,10 @@ impl ServeMetrics {
                 &["op", "served"],
             ),
             errors: registry.counter("spt_errors_total", "Requests answered with a refusal."),
+            panics: registry.counter(
+                "spt_panics_total",
+                "Requests whose handler panicked, answered with an internal error.",
+            ),
             timeouts: registry.counter(
                 "spt_timeouts_total",
                 "Connections reaped by the read timeout.",
@@ -200,6 +205,10 @@ impl ServeMetrics {
 
     pub fn error(&self) {
         self.errors.inc();
+    }
+
+    pub fn panic(&self) {
+        self.panics.inc();
     }
 
     pub fn timeout(&self) {

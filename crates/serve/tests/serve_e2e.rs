@@ -1,7 +1,7 @@
 //! End-to-end tests of the `spt-serve` daemon over real sockets:
 //! differential identity vs direct mode, in-flight coalescing, the warm
-//! on-disk store across daemon restarts, timeouts, graceful shutdown,
-//! and the bounded connection-worker pool.
+//! on-disk store across daemon restarts and defective entries, timeouts,
+//! graceful shutdown, and the bounded connection-worker pool.
 
 use spt::{run_experiment, ExperimentOutput, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
 use spt_serve::{client, ServeConfig, Server, MAX_CONNS, MAX_REQUEST_LINE};
@@ -313,6 +313,23 @@ fn oversized_request_line_is_refused_and_daemon_stays_healthy() {
 }
 
 #[test]
+fn a_deeply_nested_request_is_refused_and_daemon_stays_healthy() {
+    // Under the line cap, but nested far past the parser's bound: the
+    // recursive parse used to overflow the worker's stack and abort the
+    // whole daemon.
+    let server = start(None);
+    let addr = server.addr().to_string();
+    let reply = raw_request(&addr, &"[".repeat(MAX_REQUEST_LINE - 1));
+    assert_eq!(
+        reply.trim(),
+        r#"{"ok":false,"error":"bad JSON: nesting deeper than 128 at offset 128"}"#
+    );
+    let pong = client::request(&addr, &Json::obj().with("op", "ping")).unwrap();
+    assert_eq!(pong.payload.as_str(), Some("pong"));
+    server.shutdown();
+}
+
+#[test]
 fn unix_socket_transport_works() {
     let sock = std::env::temp_dir().join(format!("spt-serve-e2e-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
@@ -462,6 +479,110 @@ fn evicted_responses_come_back_from_the_store() {
     assert_eq!(again.served, "store");
     assert_eq!(again.payload.dump(), first.payload.dump());
     assert_eq!(eval(None).served, "memo");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `good`, a store entry, with its payload replaced by `payload` and the
+/// checksum recomputed over it, as a colliding or hostile writer would.
+fn forge(good: &str, payload: &str) -> String {
+    let head = good.find("\"check\":\"").unwrap() + "\"check\":\"".len();
+    let sum = spt::store::fingerprint_bytes(payload.as_bytes());
+    format!("{}{sum:016x}\",\"payload\":{payload}}}", &good[..head])
+}
+
+#[test]
+fn a_defective_store_entry_is_recomputed_and_overwritten() {
+    let dir = tmp_dir("defects");
+    let line = r#"{"op":"eval","bench":"parsers","scale":"test"}"#;
+    // The eval's outcome; its record carries wall-clock timings.
+    let outcome = |reply: &str| {
+        let doc = Json::parse(reply.trim()).unwrap();
+        let served = doc
+            .get("served")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        (
+            served,
+            doc.get("payload").unwrap().get("outcome").unwrap().dump(),
+        )
+    };
+    let rejects = |addr: &str| {
+        let stats = client::request(addr, &Json::obj().with("op", "stats")).unwrap();
+        stats
+            .payload
+            .get("store")
+            .and_then(|s| s.get("rejects"))
+            .and_then(Json::as_u64)
+    };
+    let server = start(Some(dir.clone()));
+    let (served, computed) = outcome(&raw_request(server.addr(), line));
+    assert_eq!(served, "computed");
+    server.shutdown();
+    let name = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .find(|n| n.starts_with("response-"))
+        .expect("the response was stored");
+    let key =
+        u64::from_str_radix(&name["response-".len()..name.len() - ".json".len()], 16).unwrap();
+    let entry = dir.join(&name);
+    let good = std::fs::read_to_string(&entry).unwrap();
+    let payload_at = good.find("\"payload\":").unwrap() + "\"payload\":".len();
+    let payload = &good[payload_at..good.len() - 1];
+    let key_at = good.find("\"key\":\"").unwrap() + "\"key\":\"".len();
+
+    let flip = |i: usize| {
+        let mut bytes = good.clone().into_bytes();
+        bytes[i] = if bytes[i] == b'0' { b'1' } else { b'0' };
+        bytes
+    };
+    let defects: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "truncated by one byte",
+            good.as_bytes()[..good.len() - 1].to_vec(),
+        ),
+        (
+            "truncated to half",
+            good.as_bytes()[..good.len() / 2].to_vec(),
+        ),
+        ("flipped payload byte", flip(payload_at + payload.len() / 2)),
+        ("wrong key", flip(key_at)),
+        (
+            "wrong kind",
+            good.replacen("\"kind\":\"response\"", "\"kind\":\"baseline\"", 1)
+                .into_bytes(),
+        ),
+        (
+            "raw newline, checksum recomputed",
+            forge(&good, &payload.replacen(',', ",\n", 1)).into_bytes(),
+        ),
+        (
+            "invalid JSON, checksum recomputed",
+            forge(&good, &payload[..payload.len() - 1]).into_bytes(),
+        ),
+    ];
+    let store = spt::DiskStore::open(&dir).unwrap();
+    for (what, bytes) in defects {
+        assert_ne!(bytes, good.as_bytes(), "{what}");
+        std::fs::write(&entry, &bytes).unwrap();
+        assert_eq!(store.load_raw("response", key), None, "{what}");
+        let server = start(Some(dir.clone()));
+        let (served, again) = outcome(&raw_request(server.addr(), line));
+        assert_eq!((served.as_str(), &again), ("computed", &computed), "{what}");
+        assert_eq!(rejects(server.addr()), Some(1), "{what}");
+        server.shutdown();
+        assert!(
+            store.load_raw("response", key).is_some(),
+            "{what}: not overwritten"
+        );
+    }
+    // The healed entry is served from the store.
+    let server = start(Some(dir.clone()));
+    let (served, stored) = outcome(&raw_request(server.addr(), line));
+    assert_eq!((served.as_str(), &stored), ("store", &computed));
+    assert_eq!(rejects(server.addr()), Some(0));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -65,19 +65,16 @@ impl Json {
 
     /// Parse a JSON document. Strict enough for round-tripping what this
     /// module and `spt_trace::jsonl` emit (the trace schema validator and
-    /// golden tests read files back through this).
+    /// golden tests read files back through this). Arrays and objects nest
+    /// at most 128 deep, so hostile input cannot exhaust the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.s.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(v)
+        Parser::<true>::document(text).map_err(|e| e.to_string())
+    }
+
+    /// True exactly when [`Json::parse`] would accept `text`, decided by
+    /// the same grammar without building a value or allocating.
+    pub fn validate(text: &str) -> bool {
+        Parser::<false>::document(text).is_ok()
     }
 
     /// Object field lookup (None for non-objects and missing keys).
@@ -135,12 +132,80 @@ impl Json {
     }
 }
 
-struct Parser<'a> {
+/// Deepest nesting of arrays and objects that [`Json::parse`] and
+/// [`Json::validate`] accept. Far above anything this project writes (its
+/// reports nest a handful of levels deep).
+const MAX_DEPTH: usize = 128;
+
+/// Why a document failed to parse. Building one allocates nothing; the
+/// message is rendered only by [`Json::parse`].
+#[derive(Debug)]
+enum ParseError {
+    Expected(u8, usize),
+    ExpectedSep(u8, usize),
+    BadLiteral(usize),
+    UnexpectedEnd,
+    NoValue(usize),
+    TooDeep(usize),
+    Trailing(usize),
+    Unterminated,
+    BadEscape(usize),
+    TruncatedUnicode,
+    BadUnicode,
+    Utf8(std::str::Utf8Error),
+    Int(std::num::ParseIntError),
+    Float(std::num::ParseFloatError),
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::Expected(b, i) => write!(f, "expected '{}' at offset {i}", *b as char),
+            ParseError::ExpectedSep(close, i) => {
+                write!(f, "expected ',' or '{}' at offset {i}", *close as char)
+            }
+            ParseError::BadLiteral(i) => write!(f, "bad literal at offset {i}"),
+            ParseError::UnexpectedEnd => f.write_str("unexpected end of input"),
+            ParseError::NoValue(i) => write!(f, "expected a value at offset {i}"),
+            ParseError::TooDeep(i) => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at offset {i}")
+            }
+            ParseError::Trailing(i) => write!(f, "trailing bytes at offset {i}"),
+            ParseError::Unterminated => f.write_str("unterminated string"),
+            ParseError::BadEscape(i) => write!(f, "bad escape at offset {i}"),
+            ParseError::TruncatedUnicode => f.write_str("truncated \\u escape"),
+            ParseError::BadUnicode => f.write_str("bad \\u escape"),
+            ParseError::Utf8(e) => e.fmt(f),
+            ParseError::Int(e) => e.fmt(f),
+            ParseError::Float(e) => e.fmt(f),
+        }
+    }
+}
+
+/// The one JSON grammar. With `BUILD` it returns the parsed value; without
+/// it, it only checks the input and returns `Json::Null` placeholders,
+/// so [`Json::validate`] accepts exactly what [`Json::parse`] accepts.
+struct Parser<'a, const BUILD: bool> {
     s: &'a [u8],
     i: usize,
 }
 
-impl Parser<'_> {
+impl<const BUILD: bool> Parser<'_, BUILD> {
+    /// Exactly one value, surrounded by optional whitespace.
+    fn document(text: &str) -> Result<Json, ParseError> {
+        let mut p = Parser::<BUILD> {
+            s: text.as_bytes(),
+            i: 0,
+        };
+        p.skip_ws();
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.i != p.s.len() {
+            return Err(ParseError::Trailing(p.i));
+        }
+        Ok(v)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.s.get(self.i) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -151,27 +216,32 @@ impl Parser<'_> {
         }
     }
 
-    fn eat(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
         if self.s.get(self.i) == Some(&b) {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.i))
+            Err(ParseError::Expected(b, self.i))
         }
     }
 
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn lit(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
         if self.s[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
-            Err(format!("bad literal at offset {}", self.i))
+            Err(ParseError::BadLiteral(self.i))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.s.get(self.i) {
-            None => Err("unexpected end of input".into()),
+    /// One value; `depth` is the number of arrays and objects around it.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        let open = self.s.get(self.i).copied();
+        if matches!(open, Some(b'[' | b'{')) && depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep(self.i));
+        }
+        match open {
+            None => Err(ParseError::UnexpectedEnd),
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -186,7 +256,10 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    let v = self.value(depth + 1)?;
+                    if BUILD {
+                        items.push(v);
+                    }
                     self.skip_ws();
                     match self.s.get(self.i) {
                         Some(b',') => self.i += 1,
@@ -194,7 +267,7 @@ impl Parser<'_> {
                             self.i += 1;
                             return Ok(Json::Array(items));
                         }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
+                        _ => return Err(ParseError::ExpectedSep(b']', self.i)),
                     }
                 }
             }
@@ -212,8 +285,10 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.eat(b':')?;
                     self.skip_ws();
-                    let v = self.value()?;
-                    pairs.push((k, v));
+                    let v = self.value(depth + 1)?;
+                    if BUILD {
+                        pairs.push((k, v));
+                    }
                     self.skip_ws();
                     match self.s.get(self.i) {
                         Some(b',') => self.i += 1,
@@ -221,7 +296,7 @@ impl Parser<'_> {
                             self.i += 1;
                             return Ok(Json::Object(pairs));
                         }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
+                        _ => return Err(ParseError::ExpectedSep(b'}', self.i)),
                     }
                 }
             }
@@ -229,7 +304,7 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
@@ -239,9 +314,12 @@ impl Parser<'_> {
             let run = self.s[self.i..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
-                .ok_or("unterminated string")?;
+                .ok_or(ParseError::Unterminated)?;
             let end = self.i + run;
-            out.push_str(std::str::from_utf8(&self.s[self.i..end]).map_err(|e| e.to_string())?);
+            let plain = std::str::from_utf8(&self.s[self.i..end]).map_err(ParseError::Utf8)?;
+            if BUILD {
+                out.push_str(plain);
+            }
             self.i = end;
             if self.s[self.i] == b'"' {
                 self.i += 1;
@@ -249,33 +327,33 @@ impl Parser<'_> {
             }
             // A backslash: decode one escape.
             self.i += 1;
-            match self.s.get(self.i) {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b'r') => out.push('\r'),
-                Some(b't') => out.push('\t'),
+            let c = match self.s.get(self.i) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
                 Some(b'u') => {
                     let hex = self
                         .s
                         .get(self.i + 1..self.i + 5)
-                        .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(
-                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                        16,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    out.push(char::from_u32(code).ok_or("bad \\u escape")?);
+                        .ok_or(ParseError::TruncatedUnicode)?;
+                    let hex = std::str::from_utf8(hex).map_err(ParseError::Utf8)?;
+                    let code = u32::from_str_radix(hex, 16).map_err(ParseError::Int)?;
                     self.i += 4;
+                    char::from_u32(code).ok_or(ParseError::BadUnicode)?
                 }
-                _ => return Err(format!("bad escape at offset {}", self.i)),
+                _ => return Err(ParseError::BadEscape(self.i)),
+            };
+            if BUILD {
+                out.push(c);
             }
             self.i += 1;
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.i;
         if self.s.get(self.i) == Some(&b'-') {
             self.i += 1;
@@ -291,22 +369,18 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.s[start..self.i]).map_err(|e| e.to_string())?;
+        let text = std::str::from_utf8(&self.s[start..self.i]).map_err(ParseError::Utf8)?;
         if text.is_empty() || text == "-" {
-            return Err(format!("expected a value at offset {start}"));
+            return Err(ParseError::NoValue(start));
         }
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
-                .map_err(|e| e.to_string())
-        } else if let Some(neg) = text.strip_prefix('-') {
-            neg.parse::<i64>()
-                .map(|v| Json::Int(-v))
-                .map_err(|e| e.to_string())
+                .map_err(ParseError::Float)
+        } else if text.starts_with('-') {
+            text.parse::<i64>().map(Json::Int).map_err(ParseError::Int)
         } else {
-            text.parse::<u64>()
-                .map(Json::UInt)
-                .map_err(|e| e.to_string())
+            text.parse::<u64>().map(Json::UInt).map_err(ParseError::Int)
         }
     }
 }
@@ -380,7 +454,7 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -644,6 +718,19 @@ mod tests {
     }
 
     #[test]
+    fn integer_extremes_roundtrip() {
+        for j in [
+            Json::Int(i64::MIN),
+            Json::Int(i64::MAX),
+            Json::UInt(u64::MAX),
+        ] {
+            assert_eq!(Json::parse(&j.dump()).unwrap().dump(), j.dump());
+        }
+        assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
+        assert!(Json::parse("-9223372036854775809").is_err());
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(Json::parse("").is_err());
         assert!(Json::parse("{").is_err());
@@ -694,5 +781,64 @@ mod tests {
         assert_eq!(err("\"\\u12\""), "truncated \\u escape");
         assert_eq!(err("\"\\ud800\""), "bad \\u escape");
         assert_eq!(err("\"\\uzzzz\""), "invalid digit found in string");
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // A request line may be 64 KiB of brackets; without the bound the
+        // recursive descent would overflow a connection worker's stack.
+        for open in ["[", "{\"k\":"] {
+            let deep = open.repeat(64 * 1024);
+            assert!(Json::parse(&deep)
+                .unwrap_err()
+                .starts_with("nesting deeper than 128"));
+            assert!(!Json::validate(&deep));
+        }
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok() && Json::validate(&ok));
+        let over = format!("[{ok}]");
+        assert!(Json::parse(&over).is_err() && !Json::validate(&over));
+    }
+
+    #[test]
+    fn validate_agrees_with_parse_on_edge_cases() {
+        for text in [
+            "",
+            " ",
+            "null",
+            " 1 ",
+            "-",
+            "-0",
+            "+1",
+            "1e",
+            "1e5",
+            ".5",
+            "1.",
+            "--1",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-9223372036854775807",
+            "-9223372036854775808",
+            "\"\\u+041\"",
+            "\"\\u00e9\"",
+            "\"\\ud800\"",
+            "\"a\nb\"",
+            "[1,]",
+            "[,1]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{1:2}",
+            "[1 2]",
+            "tru",
+            "nulls",
+            "{}",
+            "[]",
+            "[[]]",
+            "{\"a\":[{}]}",
+            "\"\\",
+            "1 2",
+        ] {
+            assert_eq!(Json::validate(text), Json::parse(text).is_ok(), "{text:?}");
+        }
     }
 }

@@ -119,4 +119,19 @@ mod tests {
         assert!(t.contains(&9999) && t.contains(&(MEMO_CAP as u64 + 2)));
         assert!(!t.contains(&3) && t.contains(&4));
     }
+
+    #[test]
+    fn a_panicking_computation_leaves_the_cell_empty_and_the_table_usable() {
+        // Cells are initialized outside the table lock, so a computation
+        // that panics cannot poison the table, and the next lookup of its
+        // key computes again.
+        let t: MemoTable<u64, u64> = MemoTable::default();
+        let (cell, _) = t.cell(1);
+        let panicked = std::panic::catch_unwind(|| cell.get_or_init(|| panic!("compute bug")));
+        assert!(panicked.is_err());
+        let (again, preexisting) = t.cell(1);
+        assert!(preexisting && again.get().is_none());
+        assert_eq!(*again.get_or_init(|| 7), 7);
+        assert_eq!(t.len(), 1);
+    }
 }

@@ -10,10 +10,10 @@
 //! ## Entry format
 //!
 //! One entry is one file, `<dir>/<kind>-<key as 016x>.json`, holding a
-//! JSON envelope:
+//! JSON envelope written as exactly these bytes:
 //!
 //! ```text
-//! {"spt_store_schema": 1, "kind": "spt_sim", "key": "00ab...", "check": "3f...", "payload": {...}}
+//! {"spt_store_schema":5,"kind":"spt_sim","key":"00ab...","check":"3f...","payload":{...}}
 //! ```
 //!
 //! * `spt_store_schema` — the store's schema version ([`STORE_SCHEMA`]).
@@ -21,16 +21,22 @@
 //!   treat every other version as a miss.
 //! * `kind` / `key` — must match the requested entry (a renamed or
 //!   misplaced file never serves the wrong result).
-//! * `check` — FNV-1a of the serialized payload bytes, so silent
-//!   truncation or corruption inside an otherwise-parseable envelope is
-//!   still detected.
+//! * `check` — FNV-1a of the payload bytes as they stand in the file
+//!   (16 lowercase hex digits), so silent truncation or corruption inside
+//!   an otherwise well-formed envelope is still detected.
 //!
-//! **Robustness contract:** a missing, truncated, unparseable,
-//! version-mismatched, or checksum-failing entry is a *miss* — never a
-//! panic, never a partial result — and the next [`DiskStore::save`] for
-//! that key simply overwrites it. Writes go through a temp file plus
-//! rename so concurrent readers of the same directory only ever observe
-//! complete entries.
+//! The reader matches that header byte for byte and takes the payload as
+//! it is, up to the closing `}`: a hit is a checked byte copy, with no
+//! parse and no re-serialization ([`DiskStore::load_raw`]). The payload
+//! must also be exactly one JSON value with no raw line break
+//! ([`Json::validate`]), so the daemon can splice it into a response line.
+//!
+//! **Robustness contract:** a missing, truncated, non-UTF-8, misframed,
+//! version-mismatched, misnamed, checksum-failing or invalid entry is a
+//! *miss* — never a panic, never a partial result — and the next
+//! [`DiskStore::save`] for that key simply overwrites it. Writes go
+//! through a temp file plus rename so concurrent readers of the same
+//! directory only ever observe complete entries.
 //!
 //! The store is deliberately value-agnostic: it stores [`Json`] payloads.
 //! Complete round-trip encoders for the two expensive phase results
@@ -39,8 +45,10 @@
 
 use crate::json::Json;
 use spt_sim::{BaselineReport, CycleBreakdown, PerCoreStats, PerLoopStats, SptReport};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Version of the on-disk entry encoding. Entries written under any other
 /// version read as misses.
@@ -140,12 +148,23 @@ impl DiskStore {
         self.dir.join(format!("{kind}-{key:016x}.json"))
     }
 
-    /// Look up the payload stored for `(kind, key)`. Any defect in the
-    /// entry — missing file, unparseable JSON, wrong schema version, wrong
-    /// kind or key, failed checksum — reads as `None`.
+    /// Look up the payload stored for `(kind, key)`, parsed. Any defect in
+    /// the entry reads as `None` (see [`DiskStore::load_raw`]).
     pub fn load(&self, kind: &str, key: u64) -> Option<Json> {
-        let path = self.entry_path(kind, key);
-        let bytes = match std::fs::read(&path) {
+        // `load_raw` has validated the payload with the grammar `parse`
+        // uses, so this parse cannot fail.
+        Json::parse(&self.load_raw(kind, key)?).ok()
+    }
+
+    /// Look up the payload stored for `(kind, key)` as the bytes on disk,
+    /// without parsing them. Any defect in the entry — missing file,
+    /// non-UTF-8 bytes, a header other than the one [`DiskStore::save_raw`]
+    /// writes for this schema, kind and key, a failed checksum, or a
+    /// payload that is not exactly one JSON value on one line — reads as
+    /// `None`. Whatever this returns has passed both the checksum and
+    /// [`Json::validate`].
+    pub fn load_raw(&self, kind: &str, key: u64) -> Option<Arc<str>> {
+        let bytes = match std::fs::read(self.entry_path(kind, key)) {
             Ok(b) => b,
             Err(_) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -154,13 +173,13 @@ impl DiskStore {
         };
         // The entry exists: from here on, any defect — non-UTF-8 bytes
         // included — is a reject, not a plain miss.
-        match String::from_utf8(bytes)
+        match std::str::from_utf8(&bytes)
             .ok()
-            .and_then(|text| Self::decode_entry(&text, kind, key))
+            .and_then(|text| entry_payload(text, kind, key))
         {
             Some(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+                Some(Arc::from(payload))
             }
             None => {
                 // The file exists but is unusable: a reject, counted as a
@@ -172,46 +191,23 @@ impl DiskStore {
         }
     }
 
-    fn decode_entry(text: &str, kind: &str, key: u64) -> Option<Json> {
-        let doc = Json::parse(text).ok()?;
-        if doc.get("spt_store_schema")?.as_u64()? != STORE_SCHEMA as u64 {
-            return None;
-        }
-        if doc.get("kind")?.as_str()? != kind {
-            return None;
-        }
-        if doc.get("key")?.as_str()? != format!("{key:016x}") {
-            return None;
-        }
-        let payload = doc.get("payload")?;
-        let check = doc.get("check")?.as_str()?;
-        if check != format!("{:016x}", fingerprint_bytes(payload.dump().as_bytes())) {
-            return None;
-        }
-        Some(payload.clone())
+    /// Persist `payload` as the entry for `(kind, key)`; see
+    /// [`DiskStore::save_raw`].
+    pub fn save(&self, kind: &str, key: u64, payload: &Json) {
+        self.save_raw(kind, key, &payload.dump());
     }
 
-    /// Persist `payload` as the entry for `(kind, key)`, overwriting any
-    /// existing (possibly corrupt) entry. Write failures are swallowed —
-    /// the store is a cache, not a source of truth — but the entry is
-    /// never left half-written (temp file + rename).
-    pub fn save(&self, kind: &str, key: u64, payload: &Json) {
-        let body = payload.dump();
-        let envelope = Json::obj()
-            .with("spt_store_schema", STORE_SCHEMA)
-            .with("kind", kind)
-            .with("key", format!("{key:016x}"))
-            .with(
-                "check",
-                format!("{:016x}", fingerprint_bytes(body.as_bytes())),
-            )
-            .with("payload", payload.clone());
+    /// Persist `body`, a [`Json::dump`], as the entry for `(kind, key)`,
+    /// overwriting any existing (possibly corrupt) entry. Write failures
+    /// are swallowed — the store is a cache, not a source of truth — but
+    /// the entry is never left half-written (temp file + rename).
+    pub fn save_raw(&self, kind: &str, key: u64, body: &str) {
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{seq}-{kind}-{key:016x}",
             std::process::id()
         ));
-        if std::fs::write(&tmp, envelope.dump()).is_ok()
+        if std::fs::write(&tmp, entry_bytes(kind, key, body)).is_ok()
             && std::fs::rename(&tmp, self.entry_path(kind, key)).is_ok()
         {
             self.writes.fetch_add(1, Ordering::Relaxed);
@@ -233,6 +229,46 @@ impl DiskStore {
             let _ = std::fs::rename(&tmp, self.dir.join("_meta.json"));
         }
     }
+}
+
+/// The bytes an entry for `(kind, key)` starts with, up to its checksum:
+/// `{"spt_store_schema":<STORE_SCHEMA>,"kind":"<kind>","key":"<key as 016x>","check":"`.
+fn entry_head(kind: &str, key: u64) -> String {
+    let mut head = format!("{{\"spt_store_schema\":{STORE_SCHEMA},\"kind\":");
+    crate::json::write_escaped(&mut head, kind);
+    let _ = write!(head, ",\"key\":\"{key:016x}\",\"check\":\"");
+    head
+}
+
+/// What separates an entry's checksum from its payload.
+const PAYLOAD_TAG: &str = "\",\"payload\":";
+
+/// The whole entry for `(kind, key)` around the dumped payload `body`:
+/// the bytes `Json::dump` gives for the envelope object
+/// `{spt_store_schema, kind, key, check, payload}`, built without parsing
+/// or re-dumping `body`.
+fn entry_bytes(kind: &str, key: u64, body: &str) -> String {
+    let mut entry = entry_head(kind, key);
+    entry.reserve(16 + PAYLOAD_TAG.len() + body.len() + 1);
+    let _ = write!(entry, "{:016x}", fingerprint_bytes(body.as_bytes()));
+    entry.push_str(PAYLOAD_TAG);
+    entry.push_str(body);
+    entry.push('}');
+    entry
+}
+
+/// The payload of `text` if it is a usable entry for `(kind, key)`: the
+/// exact header [`entry_bytes`] writes, a checksum that matches the payload
+/// bytes, and a payload that is one JSON value ([`Json::validate`]) with no
+/// raw line break, so it can be spliced into a response line as it is.
+fn entry_payload<'t>(text: &'t str, kind: &str, key: u64) -> Option<&'t str> {
+    let rest = text.strip_prefix(entry_head(kind, key).as_str())?;
+    let (check, rest) = rest.split_at_checked(16)?;
+    let payload = rest.strip_prefix(PAYLOAD_TAG)?.strip_suffix('}')?;
+    let sum = fingerprint_bytes(payload.as_bytes());
+    let hex = |i: usize| b"0123456789abcdef"[(sum >> (60 - 4 * i)) as usize & 0xf];
+    let check_ok = check.bytes().enumerate().all(|(i, c)| c == hex(i));
+    (check_ok && !payload.contains(['\n', '\r']) && Json::validate(payload)).then_some(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -519,44 +555,125 @@ mod tests {
     }
 
     #[test]
+    fn entry_bytes_are_the_envelope_dump() {
+        // Entries written by `dump`ing the whole envelope (every store up
+        // to and including this schema) and by splicing the dumped body
+        // must be the same bytes, so stores stay valid in both directions.
+        let payloads = [
+            sample_payload(),
+            Json::obj()
+                .with("s", "quote \" backslash \\ newline \n tab \t é")
+                .with("xs", Json::array(vec![1u64, 2, 3]))
+                .with("f", 0.25f64)
+                .with("n", Json::Null),
+            Json::from("a string payload"),
+            Json::Array(vec![]),
+        ];
+        for (kind, key) in [
+            ("response", 0u64),
+            ("spt_sim", u64::MAX),
+            ("baseline", 0xab),
+        ] {
+            for payload in &payloads {
+                let envelope = Json::obj()
+                    .with("spt_store_schema", STORE_SCHEMA)
+                    .with("kind", kind)
+                    .with("key", format!("{key:016x}"))
+                    .with(
+                        "check",
+                        format!("{:016x}", fingerprint_bytes(payload.dump().as_bytes())),
+                    )
+                    .with("payload", payload.clone());
+                assert_eq!(entry_bytes(kind, key, &payload.dump()), envelope.dump());
+            }
+        }
+    }
+
+    #[test]
+    fn load_raw_serves_the_saved_bytes() {
+        let store = DiskStore::open(tmp_dir("raw")).unwrap();
+        let body = sample_payload().dump();
+        store.save_raw("response", 3, &body);
+        assert_eq!(
+            store.load_raw("response", 3).as_deref(),
+            Some(body.as_str())
+        );
+        assert_eq!(store.load("response", 3), Some(sample_payload()));
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.rejects, s.writes), (2, 0, 0, 1));
+    }
+
+    /// Write `bytes` as the entry for `("baseline", 1)`, then expect a
+    /// counted reject from both readers, never a panic.
+    fn assert_rejected(store: &DiskStore, bytes: &[u8], what: &str) {
+        std::fs::write(store.entry_path("baseline", 1), bytes).unwrap();
+        let rejects = store.stats().rejects;
+        assert_eq!(store.load_raw("baseline", 1), None, "{what}");
+        assert_eq!(store.load("baseline", 1), None, "{what}");
+        assert_eq!(store.stats().rejects, rejects + 2, "{what}");
+    }
+
+    #[test]
     fn truncated_garbage_and_stale_schema_read_as_misses_and_are_overwritten() {
         let store = DiskStore::open(tmp_dir("robust")).unwrap();
-        store.save("baseline", 1, &sample_payload());
-        let path = store.entry_path("baseline", 1);
+        let payload = Json::obj()
+            .with("s", "esc \" \\ \n é")
+            .with("xs", Json::array(vec![1u64, 22, 333]))
+            .with("o", Json::obj().with("t", true).with("f", -1.5f64));
+        let body = payload.dump();
+        let full = entry_bytes("baseline", 1, &body);
+        let start = full.len() - body.len() - 1;
 
-        // Truncated entry.
-        let full = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert_eq!(store.load("baseline", 1), None);
-
+        // Every truncation, the empty file included.
+        for len in 0..full.len() {
+            assert_rejected(
+                &store,
+                &full.as_bytes()[..len],
+                &format!("truncated to {len}"),
+            );
+        }
+        // Every flipped payload byte: the checksum catches each one.
+        for i in start..full.len() - 1 {
+            let mut bytes = full.clone().into_bytes();
+            bytes[i] ^= 1;
+            assert_rejected(&store, &bytes, &format!("flipped byte {i}"));
+        }
         // Garbage bytes.
-        std::fs::write(&path, b"\x00\xffnot json at all").unwrap();
-        assert_eq!(store.load("baseline", 1), None);
-
-        // Valid JSON, stale schema version.
-        let stale = Json::parse(&full).unwrap().get("payload").cloned().unwrap();
-        let envelope = Json::obj()
-            .with("spt_store_schema", STORE_SCHEMA + 1)
-            .with("kind", "baseline")
-            .with("key", format!("{:016x}", 1))
-            .with(
-                "check",
-                format!("{:016x}", fingerprint_bytes(stale.dump().as_bytes())),
-            )
-            .with("payload", stale);
-        std::fs::write(&path, envelope.dump()).unwrap();
-        assert_eq!(store.load("baseline", 1), None);
-
-        // Tampered payload fails the checksum.
-        let tampered = full.replace("123", "124");
-        std::fs::write(&path, tampered).unwrap();
-        assert_eq!(store.load("baseline", 1), None);
-
-        assert_eq!(store.stats().rejects, 4);
+        assert_rejected(&store, b"\x00\xffnot json at all", "garbage");
+        // A valid entry for another schema version, kind or key.
+        let stale = full.replacen(
+            &format!(":{STORE_SCHEMA},"),
+            &format!(":{},", STORE_SCHEMA + 1),
+            1,
+        );
+        assert_rejected(&store, stale.as_bytes(), "stale schema");
+        assert_rejected(&store, entry_bytes("spt_sim", 1, &body).as_bytes(), "kind");
+        assert_rejected(&store, entry_bytes("baseline", 2, &body).as_bytes(), "key");
+        // Checksums recomputed over payloads that are not one JSON value
+        // on one line.
+        for bad in [
+            "{\"s\":\n1}",
+            "{\"s\":1}\r",
+            "{\"s\":\"raw\nnewline\"}",
+            "{\"s\":1",
+            "{\"s\":1},\"t\":{\"u\":2",
+            "1 2",
+            "",
+            "{\"s\":tru}",
+        ] {
+            assert_rejected(&store, entry_bytes("baseline", 1, bad).as_bytes(), bad);
+        }
+        // Nesting past the parser's bound, with a valid checksum.
+        let deep = "[".repeat(100_000);
+        assert_rejected(&store, entry_bytes("baseline", 1, &deep).as_bytes(), "deep");
 
         // Saving over a corrupt entry heals it.
-        store.save("baseline", 1, &sample_payload());
-        assert_eq!(store.load("baseline", 1), Some(sample_payload()));
+        store.save("baseline", 1, &payload);
+        assert_eq!(
+            std::fs::read_to_string(store.entry_path("baseline", 1)).unwrap(),
+            full
+        );
+        assert_eq!(store.load("baseline", 1), Some(payload));
     }
 
     #[test]
