@@ -17,9 +17,10 @@ impl CacheParams {
 
 /// Misspeculation recovery mechanism (Table 1 default: SRX+FC).
 ///
-/// This is the *configuration-level* selector; the simulator dispatches
-/// it to a `spt_sim::RecoveryPolicy` trait object implementing the
-/// actual recovery behaviour.
+/// The simulator asks a kind two questions at each dependence check:
+/// [`RecoveryKind::fast_commit`] and [`RecoveryKind::squash_on_violation`].
+/// The fabric mechanics (SRB walk, SSB write-back, divergence detection)
+/// are shared by every kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryKind {
     /// Selective re-execution with fast commit — the SPT mechanism: commit
@@ -35,6 +36,20 @@ pub enum RecoveryKind {
     /// paper): on any violation, trash all speculation results and
     /// re-execute the entire speculative thread.
     Squash,
+}
+
+impl RecoveryKind {
+    /// May a violation-free speculative thread commit its whole register
+    /// context and store buffer at once (the fast-commit shortcut)?
+    pub const fn fast_commit(self) -> bool {
+        !matches!(self, RecoveryKind::SrxOnly)
+    }
+
+    /// On a violation, discard all speculative results instead of walking
+    /// the SRB with selective re-execution?
+    pub const fn squash_on_violation(self) -> bool {
+        matches!(self, RecoveryKind::Squash)
+    }
 }
 
 /// Register dependence checking mode (Table 1 default: value-based).
@@ -280,6 +295,16 @@ mod tests {
         assert!(text.contains("150 cycles"));
         assert!(text.contains("SRX+FC"));
         assert!(text.contains("Value-based"));
+    }
+
+    #[test]
+    fn policy_semantics() {
+        let fc = RecoveryKind::SrxFc;
+        assert!(fc.fast_commit() && !fc.squash_on_violation());
+        let srx = RecoveryKind::SrxOnly;
+        assert!(!srx.fast_commit() && !srx.squash_on_violation());
+        let sq = RecoveryKind::Squash;
+        assert!(sq.fast_commit() && sq.squash_on_violation());
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut SimArena) -> R) -> R {
 
 /// The heap buffers of one finished speculative thread, detached from the
 /// run's decoded-program borrow so they can persist across runs. Contents
-/// are dead; the SPT fork path clears every field before reuse (exactly
-/// as it does for its within-run pool).
+/// are dead; the SPT fork path clears every field before reuse.
+#[derive(Default)]
 pub(crate) struct SpecBufs {
     pub(crate) cursor: CursorParts,
     pub(crate) ssb: Ssb,
@@ -226,9 +226,8 @@ impl SimArena {
         self.cursor_parts.push(parts);
     }
 
-    /// One retained speculative-thread buffer set, if any. Counted on the
-    /// fork path by the caller (a miss there falls through to the
-    /// fresh-construction arm, which counts itself).
+    /// The retained speculative-thread buffer sets: the SPT run's free
+    /// list, handed back with [`SimArena::put_spec_bufs_pool`].
     pub(crate) fn take_spec_bufs_pool(&mut self) -> Vec<SpecBufs> {
         std::mem::take(&mut self.spec_bufs)
     }

@@ -9,9 +9,9 @@
 //!   the architectural thread and cores 1..N-1 run successive speculative
 //!   loop iterations, with `spt_fork` / `spt_kill`, per-core speculation
 //!   result buffers, speculative store buffers, load address buffers,
-//!   register and memory dependence checkers, and pluggable
-//!   [`recovery::RecoveryPolicy`] mechanisms (selective re-execution with
-//!   fast commit by default).
+//!   register and memory dependence checkers, and the recovery mechanism
+//!   `MachineConfig::recovery` selects ([`spt_mach::RecoveryKind`]:
+//!   selective re-execution with fast commit by default).
 //!
 //! Both simulators share the per-pipeline [`pipeline::PipelineCore`]
 //! (timing engine + stall-transition trace state) and report the cycle
@@ -25,7 +25,6 @@ pub mod baseline;
 pub mod engine;
 pub mod metrics;
 pub mod pipeline;
-pub mod recovery;
 pub mod specset;
 pub mod spt;
 pub mod ssb;
@@ -35,7 +34,6 @@ pub use baseline::{simulate_baseline, simulate_baseline_in, BaselineReport};
 pub use engine::{CycleBreakdown, Engine, StallBreakdown, StallKind};
 pub use metrics::{LoopAnnot, LoopAnnotations, LoopCycleTracker, PerCoreStats, PerLoopStats};
 pub use pipeline::PipelineCore;
-pub use recovery::{policy_for, FullSquash, RecoveryPolicy, SrxFastCommit, SrxOnly};
 pub use specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 pub use spt::{SptReport, SptSim};
 pub use ssb::{SpecMem, Ssb};

@@ -29,9 +29,9 @@
 //! * memory check — the load address buffer (LAB) vs. main-thread store
 //!   addresses issued before the start-point.
 //!
-//! What happens next is the configured
-//! [`RecoveryPolicy`](crate::recovery::RecoveryPolicy): under the default
-//! (selective re-execution with fast commit), no violation →
+//! What happens next is decided by the configured
+//! [`RecoveryKind`](spt_mach::RecoveryKind)'s two predicates: under the
+//! default (selective re-execution with fast commit), no violation →
 //! *fast commit* — the speculative register context is copied back (5
 //! cycles minimum), outstanding SSB stores are written back (and checked
 //! against downstream threads' LABs), and the main thread resumes where
@@ -40,12 +40,16 @@
 //! committing correct results directly and re-executing only misspeculated
 //! instructions. A replay or squash invalidates every downstream ring
 //! thread (they forked from a context the recovery just rewrote).
+//!
+//! One run is a private `Fabric` value with one method per protocol
+//! transition: `spawn` (a main-pipeline or ring fork), `step_ready_thread`
+//! (a speculative pipeline catching up), `arrive` (the check, then commit,
+//! squash or replay), `kill_ring` and `finish` (the report).
 
 use crate::arena::{self, SimArena, SpecBufs};
 use crate::engine::{CycleBreakdown, Engine};
 use crate::metrics::{LoopAnnotations, LoopCycleTracker, PerCoreStats, PerLoopStats};
 use crate::pipeline::PipelineCore;
-use crate::recovery::policy_for;
 use crate::specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 use crate::ssb::{SpecMem, Ssb};
 use spt_interp::{Cursor, DecOp, DecodedProgram, Loc, Memory, Step};
@@ -209,7 +213,7 @@ struct SpecState<'p> {
     /// When `gate_exact` is false this is only a *lower bound* (engine
     /// cycle / fetch gate / frame baseline, no operand walk) — still
     /// sufficient to prove ineligibility whenever it exceeds the main
-    /// cycle; [`SptSim::refine_gate`] upgrades it on demand.
+    /// cycle; [`SpecState::refine_gate`] upgrades it on demand.
     gate: u64,
     gate_exact: bool,
     stalled: bool,
@@ -219,118 +223,59 @@ struct SpecState<'p> {
     fork_cycle: u64,
 }
 
-impl<'a> SpecState<'a> {
-    /// Fork a new thread state from `parent`, recycling a finished
-    /// thread's buffers from `pool` when one is available so the hot
-    /// fork path reuses register files, store-buffer slots and stamp
-    /// tables instead of allocating. When the within-run pool is empty,
-    /// buffers retained by the arena from *previous* runs (`bufs`) are
-    /// rebuilt the same way; only with both exhausted does the fork
-    /// allocate.
-    #[allow(clippy::too_many_arguments)]
+impl<'p> SpecState<'p> {
+    /// Fork a new thread from `parent` at `start_pos` onto fabric core
+    /// `core`: pop a finished thread's buffers from `free` (this run's or
+    /// an earlier run's, via the arena) or construct them, then reset them
+    /// once. Every reset is observationally fresh construction (the SSB
+    /// grows to this run's memory: new slots carry stamp 0, old stamps are
+    /// dead behind the epoch bump), so the hot fork path reuses register
+    /// files, store-buffer slots and stamp tables instead of allocating.
     fn acquire(
-        pool: &mut Vec<SpecState<'a>>,
-        bufs: &mut Vec<SpecBufs>,
-        parent: &Cursor<'a>,
-        start: BlockId,
+        free: &mut Vec<SpecBufs>,
+        parent: &Cursor<'p>,
+        start_pos: Loc,
         mem_words: usize,
         core: usize,
-        start_pos: Loc,
         loop_idx: Option<usize>,
         fork_cycle: u64,
-    ) -> SpecState<'a> {
-        let fork_level = parent.depth() - 1;
-        let start_depth = parent.depth();
-        match pool.pop() {
-            Some(mut st) => {
-                parent.fork_speculative_into(start, &mut st.cursor);
-                st.ssb.clear();
-                st.lab.clear();
-                st.srb.clear();
-                st.live_in_reads.clear();
-                st.live_in_vals.clear();
-                st.spec_written.clear();
-                st.post_fork_writes.clear();
-                st.violated_addrs.clear();
-                st.core = core;
-                st.fork_level = fork_level;
-                st.start_depth = start_depth;
-                st.start_pos = start_pos;
-                st.gate = 0;
-                st.gate_exact = false;
-                st.stalled = false;
-                st.loop_idx = loop_idx;
-                st.fork_cycle = fork_cycle;
-                st
-            }
-            None => {
-                // Cross-run reuse: rebuild a SpecState around buffers a
-                // previous run retired into the arena. Every buffer is
-                // cleared exactly as the pool arm clears it (the SSB
-                // additionally grows to this run's memory: new slots carry
-                // stamp 0, old stamps are dead behind the epoch bump, so
-                // the result is observationally `Ssb::with_words`).
-                let mut st = match bufs.pop() {
-                    Some(b) => {
-                        let mut cursor = Cursor::empty_in(parent.decoded(), b.cursor);
-                        parent.fork_speculative_into(start, &mut cursor);
-                        SpecState {
-                            cursor,
-                            core,
-                            ssb: b.ssb,
-                            lab: b.lab,
-                            srb: b.srb,
-                            live_in_reads: b.live_in_reads,
-                            live_in_vals: b.live_in_vals,
-                            spec_written: b.spec_written,
-                            post_fork_writes: b.post_fork_writes,
-                            violated_addrs: b.violated_addrs,
-                            fork_level,
-                            start_depth,
-                            start_pos,
-                            gate: 0,
-                            gate_exact: false,
-                            stalled: false,
-                            loop_idx,
-                            fork_cycle,
-                        }
-                    }
-                    None => SpecState {
-                        cursor: parent.fork_speculative(start),
-                        core,
-                        ssb: Ssb::new(),
-                        lab: AddrMembers::new(),
-                        srb: Vec::new(),
-                        live_in_reads: RegSet::new(),
-                        live_in_vals: Vec::new(),
-                        spec_written: RegSet::new(),
-                        post_fork_writes: RegSet::new(),
-                        violated_addrs: AddrList::new(),
-                        fork_level,
-                        start_depth,
-                        start_pos,
-                        gate: 0,
-                        gate_exact: false,
-                        stalled: false,
-                        loop_idx,
-                        fork_cycle,
-                    },
-                };
-                st.ssb.clear();
-                st.ssb.ensure_words(mem_words);
-                st.lab.clear();
-                st.srb.clear();
-                st.live_in_reads.clear();
-                st.live_in_vals.clear();
-                st.spec_written.clear();
-                st.post_fork_writes.clear();
-                st.violated_addrs.clear();
-                st
-            }
-        }
+    ) -> Self {
+        let b = free.pop().unwrap_or_default();
+        let mut cursor = Cursor::empty_in(parent.decoded(), b.cursor);
+        parent.fork_speculative_into(start_pos.block, &mut cursor);
+        let mut st = SpecState {
+            cursor,
+            core,
+            ssb: b.ssb,
+            lab: b.lab,
+            srb: b.srb,
+            live_in_reads: b.live_in_reads,
+            live_in_vals: b.live_in_vals,
+            spec_written: b.spec_written,
+            post_fork_writes: b.post_fork_writes,
+            violated_addrs: b.violated_addrs,
+            fork_level: parent.depth() - 1,
+            start_depth: parent.depth(),
+            start_pos,
+            gate: 0,
+            gate_exact: false,
+            stalled: false,
+            loop_idx,
+            fork_cycle,
+        };
+        st.ssb.clear();
+        st.ssb.ensure_words(mem_words);
+        st.lab.clear();
+        st.srb.clear();
+        st.live_in_reads.clear();
+        st.live_in_vals.clear();
+        st.spec_written.clear();
+        st.post_fork_writes.clear();
+        st.violated_addrs.clear();
+        st
     }
 
-    /// Retire this thread's heap buffers into the arena's cross-run pool.
+    /// Retire this thread's heap buffers to the free list.
     fn into_bufs(self) -> SpecBufs {
         SpecBufs {
             cursor: self.cursor.into_parts(),
@@ -344,63 +289,897 @@ impl<'a> SpecState<'a> {
             violated_addrs: self.violated_addrs,
         }
     }
-}
 
-/// What a fast commit leaves behind for downstream ring threads. Owned by
-/// the run as a scratch buffer and refilled per commit, so the steady
-/// state performs no per-commit allocation.
-#[derive(Default)]
-struct CommitEffects {
-    /// Word addresses the committed thread's SSB wrote back.
-    drained_addrs: Vec<u64>,
-    /// Fork-level registers the committed thread (or the main thread
-    /// during its lifetime) wrote — mark-based checking treats these as
-    /// post-fork writes for every downstream thread.
-    written: Vec<u32>,
-}
-
-/// Outcome of a dependence check, as seen by downstream ring threads.
-enum Recovered {
-    /// The thread's context was adopted; downstream threads stay live.
-    /// The payload says whether the caller's [`CommitEffects`] scratch
-    /// was (re)filled for downstream consumption.
-    FastCommit(bool),
-    /// Replay, squash, or divergence kill: the architectural state was
-    /// rewritten, so every downstream thread is invalid.
-    Rollback,
-}
-
-/// Discard every live speculative thread (oldest first), attributing a
-/// kill to each.
-#[allow(clippy::too_many_arguments)]
-fn kill_all_threads<'a>(
-    spec: &mut Vec<SpecState<'a>>,
-    pool: &mut Vec<SpecState<'a>>,
-    cycle: u64,
-    kills: &mut u64,
-    spec_discarded: &mut u64,
-    per_loop: &mut [PerLoopStats],
-    per_core: &mut [PerCoreStats],
-    sink: &mut dyn TraceSink,
-) {
-    for sp in spec.drain(..) {
-        *kills += 1;
-        *spec_discarded += sp.srb.len() as u64;
-        if let Some(li) = sp.loop_idx {
-            per_loop[li].kills += 1;
+    /// Recompute the cached gate: the earliest cycle the next instruction
+    /// could issue on this thread's own engine (`ready_time` is ≥ the
+    /// engine's cycle, so one cached value subsumes the old `eng.cycle()
+    /// ≤ main && ready ≤ main` pair). Only this thread's own steps change
+    /// it — each thread owns its core's engine — so this runs once per
+    /// step instead of once per scheduler scan.
+    ///
+    /// The gate is computed lazily against `by` (the frozen main cycle):
+    /// a speculative pipeline usually runs *ahead* of the main one, and
+    /// then [`Engine::ready_floor`] alone already exceeds `by` — the
+    /// operand walk (`srcs_of` + per-register scoreboard reads) is skipped
+    /// and the floor is stored as an inexact lower bound. Scans that later
+    /// see the bound at or below their main cycle refine it first via
+    /// [`SpecState::refine_gate`], so eligibility decisions are unchanged.
+    fn refresh_gate(&mut self, eng: &Engine, by: u64) {
+        if self.cursor.is_halted() {
+            self.gate = u64::MAX;
+            self.gate_exact = true;
+            return;
         }
-        per_core[sp.core].kills += 1;
-        if sink.enabled() {
-            sink.emit(
-                cycle,
-                TraceEvent::Kill {
+        let depth = (self.cursor.depth() - 1) as u32;
+        let floor = eng.ready_floor(depth);
+        if floor > by || eng.ready_bound(depth) <= by {
+            // Either the thread is provably not ready by `by`, or every
+            // register of the frame is provably ready by then (so the
+            // exact gate is ≤ `by` too and the thread stays eligible
+            // without the operand walk). The floor stands in as the usual
+            // inexact lower bound; the next scan refines it before
+            // trusting the value.
+            self.gate = floor;
+            self.gate_exact = false;
+        } else {
+            self.gate_exact = false;
+            self.refine_gate(eng);
+        }
+    }
+
+    /// Upgrade a lazily-computed gate lower bound to the exact issue
+    /// cycle. A no-op once exact; exactness persists until the thread's
+    /// next own step (nothing else moves its engine or cursor).
+    fn refine_gate(&mut self, eng: &Engine) {
+        if !self.gate_exact {
+            if let Some(pos) = self.cursor.position() {
+                let depth = (self.cursor.depth() - 1) as u32;
+                let srcs = self.cursor.decoded().srcs_of(pos);
+                self.gate = eng.ready_time(depth, srcs.iter().map(|r| r.0));
+            }
+            self.gate_exact = true;
+        }
+    }
+
+    /// One speculative-pipeline step. Returns the fork request (`spt_fork`
+    /// function and start block) if this step executed one.
+    fn step(
+        &mut self,
+        core: &mut PipelineCore,
+        cache: &mut CacheSim,
+        mem: &mut Memory,
+        cfg: &MachineConfig,
+        traced: bool,
+    ) -> Option<(FuncId, BlockId)> {
+        let mut view = SpecMem {
+            ssb: &mut self.ssb,
+            base: mem,
+        };
+        let Some(ev) = self.cursor.step(&mut view) else {
+            self.stalled = true;
+            return None;
+        };
+
+        // Precise live-in tracking at the fork level, with lazy fork-value
+        // capture: a register this thread has not yet written still holds
+        // its fork-time value in its own fork-level frame (nothing else
+        // writes a speculative cursor), so recording the value at first
+        // read reconstructs the fork-time snapshot without a per-fork
+        // whole-frame copy.
+        if ev.depth as usize == self.fork_level {
+            let dec = self.cursor.decoded();
+            for r in ev.operands(dec) {
+                if self.spec_written.contains(r.0) || self.live_in_reads.contains(r.0) {
+                    continue;
+                }
+                self.live_in_reads.insert(r.0);
+                let v = if self.cursor.depth() <= self.fork_level {
+                    // A `ret` popped the fork frame before the operand
+                    // could be read back; the only register a `ret` reads
+                    // is the returned one, which the cursor preserves.
+                    self.cursor.last_ret_read()
+                } else if ev.dst() == Some(*r) {
+                    // This statement overwrote the register it read
+                    // (e.g. `i = i + 1`): the fork-time value is the one
+                    // the write displaced.
+                    self.cursor.last_overwritten()
+                } else {
+                    self.cursor.regs_at(self.fork_level)[r.index()]
+                };
+                self.live_in_vals.push((r.0, v));
+            }
+        }
+        if let Some(dst) = ev.dst() {
+            if ev.dst_depth() as usize == self.fork_level {
+                self.spec_written.insert(dst.0);
+            }
+        }
+
+        // LAB: record loads that went to cache/memory (not SSB-forwarded).
+        // Speculative stores do not touch the cache until commit, and a
+        // load the store buffer forwards costs one cycle without a cache
+        // access: both issue with the memory access hidden.
+        let mut tev = ev;
+        if let Some(addr) = ev.addr {
+            if ev.is_store() || self.ssb.contains(addr) {
+                tev = ev.without_mem();
+            } else {
+                self.lab.insert(addr);
+            }
+        }
+        if traced {
+            core.issue(&tev, cache, &cfg.core);
+        } else {
+            core.issue_quiet(&tev, cache, &cfg.core);
+        }
+
+        self.srb.push(SrbEntry::of(&ev));
+        // Stall on a full SRB, on a halt, or (wrong-path safety) when the
+        // thread returned out of the fork frame.
+        if self.srb.len() >= cfg.srb_entries
+            || self.cursor.depth() <= self.fork_level
+            || self.cursor.is_halted()
+        {
+            self.stalled = true;
+        }
+        ev.fork().map(|start| (ev.func(), start))
+    }
+}
+
+/// Who executed an `spt_fork`: the main pipeline, or the ring thread at
+/// this index (always the youngest).
+#[derive(Clone, Copy)]
+enum Parent {
+    Main,
+    Ring(usize),
+}
+
+/// The counters of one run; [`Fabric::finish`] moves each into the
+/// [`SptReport`] field of the same name.
+#[derive(Default)]
+struct Counters {
+    steps: u64,
+    forks: u64,
+    forks_ignored: u64,
+    fast_commits: u64,
+    replays: u64,
+    kills: u64,
+    divergence_kills: u64,
+    spec_instrs_checked: u64,
+    spec_instrs_discarded: u64,
+    spec_misspec: u64,
+}
+
+/// One run of the speculation fabric: the main pipeline, the ring of
+/// speculative threads, and everything they account into. Each method
+/// below is one transition of the protocol in the module docs.
+struct Fabric<'p> {
+    cfg: &'p MachineConfig,
+    annots: &'p LoopAnnotations,
+    sink: &'p mut dyn TraceSink,
+    /// `sink.enabled()`, hoisted: a sink's enabled-ness never changes
+    /// mid-run, so the per-step paths branch on a field instead of a
+    /// virtual call.
+    traced: bool,
+    max_steps: u64,
+    mem: Memory,
+    cache: CacheSim,
+    main: Cursor<'p>,
+    main_core: PipelineCore,
+    /// Cores 1..N-1, created once per run and reused across threads:
+    /// `advance_to` + `reset_context` at each spawn model the RF copy,
+    /// while each engine keeps accumulating its per-core statistics.
+    spec_cores: Vec<PipelineCore>,
+    /// Live speculative threads, oldest (next to be checked) first.
+    ring: Vec<SpecState<'p>>,
+    /// Count of leading ring threads known parked. A parked thread stays
+    /// parked until it leaves the ring (arrival or kill), so the scan
+    /// starts past them; `arrive` rolls it back by one and `kill_ring`
+    /// to zero.
+    lead: usize,
+    /// The one thread free list: the buffers of every finished thread,
+    /// this run's and (through the arena) earlier runs'.
+    free: Vec<SpecBufs>,
+    /// Scratch for the fork-level registers a fast-committed thread (or
+    /// the main thread during its lifetime) wrote, refilled per commit
+    /// so the steady state allocates nothing.
+    committed_writes: Vec<u32>,
+    tracker: LoopCycleTracker<'p>,
+    per_loop: Vec<PerLoopStats>,
+    per_core: Vec<PerCoreStats>,
+    n: Counters,
+    /// Trace-only state (untouched when the sink is disabled).
+    srb_high_water: usize,
+}
+
+impl<'p> Fabric<'p> {
+    /// Check every heap component out of `arena` (reset-or-fresh).
+    fn new(
+        sim: &'p SptSim<'_>,
+        arena: &mut SimArena,
+        max_steps: u64,
+        sink: &'p mut dyn TraceSink,
+    ) -> Self {
+        let cfg = &sim.cfg;
+        let cores = cfg.cores.max(2);
+        Fabric {
+            cfg,
+            annots: &sim.annots,
+            traced: sink.enabled(),
+            sink,
+            max_steps,
+            mem: arena.take_mem(sim.prog),
+            cache: arena.take_cache(&cfg.core),
+            main: Cursor::at_entry_in(&sim.dec, arena.take_cursor_parts()),
+            main_core: arena.take_core(&cfg.core, Pipe::Main),
+            spec_cores: (1..cores)
+                .map(|_| arena.take_core(&cfg.core, Pipe::Spec))
+                .collect(),
+            ring: Vec::new(),
+            lead: 0,
+            free: arena.take_spec_bufs_pool(),
+            committed_writes: Vec::new(),
+            tracker: LoopCycleTracker::new(&sim.annots),
+            per_loop: sim
+                .annots
+                .loops
+                .iter()
+                .map(|l| PerLoopStats {
+                    id: l.id,
+                    ..Default::default()
+                })
+                .collect(),
+            per_core: (0..cores)
+                .map(|c| PerCoreStats {
+                    core: c,
+                    ..Default::default()
+                })
+                .collect(),
+            n: Counters::default(),
+            srb_high_water: 0,
+        }
+    }
+
+    /// Run until the main thread halts or the step budget is spent.
+    fn run(&mut self) {
+        while !self.main.is_halted() && self.n.steps < self.max_steps {
+            if !self.step_ready_thread() {
+                self.step_main();
+            }
+        }
+    }
+
+    /// A fork: `parent` executed `spt_fork` to block `start` of `func`.
+    /// The new thread takes the lowest free ring core — core 1 whenever
+    /// the ring is empty — once the register file is copied
+    /// (`rf_copy_overhead` cycles after the parent's current cycle).
+    fn spawn(&mut self, parent: Parent, func: FuncId, start: BlockId) {
+        let core = (1..=self.spec_cores.len())
+            .find(|c| !self.ring.iter().any(|s| s.core == *c))
+            .expect("a spawn needs a free core");
+        let (parent_cycle, fallback) = match parent {
+            // Fall back to the enclosing annotated loop.
+            Parent::Main => (self.main_core.engine.cycle(), self.tracker.current()),
+            Parent::Ring(i) => {
+                let p = &self.ring[i];
+                (self.spec_cores[p.core - 1].engine.cycle(), p.loop_idx)
+            }
+        };
+        let loop_idx = self.annots.by_fork_start(func, start).or(fallback);
+        self.n.forks += 1;
+        if let Some(li) = loop_idx {
+            self.per_loop[li].forks += 1;
+        }
+        if self.traced {
+            let ev = match parent {
+                Parent::Main => TraceEvent::Fork {
+                    loop_id: loop_idx,
+                    func,
+                    start_block: start,
+                },
+                Parent::Ring(_) => TraceEvent::RingFork {
+                    loop_id: loop_idx,
+                    core,
+                    func,
+                    start_block: start,
+                },
+            };
+            self.sink.emit(parent_cycle, ev);
+        }
+        let t = parent_cycle + self.cfg.rf_copy_overhead;
+        let eng = &mut self.spec_cores[core - 1].engine;
+        eng.advance_to(t);
+        eng.reset_context(t);
+        self.per_core[core].threads += 1;
+        let parent_cursor = match parent {
+            Parent::Main => &mut self.main,
+            Parent::Ring(i) => &mut self.ring[i].cursor,
+        };
+        let start_pos = Loc {
+            func,
+            block: start,
+            idx: 0,
+        };
+        let mut st = SpecState::acquire(
+            &mut self.free,
+            parent_cursor,
+            start_pos,
+            self.mem.len(),
+            core,
+            loop_idx,
+            parent_cycle,
+        );
+        // Rebase the parent's fork-level dirty mask to the fork instant:
+        // from here on a clear bit proves the register still holds the
+        // value the new thread lazily captures at first read, which is
+        // exactly what the dirty-filtered value check relies on. A ring
+        // parent's mask reaches the main cursor through its commit adopt.
+        parent_cursor.clear_dirty_at(st.fork_level);
+        st.refresh_gate(
+            &self.spec_cores[core - 1].engine,
+            self.main_core.engine.cycle(),
+        );
+        self.ring.push(st);
+    }
+
+    /// Let the speculative pipelines catch up in time: step the oldest
+    /// thread whose next instruction could actually issue by the main
+    /// cycle (an operand still in flight leaves the pipeline stalled, not
+    /// running ahead of wall-clock), and keep stepping it while it stays
+    /// eligible. Returns whether a thread stepped.
+    fn step_ready_thread(&mut self) -> bool {
+        let main_cycle = self.main_core.engine.cycle();
+        while self.lead < self.ring.len() && self.ring[self.lead].stalled {
+            self.lead += 1;
+        }
+        let mut step_idx = None;
+        for (i, sp) in self.ring.iter_mut().enumerate().skip(self.lead) {
+            // No park check here: a thread can only reach its successor's
+            // start-point by stepping, and the batch loop checks after
+            // every step (the successor's identity is fixed at its fork,
+            // which the same batch also covers), so the scan would never
+            // see an unparked thread at it.
+            if !sp.stalled && sp.gate <= main_cycle {
+                // A lazily-bounded gate at or below the main cycle proves
+                // nothing yet. The frame-level readiness bound usually
+                // settles it without the operand walk: when every register
+                // of the frame is ready by the main cycle, so is the next
+                // instruction's operand set (the gate stays an inexact
+                // lower bound). Otherwise refine to the exact issue cycle
+                // before committing.
+                let eng = &self.spec_cores[sp.core - 1].engine;
+                let eligible = sp.gate_exact
+                    || eng.ready_bound((sp.cursor.depth() - 1) as u32) <= main_cycle
+                    || {
+                        sp.refine_gate(eng);
+                        sp.gate <= main_cycle
+                    };
+                if eligible {
+                    step_idx = Some(i);
+                    break;
+                }
+            }
+        }
+        let Some(i) = step_idx else {
+            return false;
+        };
+        // Batch: keep stepping thread `i` while it stays eligible. Every
+        // thread before `i` was ineligible at scan time and stays so while
+        // only `i` steps (each thread owns its core's engine, successors'
+        // start-points are static and the main pipeline is idle here), so
+        // re-scanning the prefix between steps is pure overhead; only
+        // `i`'s own park/stall/gate conditions can change.
+        loop {
+            self.n.steps += 1;
+            let sp = &mut self.ring[i];
+            let core = &mut self.spec_cores[sp.core - 1];
+            let fork_req = sp.step(core, &mut self.cache, &mut self.mem, self.cfg, self.traced);
+            if self.traced {
+                if sp.srb.len() > self.srb_high_water {
+                    self.srb_high_water = sp.srb.len();
+                    self.sink.emit(
+                        core.engine.cycle(),
+                        TraceEvent::SrbHighWater {
+                            occupancy: self.srb_high_water,
+                        },
+                    );
+                }
+                core.note_stall(self.sink);
+            }
+            sp.refresh_gate(&core.engine, main_cycle);
+            // A speculative thread's own `spt_fork`: the youngest thread
+            // spawns the next iteration on a free ring core; with no free
+            // core (always, at N=2) it is dropped silently.
+            if let Some((func, start)) = fork_req {
+                if i + 1 == self.ring.len() && self.ring.len() < self.spec_cores.len() {
+                    self.spawn(Parent::Ring(i), func, start);
+                }
+            }
+            if self.n.steps >= self.max_steps {
+                break;
+            }
+            // Park check: the thread reached its successor's start-point,
+            // so hold it rather than re-execute the successor's iteration.
+            // Stepping is the only way to get there, so checking after
+            // every step covers every park transition.
+            if let [sp, nxt, ..] = &mut self.ring[i..] {
+                if sp.cursor.depth() == nxt.start_depth && sp.cursor.at(nxt.start_pos) {
+                    sp.stalled = true;
+                }
+            }
+            let sp = &self.ring[i];
+            if sp.stalled || sp.gate > main_cycle {
+                break;
+            }
+        }
+        true
+    }
+
+    /// Step the main pipeline until something changes the ring: an
+    /// arrival, a fork, a kill, or the first cycle a speculative thread
+    /// could become eligible again.
+    fn step_main(&mut self) {
+        // No speculative thread can become eligible before `next_gate`:
+        // gates, stall flags and park inputs change only when a
+        // speculative thread steps, and none steps while the main pipeline
+        // runs. Inexact gates are lower bounds of the true issue cycle, so
+        // the minimum is still a sound batching horizon (worst case: an
+        // early rescan that refines them).
+        let next_gate = self.ring[self.lead..]
+            .iter()
+            .filter(|s| !s.stalled)
+            .map(|s| s.gate)
+            .min()
+            .unwrap_or(u64::MAX);
+        // The oldest thread's start-point is static for the whole batch
+        // (every path that changes the ring returns), so hoist it out of
+        // the per-step arrival check.
+        let arrival = self.ring.first().map(|s| (s.start_pos, s.start_depth));
+        loop {
+            if let Some((at, depth)) = arrival {
+                if self.main.at(at) && self.main.depth() == depth {
+                    self.arrive();
+                    return;
+                }
+            }
+            let Some(ev) = self.main.step(&mut self.mem) else {
+                return;
+            };
+            self.n.steps += 1;
+            let (cache, core_cfg) = (&mut self.cache, &self.cfg.core);
+            if self.traced {
+                let sink = &mut *self.sink;
+                self.main_core
+                    .step_issue(&ev, cache, core_cfg, &mut self.tracker, sink);
+            } else {
+                self.main_core
+                    .step_issue_quiet(&ev, cache, core_cfg, &mut self.tracker);
+            }
+
+            if let Some(start) = ev.fork() {
+                if self.ring.is_empty() {
+                    self.spawn(Parent::Main, ev.func(), start);
+                } else {
+                    // Speculation is already running: the fork is ignored.
+                    self.n.forks_ignored += 1;
+                    if self.traced {
+                        self.sink.emit(
+                            self.main_core.engine.cycle(),
+                            TraceEvent::ForkIgnored {
+                                func: ev.func(),
+                                start_block: start,
+                            },
+                        );
+                    }
+                }
+                return;
+            }
+            if ev.kill() {
+                self.kill_ring();
+                return;
+            }
+
+            // Track main post-fork register writes and store-address checks
+            // against every live thread. Most steps are neither an
+            // executed store nor (under the mark-based policy) a register
+            // write, so screen once before walking the ring.
+            if !self.ring.is_empty() {
+                let store = ev.addr.filter(|_| ev.is_store());
+                let mark_write =
+                    self.cfg.reg_check == RegCheckPolicy::MarkBased && ev.dst().is_some();
+                if store.is_some() || mark_write {
+                    for sp in self.ring.iter_mut() {
+                        // Post-fork write marks feed only the mark-based
+                        // register check; the value-based check reads the
+                        // cursor's dirty masks and the thread's lazily
+                        // captured fork values instead.
+                        if let Some(dst) = ev.dst().filter(|_| mark_write) {
+                            if ev.dst_depth() as usize == sp.fork_level {
+                                sp.post_fork_writes.insert(dst.0);
+                            }
+                        }
+                        if let Some(addr) = store {
+                            if sp.lab.contains(addr) {
+                                sp.violated_addrs.insert(addr);
+                            }
+                        }
+                    }
+                }
+                // Safety: main left the fork frame without a kill. All ring
+                // threads speculate iterations of the same loop frame, so
+                // all of them are dead.
+                if self.main.depth() < self.ring[0].start_depth {
+                    self.kill_ring();
+                    return;
+                }
+            }
+            if self.n.steps >= self.max_steps || self.main_core.engine.cycle() >= next_gate {
+                return;
+            }
+        }
+    }
+
+    /// The main thread reached the oldest thread's start-point: run the
+    /// dependence checkers, then fast-commit, squash or replay the thread
+    /// as `cfg.recovery` says. Anything but a fast commit rewrote the
+    /// state the downstream ring forked from, so it kills the ring.
+    fn arrive(&mut self) {
+        let sp = self.ring.remove(0);
+        self.lead = self.lead.saturating_sub(1);
+        self.n.spec_instrs_checked += sp.srb.len() as u64;
+        if let Some(li) = sp.loop_idx {
+            self.per_loop[li].spec_instrs += sp.srb.len() as u64;
+        }
+        let violated_regs: RegSet = match self.cfg.reg_check {
+            RegCheckPolicy::MarkBased => sp.live_in_reads.intersection(&sp.post_fork_writes),
+            // The fork-level dirty mask was cleared at the fork, so only
+            // registers in dirty words can hold a value differing from the
+            // captured fork-time one; a clean frame compares nothing.
+            RegCheckPolicy::ValueBased => crate::specset::dirty_value_check(
+                self.main.dirty_words_at(sp.fork_level),
+                &sp.live_in_vals,
+                self.main.regs_at(sp.fork_level),
+            ),
+        };
+        let violated = !violated_regs.is_empty() || !sp.violated_addrs.is_empty();
+        let recovery = self.cfg.recovery;
+        if !violated && recovery.fast_commit() {
+            self.fast_commit(sp);
+            return;
+        }
+        if violated && recovery.squash_on_violation() {
+            self.squash(&sp);
+        } else {
+            self.replay(&sp, violated_regs);
+        }
+        self.free.push(sp.into_bufs());
+        self.kill_ring();
+    }
+
+    /// Adopt a violation-free thread's context wholesale.
+    fn fast_commit(&mut self, mut sp: SpecState<'p>) {
+        let eng = &mut self.main_core.engine;
+        let before = eng.cycle();
+        let spec_cycle = self.spec_cores[sp.core - 1].engine.cycle();
+        let t = before.max(spec_cycle) + self.cfg.fast_commit_overhead;
+        eng.advance_to(t);
+        eng.reset_context(t);
+        self.tracker.attribute_extra(eng.cycle() - before);
+        if !self.ring.is_empty() {
+            // The committed thread's stores are becoming architectural:
+            // any downstream thread that speculatively loaded one of those
+            // words read a stale value. Under mark-based checking every
+            // register the committed thread wrote also counts,
+            // conservatively, as a post-fork write for its successors.
+            let mark_based = self.cfg.reg_check == RegCheckPolicy::MarkBased;
+            let written = &mut self.committed_writes;
+            written.clear();
+            if mark_based {
+                sp.spec_written
+                    .union_sorted_into(&sp.post_fork_writes, written);
+            }
+            for sp2 in self.ring.iter_mut() {
+                for a in sp.ssb.addrs() {
+                    if sp2.lab.contains(a) {
+                        sp2.violated_addrs.insert(a);
+                    }
+                }
+                if mark_based {
+                    sp2.post_fork_writes.extend_from_slice(written);
+                }
+            }
+        }
+        sp.ssb.drain_to(&mut self.mem);
+        // Commit the speculative context. The register copy-back is a
+        // *merge* at the fork-level frame: registers the speculative
+        // thread wrote take its values; registers it never wrote keep the
+        // main thread's — the main thread's post-fork writes are
+        // program-order earlier than the speculative code and are only
+        // superseded by speculative writes (the hardware tracks
+        // spec-written registers in its scoreboard for exactly this). A
+        // committing cursor that ran through the outermost `ret` has
+        // already popped the fork-level frame — adopt it wholesale and
+        // skip the merge (there is no frame left to blend into).
+        //
+        // Main's values are blended into the committing cursor first, then
+        // it is adopted wholesale, so no per-commit register snapshot is
+        // needed.
+        if sp.fork_level < sp.cursor.depth() {
+            sp.cursor
+                .merge_frame_from(&self.main, sp.fork_level, sp.spec_written.words());
+        }
+        self.main.adopt(&sp.cursor);
+        self.n.fast_commits += 1;
+        if let Some(li) = sp.loop_idx {
+            self.per_loop[li].fast_commits += 1;
+        }
+        self.per_core[sp.core].fast_commits += 1;
+        if self.traced {
+            self.sink.emit(
+                self.main_core.engine.cycle(),
+                TraceEvent::FastCommit {
                     loop_id: sp.loop_idx,
                     fork_cycle: sp.fork_cycle,
                     srb_len: sp.srb.len(),
                 },
             );
         }
-        pool.push(sp);
+        self.free.push(sp.into_bufs());
+    }
+
+    /// Trash all of a violated thread's results; main re-executes them
+    /// normally. Tearing the thread down costs the same minimum
+    /// thread-management overhead as any other end-of-speculation action.
+    fn squash(&mut self, sp: &SpecState<'p>) {
+        let eng = &mut self.main_core.engine;
+        eng.advance_to(eng.cycle() + self.cfg.fast_commit_overhead);
+        // Everything in the SRB was wasted.
+        let wasted = sp.srb.len() as u64;
+        self.n.spec_misspec += wasted;
+        if let Some(li) = sp.loop_idx {
+            self.per_loop[li].kills += 1;
+            self.per_loop[li].spec_misspec += wasted;
+        }
+        self.per_core[sp.core].kills += 1;
+        if self.traced {
+            self.sink.emit(
+                self.main_core.engine.cycle(),
+                TraceEvent::Squash {
+                    loop_id: sp.loop_idx,
+                    fork_cycle: sp.fork_cycle,
+                    srb_len: sp.srb.len(),
+                },
+            );
+        }
+    }
+
+    /// Replay a violated thread with selective re-execution: walk its SRB
+    /// in program order at replay width, committing correct results
+    /// directly and re-executing only misspeculated instructions, until
+    /// the SRB ends or control diverges from the speculated path.
+    /// Switching the main pipeline into replay mode costs at least as much
+    /// as a commit (drain + speculation-buffer synchronization) — this is
+    /// what makes the fast-commit shortcut a shortcut.
+    fn replay(&mut self, sp: &SpecState<'p>, violated_regs: RegSet) {
+        let (cfg, dec) = (self.cfg, self.main.decoded());
+        let check_cycle = self.main_core.engine.cycle();
+        self.n.replays += 1;
+        if let Some(li) = sp.loop_idx {
+            self.per_loop[li].replays += 1;
+        }
+        self.per_core[sp.core].replays += 1;
+        self.main_core
+            .engine
+            .advance_to(check_cycle + cfg.fast_commit_overhead);
+        self.main_core.engine.set_width(cfg.replay_width);
+
+        // Sorted violation lists for the trace (the sets drive recovery;
+        // the trace needs a deterministic order).
+        let (trace_regs, trace_addrs) = if self.traced {
+            let mut addrs: Vec<u64> = sp.violated_addrs.iter().collect();
+            addrs.sort_unstable();
+            (violated_regs.iter().collect::<Vec<u32>>(), addrs)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let mut committed_n = 0usize;
+        let mut reexec_n = 0usize;
+
+        let mut updated = DepthRegSet::new();
+        updated.seed_level(sp.fork_level as u32, violated_regs);
+        let mut updated_addrs = AddrMembers::new();
+        for a in sp.violated_addrs.iter() {
+            updated_addrs.insert(a);
+        }
+
+        // `processed` = SRB entries fully replayed before this iteration.
+        for (processed, entry) in sp.srb.iter().enumerate() {
+            if self.n.steps >= self.max_steps {
+                break;
+            }
+            // Control divergence: the correct path no longer matches the
+            // speculated one — kill and resume normal execution here.
+            if !self.main.at(entry.loc) {
+                self.n.divergence_kills += 1;
+                if let Some(li) = sp.loop_idx {
+                    self.per_loop[li].kills += 1;
+                }
+                self.per_core[sp.core].kills += 1;
+                if self.traced {
+                    self.sink.emit(
+                        self.main_core.engine.cycle(),
+                        TraceEvent::DivergenceKill {
+                            loop_id: sp.loop_idx,
+                            committed: processed,
+                        },
+                    );
+                }
+                break;
+            }
+            let cev = self.main.step(&mut self.mem).expect("not halted");
+            self.n.steps += 1;
+
+            // Misspeculation determination (the dependence checkers of §3.2
+            // plus scoreboard propagation during replay).
+            let mut missp = entry.executed != cev.executed;
+            if !missp && cev.executed {
+                missp = cev
+                    .operands(dec)
+                    .iter()
+                    .any(|r| updated.contains(cev.depth, r.0))
+                    || (entry.load && updated_addrs.contains(entry.addr));
+            }
+
+            // Timing: commit correct results directly; re-execute the rest.
+            let delta = if missp {
+                self.n.spec_misspec += 1;
+                reexec_n += 1;
+                if let Some(li) = sp.loop_idx {
+                    self.per_loop[li].spec_misspec += 1;
+                }
+                self.main_core.issue(&cev, &mut self.cache, &cfg.core)
+            } else {
+                committed_n += 1;
+                self.main_core.commit_slot(&cev)
+            };
+            self.tracker.observe(&cev, delta);
+
+            // Propagate "updated" marks. A non-store entry's `val` is its
+            // destination value (0 without one), and an entry at the same
+            // position as a destination-writing step is no store.
+            if let Some(dst) = cev.dst() {
+                let converged = cfg.reg_check == RegCheckPolicy::ValueBased
+                    && cev.val == entry.val
+                    && cev.executed == entry.executed;
+                if missp && !converged {
+                    updated.insert(cev.dst_depth(), dst.0);
+                } else {
+                    updated.remove(cev.dst_depth(), dst.0);
+                }
+            }
+            if let Some(addr) = cev.addr.filter(|_| cev.is_store()) {
+                let spec_val = entry.store.then_some(entry.val);
+                if missp && spec_val != Some(cev.val) {
+                    updated_addrs.insert(addr);
+                } else {
+                    updated_addrs.remove(addr);
+                }
+            }
+            // Calls: a poisoned argument poisons the callee parameter.
+            if let DecOp::Call { args, .. } = cev.inst().op {
+                for (i, a) in dec.func(cev.func()).operands(args).iter().enumerate() {
+                    if updated.contains(cev.depth, a.0) {
+                        updated.insert(cev.depth + 1, i as u32);
+                    }
+                }
+            }
+        }
+
+        self.main_core.engine.set_width(cfg.core.issue_width);
+        if self.traced {
+            self.sink.emit(
+                self.main_core.engine.cycle(),
+                TraceEvent::Replay {
+                    loop_id: sp.loop_idx,
+                    fork_cycle: sp.fork_cycle,
+                    check_cycle,
+                    srb_len: sp.srb.len(),
+                    committed: committed_n,
+                    reexecuted: reexec_n,
+                    reg_violations: trace_regs,
+                    mem_violations: trace_addrs,
+                },
+            );
+        }
+        // The SSB is discarded: replay wrote corrected values to memory
+        // directly.
+    }
+
+    /// Discard every live speculative thread (oldest first), attributing
+    /// a kill to each.
+    fn kill_ring(&mut self) {
+        let cycle = self.main_core.engine.cycle();
+        for sp in self.ring.drain(..) {
+            self.n.kills += 1;
+            self.n.spec_instrs_discarded += sp.srb.len() as u64;
+            if let Some(li) = sp.loop_idx {
+                self.per_loop[li].kills += 1;
+            }
+            self.per_core[sp.core].kills += 1;
+            if self.traced {
+                self.sink.emit(
+                    cycle,
+                    TraceEvent::Kill {
+                        loop_id: sp.loop_idx,
+                        fork_cycle: sp.fork_cycle,
+                        srb_len: sp.srb.len(),
+                    },
+                );
+            }
+            self.free.push(sp.into_bufs());
+        }
+        self.lead = 0;
+    }
+
+    /// Build the report, then retire every reusable component into
+    /// `arena`. The final architectural memory is returned rather than
+    /// retired (see [`SptSim::run_in`]).
+    fn finish(mut self, arena: &mut SimArena) -> (SptReport, Memory) {
+        self.tracker.fold_into(&mut self.per_loop);
+        self.per_core[0].instrs = self.main_core.engine.instrs();
+        for (stats, core) in self.per_core[1..].iter_mut().zip(&self.spec_cores) {
+            stats.instrs = core.engine.instrs();
+        }
+        let Counters {
+            steps,
+            forks,
+            forks_ignored,
+            fast_commits,
+            replays,
+            kills,
+            divergence_kills,
+            spec_instrs_checked,
+            spec_instrs_discarded,
+            spec_misspec,
+        } = self.n;
+        // Threads still live at the end never reached a check.
+        let live: u64 = self.ring.iter().map(|s| s.srb.len() as u64).sum();
+        let eng = &self.main_core.engine;
+        let report = SptReport {
+            cycles: eng.cycle() + 1,
+            instrs: eng.instrs(),
+            breakdown: eng.breakdown(),
+            cache: self.cache.stats(),
+            forks,
+            forks_ignored,
+            fast_commits,
+            replays,
+            kills,
+            divergence_kills,
+            spec_instrs_checked,
+            spec_instrs_discarded: spec_instrs_discarded + live,
+            spec_misspec,
+            per_loop: self.per_loop,
+            per_core: self.per_core,
+            bp_mispredicts: eng.bp_mispredicts(),
+            bp_lookups: eng.bp_lookups(),
+            ret: self.main.return_value(),
+            steps,
+            out_of_fuel: !self.main.is_halted() && steps >= self.max_steps,
+            superstep_hits: 0,
+            superstep_misses: 0,
+        };
+        self.free
+            .extend(self.ring.into_iter().map(SpecState::into_bufs));
+        arena.put_spec_bufs_pool(self.free);
+        arena.put_cursor_parts(self.main.into_parts());
+        arena.put_core(self.main_core);
+        for c in self.spec_cores {
+            arena.put_core(c);
+        }
+        arena.put_cache(self.cache);
+        arena.publish_retained();
+        (report, self.mem)
     }
 }
 
@@ -450,62 +1229,6 @@ impl<'p> SptSim<'p> {
         self.dec
     }
 
-    /// Recompute a thread's cached gate: the earliest cycle its next
-    /// instruction could issue on its own engine (`ready_time` is ≥ the
-    /// engine's cycle, so one cached value subsumes the old `eng.cycle()
-    /// ≤ main && ready ≤ main` pair). Only this thread's own steps change
-    /// it — each thread owns its core's engine — so this runs once per
-    /// step instead of once per scheduler scan.
-    ///
-    /// The gate is computed lazily against `by` (the frozen main cycle):
-    /// a speculative pipeline usually runs *ahead* of the main one, and
-    /// then [`Engine::ready_floor`] alone already exceeds `by` — the
-    /// operand walk (`srcs_of` + per-register scoreboard reads) is skipped
-    /// and the floor is stored as an inexact lower bound. Scans that later
-    /// see the bound at or below their main cycle refine it first via
-    /// [`SptSim::refine_gate`], so eligibility decisions are unchanged.
-    fn refresh_gate(dec: &DecodedProgram, sp: &mut SpecState<'_>, eng: &Engine, by: u64) {
-        if sp.cursor.is_halted() {
-            sp.gate = u64::MAX;
-            sp.gate_exact = true;
-            return;
-        }
-        let depth = (sp.cursor.depth() - 1) as u32;
-        let floor = eng.ready_floor(depth);
-        if floor > by {
-            sp.gate = floor;
-            sp.gate_exact = false;
-        } else if eng.ready_bound(depth) <= by {
-            // Every register of the frame is provably ready by `by`, so
-            // the exact gate is ≤ `by` too: the thread stays eligible
-            // without the operand walk. The floor stands in as the usual
-            // inexact lower bound; the next scan refines it before
-            // trusting the value.
-            sp.gate = floor;
-            sp.gate_exact = false;
-        } else {
-            let pos = sp
-                .cursor
-                .position()
-                .expect("unhalted cursor has a position");
-            sp.gate = eng.ready_time(depth, dec.srcs_of(pos).iter().map(|r| r.0));
-            sp.gate_exact = true;
-        }
-    }
-
-    /// Upgrade a lazily-computed gate lower bound to the exact issue
-    /// cycle. A no-op once exact; exactness persists until the thread's
-    /// next own step (nothing else moves its engine or cursor).
-    fn refine_gate(dec: &DecodedProgram, sp: &mut SpecState<'_>, eng: &Engine) {
-        if !sp.gate_exact {
-            if let Some(pos) = sp.cursor.position() {
-                let depth = (sp.cursor.depth() - 1) as u32;
-                sp.gate = eng.ready_time(depth, dec.srcs_of(pos).iter().map(|r| r.0));
-            }
-            sp.gate_exact = true;
-        }
-    }
-
     /// Run the program to completion (or until `max_steps` interpreter steps
     /// across all pipelines) on this thread's [`SimArena`].
     pub fn run(&self, max_steps: u64) -> SptReport {
@@ -529,885 +1252,9 @@ impl<'p> SptSim<'p> {
         max_steps: u64,
         sink: &mut dyn TraceSink,
     ) -> (SptReport, Memory) {
-        let cfg = &self.cfg;
-        let cores = cfg.cores.max(2);
-        let mut mem = arena.take_mem(self.prog);
-        let mut cache = arena.take_cache(&cfg.core);
-        let mut main = Cursor::at_entry_in(&self.dec, arena.take_cursor_parts());
-        let mut main_core = arena.take_core(&cfg.core, Pipe::Main);
-        // Speculative cores are created once and reused across threads:
-        // `advance_to` + `reset_context` at each spawn model the RF copy,
-        // while the engine keeps accumulating its per-core statistics.
-        let mut spec_cores: Vec<PipelineCore> = (1..cores)
-            .map(|_| arena.take_core(&cfg.core, Pipe::Spec))
-            .collect();
-        let mut tracker = LoopCycleTracker::new(&self.annots);
-        // Live speculative threads, oldest (next to be checked) first.
-        let mut spec: Vec<SpecState<'_>> = Vec::new();
-        // Finished thread states, retained so forks reuse their buffers.
-        let mut pool: Vec<SpecState<'_>> = Vec::new();
-        // Thread buffers retained by the arena from previous runs, drawn
-        // on when `pool` is empty.
-        let mut bufs = arena.take_spec_bufs_pool();
-        // Per-commit effects scratch, recycled across every fast commit
-        // of the run.
-        let mut fx = CommitEffects::default();
-
-        let mut per_loop: Vec<PerLoopStats> = self
-            .annots
-            .loops
-            .iter()
-            .map(|l| PerLoopStats {
-                id: l.id,
-                ..Default::default()
-            })
-            .collect();
-        let mut per_core: Vec<PerCoreStats> = (0..cores)
-            .map(|c| PerCoreStats {
-                core: c,
-                ..Default::default()
-            })
-            .collect();
-
-        let mut steps = 0u64;
-        let mut forks = 0u64;
-        let mut forks_ignored = 0u64;
-        let mut fast_commits = 0u64;
-        let mut replays = 0u64;
-        let mut kills = 0u64;
-        let mut divergence_kills = 0u64;
-        let mut spec_checked = 0u64;
-        let mut spec_discarded = 0u64;
-        let mut spec_misspec = 0u64;
-        // Trace-only state (untouched when the sink is disabled).
-        let mut srb_high_water = 0usize;
-        // A sink's enabled-ness never changes mid-run: hoist it so the
-        // per-step paths branch on a local instead of a virtual call.
-        let traced = sink.enabled();
-        // Count of leading ring threads known parked (see the scan below).
-        let mut lead = 0usize;
-
-        'outer: while !main.is_halted() && steps < max_steps {
-            // Let the speculative pipelines catch up in time, oldest thread
-            // first. A thread only steps when its next instruction could
-            // actually issue by now — an operand still in flight leaves the
-            // pipeline stalled, not running ahead of wall-clock.
-            let main_cycle = main_core.engine.cycle();
-            // A parked thread stays parked until it leaves the ring
-            // (arrival commit or kill), so the scan can remember how many
-            // leading threads are stalled and start past them; `lead` is
-            // rolled back by one on `spec.remove(0)` and to zero on a
-            // ring-wide kill.
-            while lead < spec.len() && spec[lead].stalled {
-                lead += 1;
-            }
-            let mut step_idx = None;
-            for (i, sp) in spec.iter_mut().enumerate().skip(lead) {
-                // No park check here: a thread can only reach its
-                // successor's start-point by stepping, and the batch loop
-                // checks after every step (the successor's identity is
-                // fixed at its fork, which the same batch also covers), so
-                // the scan would never see an unparked thread at it.
-                if !sp.stalled && sp.gate <= main_cycle {
-                    // A lazily-bounded gate at or below the main cycle
-                    // proves nothing yet. The frame-level readiness bound
-                    // usually settles it without the operand walk: when
-                    // every register of the frame is ready by the main
-                    // cycle, so is the next instruction's operand set (the
-                    // gate stays an inexact lower bound). Otherwise refine
-                    // to the exact issue cycle before committing.
-                    let eng = &spec_cores[sp.core - 1].engine;
-                    let eligible = sp.gate_exact
-                        || eng.ready_bound((sp.cursor.depth() - 1) as u32) <= main_cycle
-                        || {
-                            Self::refine_gate(&self.dec, sp, eng);
-                            sp.gate <= main_cycle
-                        };
-                    if eligible {
-                        step_idx = Some(i);
-                        break;
-                    }
-                }
-            }
-            if let Some(i) = step_idx {
-                // Batch: keep stepping thread `i` while it stays eligible.
-                // Every thread before `i` was ineligible at scan time and
-                // stays so while only `i` steps (each thread owns its
-                // core's engine, successors' start-points are static and
-                // the main pipeline is idle here), so re-scanning the
-                // prefix between steps is pure overhead; only `i`'s own
-                // park/stall/gate conditions can change.
-                loop {
-                    steps += 1;
-                    let sp = &mut spec[i];
-                    let core = &mut spec_cores[sp.core - 1];
-                    let fork_req =
-                        Self::step_spec(&self.dec, sp, core, &mut cache, &mut mem, cfg, traced);
-                    if traced {
-                        if sp.srb.len() > srb_high_water {
-                            srb_high_water = sp.srb.len();
-                            sink.emit(
-                                core.engine.cycle(),
-                                TraceEvent::SrbHighWater {
-                                    occupancy: srb_high_water,
-                                },
-                            );
-                        }
-                        core.note_stall(sink);
-                    }
-                    Self::refresh_gate(&self.dec, sp, &core.engine, main_cycle);
-                    // A speculative thread's own `spt_fork`: the youngest
-                    // thread spawns the next iteration on a free ring core;
-                    // with no free core (always, at N=2) it is dropped
-                    // silently.
-                    if let Some((func, start)) = fork_req {
-                        if i + 1 == spec.len() && spec.len() + 1 < cores {
-                            let free = (1..cores)
-                                .find(|c| !spec.iter().any(|s| s.core == *c))
-                                .expect("thread count below cores-1 implies a free core");
-                            forks += 1;
-                            let parent = &spec[i];
-                            let loop_idx =
-                                self.annots.by_fork_start(func, start).or(parent.loop_idx);
-                            if let Some(li) = loop_idx {
-                                per_loop[li].forks += 1;
-                            }
-                            let parent_cycle = spec_cores[parent.core - 1].engine.cycle();
-                            if sink.enabled() {
-                                sink.emit(
-                                    parent_cycle,
-                                    TraceEvent::RingFork {
-                                        loop_id: loop_idx,
-                                        core: free,
-                                        func,
-                                        start_block: start,
-                                    },
-                                );
-                            }
-                            let t = parent_cycle + cfg.rf_copy_overhead;
-                            let succ = &mut spec_cores[free - 1].engine;
-                            succ.advance_to(t);
-                            succ.reset_context(t);
-                            per_core[free].threads += 1;
-                            let mut st = SpecState::acquire(
-                                &mut pool,
-                                &mut bufs,
-                                &spec[i].cursor,
-                                start,
-                                mem.len(),
-                                free,
-                                Loc {
-                                    func,
-                                    block: start,
-                                    idx: 0,
-                                },
-                                loop_idx,
-                                parent_cycle,
-                            );
-                            // Rebase the parent's fork-level dirty mask to
-                            // this fork instant: the mask reaches the main
-                            // cursor through this thread's commit adopt,
-                            // where the new thread's value check consumes
-                            // it (a clear bit proves the register still
-                            // holds the value the new thread will lazily
-                            // capture at first read).
-                            spec[i].cursor.clear_dirty_at(st.fork_level);
-                            Self::refresh_gate(
-                                &self.dec,
-                                &mut st,
-                                &spec_cores[free - 1].engine,
-                                main_cycle,
-                            );
-                            spec.push(st);
-                        }
-                    }
-                    if steps >= max_steps {
-                        break;
-                    }
-                    // Park check: the thread reached its successor's
-                    // start-point, so hold it rather than re-execute the
-                    // successor's iteration. Stepping is the only way to
-                    // get there, so checking after every step covers
-                    // every park transition.
-                    if i + 1 < spec.len() {
-                        let nxt = &spec[i + 1];
-                        if spec[i].cursor.depth() == nxt.start_depth
-                            && spec[i].cursor.at(nxt.start_pos)
-                        {
-                            spec[i].stalled = true;
-                        }
-                    }
-                    let sp = &spec[i];
-                    if sp.stalled || sp.gate > main_cycle {
-                        break;
-                    }
-                }
-                continue 'outer;
-            }
-
-            // No speculative thread can become eligible before `next_gate`:
-            // gates, stall flags and park inputs change only when a
-            // speculative thread steps, and none steps while the main
-            // pipeline runs. Batch main-pipeline steps until that cycle so
-            // the ring is not rescanned between every event. Inexact gates
-            // are lower bounds of the true issue cycle, so the minimum is
-            // still a sound batching horizon (worst case: an early rescan
-            // that refines them). Fork, kill and arrival exits below
-            // restore the full scheduling loop.
-            let next_gate = spec[lead..]
-                .iter()
-                .filter(|s| !s.stalled)
-                .map(|s| s.gate)
-                .min()
-                .unwrap_or(u64::MAX);
-            // The oldest thread's start-point is static for the whole inner
-            // loop (every path that mutates `spec` exits via `continue
-            // 'outer`), so hoist it out of the per-step arrival check.
-            let arrive = spec.first().map(|s| (s.start_pos, s.start_depth));
-            loop {
-                // Arrival at the oldest thread's start-point?
-                if let Some((at, ad)) = arrive {
-                    if main.at(at) && main.depth() == ad {
-                        let sp = spec.remove(0);
-                        lead = lead.saturating_sub(1);
-                        let spec_core_idx = sp.core - 1;
-                        let outcome = self.check_and_recover(
-                            sp,
-                            &mut pool,
-                            &mut main,
-                            &mut main_core,
-                            &spec_cores[spec_core_idx].engine,
-                            &mut cache,
-                            &mut mem,
-                            &mut tracker,
-                            &mut per_loop,
-                            &mut per_core,
-                            &mut steps,
-                            max_steps,
-                            &mut fast_commits,
-                            &mut replays,
-                            &mut divergence_kills,
-                            &mut spec_checked,
-                            &mut spec_misspec,
-                            !spec.is_empty(),
-                            &mut fx,
-                            sink,
-                        );
-                        match outcome {
-                            Recovered::FastCommit(has_effects) => {
-                                if has_effects {
-                                    // The committed thread's stores just became
-                                    // architectural: any downstream thread that
-                                    // speculatively loaded one of those words read
-                                    // a stale value.
-                                    for sp2 in spec.iter_mut() {
-                                        for &a in &fx.drained_addrs {
-                                            if sp2.lab.contains(a) {
-                                                sp2.violated_addrs.insert(a);
-                                            }
-                                        }
-                                        if cfg.reg_check == RegCheckPolicy::MarkBased {
-                                            // Conservative: every register the
-                                            // committed thread wrote counts as a
-                                            // post-fork write for its successors.
-                                            sp2.post_fork_writes.extend_from_slice(&fx.written);
-                                        }
-                                    }
-                                }
-                            }
-                            Recovered::Rollback => {
-                                kill_all_threads(
-                                    &mut spec,
-                                    &mut pool,
-                                    main_core.engine.cycle(),
-                                    &mut kills,
-                                    &mut spec_discarded,
-                                    &mut per_loop,
-                                    &mut per_core,
-                                    sink,
-                                );
-                                lead = 0;
-                            }
-                        }
-                        continue 'outer;
-                    }
-                }
-
-                // Main pipeline executes one step.
-                let Some(ev) = main.step(&mut mem) else {
-                    break 'outer;
-                };
-                steps += 1;
-                if traced {
-                    main_core.step_issue(&ev, &mut cache, &cfg.core, &mut tracker, sink);
-                } else {
-                    main_core.step_issue_quiet(&ev, &mut cache, &cfg.core, &mut tracker);
-                }
-
-                // Fork?
-                if let Some(start) = ev.fork() {
-                    if spec.is_empty() {
-                        forks += 1;
-                        let func = ev.func();
-                        let loop_idx = self.annots.by_fork_start(func, start).or_else(|| {
-                            tracker.current() // fall back to enclosing annotated loop
-                        });
-                        if let Some(li) = loop_idx {
-                            per_loop[li].forks += 1;
-                        }
-                        if sink.enabled() {
-                            sink.emit(
-                                main_core.engine.cycle(),
-                                TraceEvent::Fork {
-                                    loop_id: loop_idx,
-                                    func,
-                                    start_block: start,
-                                },
-                            );
-                        }
-                        // All ring cores are free: the thread goes to core 1.
-                        // RF copy overhead: the pipeline starts after it.
-                        let t = main_core.engine.cycle() + cfg.rf_copy_overhead;
-                        spec_cores[0].engine.advance_to(t);
-                        spec_cores[0].engine.reset_context(t);
-                        per_core[1].threads += 1;
-                        let mut st = SpecState::acquire(
-                            &mut pool,
-                            &mut bufs,
-                            &main,
-                            start,
-                            mem.len(),
-                            1,
-                            Loc {
-                                func,
-                                block: start,
-                                idx: 0,
-                            },
-                            loop_idx,
-                            main_core.engine.cycle(),
-                        );
-                        // Rebase main's fork-level dirty mask to the fork
-                        // instant: from here on a clear bit proves the
-                        // register still holds its fork-time value, which
-                        // is exactly what the dirty-filtered value check
-                        // relies on.
-                        main.clear_dirty_at(st.fork_level);
-                        Self::refresh_gate(
-                            &self.dec,
-                            &mut st,
-                            &spec_cores[0].engine,
-                            main_core.engine.cycle(),
-                        );
-                        spec.push(st);
-                    } else {
-                        forks_ignored += 1;
-                        if sink.enabled() {
-                            sink.emit(
-                                main_core.engine.cycle(),
-                                TraceEvent::ForkIgnored {
-                                    func: ev.func(),
-                                    start_block: start,
-                                },
-                            );
-                        }
-                    }
-                    continue 'outer;
-                }
-
-                // Kill?
-                if ev.kill() {
-                    kill_all_threads(
-                        &mut spec,
-                        &mut pool,
-                        main_core.engine.cycle(),
-                        &mut kills,
-                        &mut spec_discarded,
-                        &mut per_loop,
-                        &mut per_core,
-                        sink,
-                    );
-                    lead = 0;
-                    continue 'outer;
-                }
-
-                // Track main post-fork register writes and store-address checks
-                // against every live thread. Most steps are neither an
-                // executed store nor (under the mark-based policy) a register
-                // write, so screen once before walking the ring.
-                if !spec.is_empty() {
-                    let store = ev.addr.filter(|_| ev.is_store());
-                    let mark_write =
-                        cfg.reg_check == RegCheckPolicy::MarkBased && ev.dst().is_some();
-                    if store.is_some() || mark_write {
-                        for sp in spec.iter_mut() {
-                            // Post-fork write marks feed only the mark-based
-                            // register check; the value-based check reads the
-                            // cursor's dirty masks and the thread's lazily
-                            // captured fork values instead.
-                            if mark_write {
-                                if let Some(dst) = ev.dst() {
-                                    if ev.dst_depth() as usize == sp.fork_level {
-                                        sp.post_fork_writes.insert(dst.0);
-                                    }
-                                }
-                            }
-                            if let Some(addr) = store {
-                                if sp.lab.contains(addr) {
-                                    sp.violated_addrs.insert(addr);
-                                }
-                            }
-                        }
-                    }
-                    // Safety: main left the fork frame without a kill. All ring
-                    // threads speculate iterations of the same loop frame, so
-                    // all of them are dead.
-                    if main.depth() < spec[0].start_depth {
-                        kill_all_threads(
-                            &mut spec,
-                            &mut pool,
-                            main_core.engine.cycle(),
-                            &mut kills,
-                            &mut spec_discarded,
-                            &mut per_loop,
-                            &mut per_core,
-                            sink,
-                        );
-                        lead = 0;
-                        continue 'outer;
-                    }
-                }
-                if steps >= max_steps || main_core.engine.cycle() >= next_gate {
-                    continue 'outer;
-                }
-            }
-        }
-
-        // Fold tracker cycles into per-loop stats.
-        tracker.fold_into(&mut per_loop);
-        per_core[0].instrs = main_core.engine.instrs();
-        for (i, core) in spec_cores.iter().enumerate() {
-            per_core[i + 1].instrs = core.engine.instrs();
-        }
-
-        let report = SptReport {
-            cycles: main_core.engine.cycle() + 1,
-            instrs: main_core.engine.instrs(),
-            breakdown: main_core.engine.breakdown(),
-            cache: cache.stats(),
-            forks,
-            forks_ignored,
-            fast_commits,
-            replays,
-            kills,
-            divergence_kills,
-            spec_instrs_checked: spec_checked,
-            spec_instrs_discarded: spec_discarded
-                + spec.iter().map(|s| s.srb.len() as u64).sum::<u64>(),
-            spec_misspec,
-            per_loop,
-            per_core,
-            bp_mispredicts: main_core.engine.bp_mispredicts(),
-            bp_lookups: main_core.engine.bp_lookups(),
-            ret: main.return_value(),
-            steps,
-            out_of_fuel: !main.is_halted() && steps >= max_steps,
-            superstep_hits: 0,
-            superstep_misses: 0,
-        };
-
-        // Retire every reusable component into the arena (memory goes back
-        // via `run_in`; traced callers keep it).
-        for sp in spec.drain(..) {
-            bufs.push(sp.into_bufs());
-        }
-        for sp in pool.drain(..) {
-            bufs.push(sp.into_bufs());
-        }
-        arena.put_spec_bufs_pool(bufs);
-        arena.put_cursor_parts(main.into_parts());
-        arena.put_core(main_core);
-        for c in spec_cores {
-            arena.put_core(c);
-        }
-        arena.put_cache(cache);
-        arena.publish_retained();
-        (report, mem)
-    }
-
-    /// One speculative-pipeline step. Returns the fork request (`spt_fork`
-    /// function and start block) if this step executed one.
-    fn step_spec(
-        dec: &DecodedProgram,
-        sp: &mut SpecState<'_>,
-        core: &mut PipelineCore,
-        cache: &mut CacheSim,
-        mem: &mut Memory,
-        cfg: &MachineConfig,
-        traced: bool,
-    ) -> Option<(FuncId, BlockId)> {
-        let mut view = SpecMem {
-            ssb: &mut sp.ssb,
-            base: mem,
-        };
-        let Some(ev) = sp.cursor.step(&mut view) else {
-            sp.stalled = true;
-            return None;
-        };
-
-        // Precise live-in tracking at the fork level, with lazy fork-value
-        // capture: a register this thread has not yet written still holds
-        // its fork-time value in its own fork-level frame (nothing else
-        // writes a speculative cursor), so recording the value at first
-        // read reconstructs the fork-time snapshot without a per-fork
-        // whole-frame copy.
-        if ev.depth as usize == sp.fork_level {
-            if sp.cursor.depth() > sp.fork_level {
-                for r in ev.operands(dec) {
-                    if !sp.spec_written.contains(r.0) && !sp.live_in_reads.contains(r.0) {
-                        sp.live_in_reads.insert(r.0);
-                        let v = if ev.dst() == Some(*r) {
-                            // This statement overwrote the register it read
-                            // (e.g. `i = i + 1`): the fork-time value is
-                            // the one the write displaced.
-                            sp.cursor.last_overwritten()
-                        } else {
-                            sp.cursor.regs_at(sp.fork_level)[r.index()]
-                        };
-                        sp.live_in_vals.push((r.0, v));
-                    }
-                }
-            } else {
-                // A `ret` popped the fork frame before the operand could
-                // be read back; the only register a `ret` reads is the
-                // returned one, which the cursor preserves.
-                for r in ev.operands(dec) {
-                    if !sp.spec_written.contains(r.0) && !sp.live_in_reads.contains(r.0) {
-                        sp.live_in_reads.insert(r.0);
-                        sp.live_in_vals.push((r.0, sp.cursor.last_ret_read()));
-                    }
-                }
-            }
-        }
-        if let Some(dst) = ev.dst() {
-            if ev.dst_depth() as usize == sp.fork_level {
-                sp.spec_written.insert(dst.0);
-            }
-        }
-
-        // LAB: record loads that went to cache/memory (not SSB-forwarded).
-        // Speculative stores do not touch the cache until commit, and a
-        // load the store buffer forwards costs one cycle without a cache
-        // access: both issue with the memory access hidden.
-        let mut tev = ev;
-        if let Some(addr) = ev.addr {
-            if ev.is_store() || sp.ssb.contains(addr) {
-                tev = ev.without_mem();
-            } else {
-                sp.lab.insert(addr);
-            }
-        }
-        if traced {
-            core.issue(&tev, cache, &cfg.core);
-        } else {
-            core.issue_quiet(&tev, cache, &cfg.core);
-        }
-
-        let fork_req = ev.fork().map(|start| (ev.func(), start));
-        sp.srb.push(SrbEntry::of(&ev));
-        if sp.srb.len() >= cfg.srb_entries {
-            sp.stalled = true;
-        }
-        // Wrong-path safety: speculative thread returned out of the fork
-        // frame.
-        if sp.cursor.depth() <= sp.fork_level {
-            sp.stalled = true;
-        }
-        if sp.cursor.is_halted() {
-            sp.stalled = true;
-        }
-        fork_req
-    }
-
-    /// Dependence check at the start-point, then fast commit / replay /
-    /// squash according to the configured recovery policy.
-    #[allow(clippy::too_many_arguments)]
-    fn check_and_recover<'a>(
-        &self,
-        mut sp: SpecState<'a>,
-        pool: &mut Vec<SpecState<'a>>,
-        main: &mut Cursor<'a>,
-        main_core: &mut PipelineCore,
-        spec_eng: &Engine,
-        cache: &mut CacheSim,
-        mem: &mut Memory,
-        tracker: &mut LoopCycleTracker<'_>,
-        per_loop: &mut [PerLoopStats],
-        per_core: &mut [PerCoreStats],
-        steps: &mut u64,
-        max_steps: u64,
-        fast_commits: &mut u64,
-        replays: &mut u64,
-        divergence_kills: &mut u64,
-        spec_checked: &mut u64,
-        spec_misspec: &mut u64,
-        want_effects: bool,
-        fx: &mut CommitEffects,
-        sink: &mut dyn TraceSink,
-    ) -> Recovered {
-        let cfg = &self.cfg;
-        let policy = policy_for(cfg.recovery);
-        let check_cycle = main_core.engine.cycle();
-        *spec_checked += sp.srb.len() as u64;
-        if let Some(li) = sp.loop_idx {
-            per_loop[li].spec_instrs += sp.srb.len() as u64;
-        }
-
-        // Register dependence check.
-        let violated_regs: RegSet = match cfg.reg_check {
-            RegCheckPolicy::MarkBased => sp.live_in_reads.intersection(&sp.post_fork_writes),
-            RegCheckPolicy::ValueBased => {
-                // The fork-level dirty mask was cleared at the fork, so
-                // only registers in dirty words can hold a value differing
-                // from the captured fork-time one; a clean frame compares
-                // nothing.
-                crate::specset::dirty_value_check(
-                    main.dirty_words_at(sp.fork_level),
-                    &sp.live_in_vals,
-                    main.regs_at(sp.fork_level),
-                )
-            }
-        };
-        let violated = !violated_regs.is_empty() || !sp.violated_addrs.is_empty();
-
-        if !violated && policy.allows_fast_commit() {
-            // Fast commit: adopt the speculative context wholesale.
-            let t = main_core.engine.cycle().max(spec_eng.cycle()) + cfg.fast_commit_overhead;
-            let before = main_core.engine.cycle();
-            main_core.engine.advance_to(t);
-            main_core.engine.reset_context(t);
-            tracker.attribute_extra(main_core.engine.cycle() - before);
-            if want_effects {
-                fx.drained_addrs.clear();
-                fx.drained_addrs.extend(sp.ssb.addrs());
-                // Downstream threads consume `written` only under
-                // mark-based checking; skip the sorted union otherwise.
-                fx.written.clear();
-                if cfg.reg_check == RegCheckPolicy::MarkBased {
-                    sp.spec_written
-                        .union_sorted_into(&sp.post_fork_writes, &mut fx.written);
-                }
-            }
-            sp.ssb.drain_to(mem);
-            // Commit the speculative context. The register copy-back is a
-            // *merge* at the fork-level frame: registers the speculative
-            // thread wrote take its values; registers it never wrote keep
-            // the main thread's — the main thread's post-fork writes are
-            // program-order earlier than the speculative code and are only
-            // superseded by speculative writes (the hardware tracks
-            // spec-written registers in its scoreboard for exactly this).
-            // A committing cursor that ran through the outermost `ret` has
-            // already popped the fork-level frame — adopt it wholesale and
-            // skip the merge (there is no frame left to blend into).
-            //
-            // Main's values are blended into the committing cursor first,
-            // then it is adopted wholesale, so no per-commit register
-            // snapshot is needed.
-            if sp.fork_level < sp.cursor.depth() {
-                sp.cursor
-                    .merge_frame_from(main, sp.fork_level, sp.spec_written.words());
-            }
-            main.adopt(&sp.cursor);
-            *fast_commits += 1;
-            if let Some(li) = sp.loop_idx {
-                per_loop[li].fast_commits += 1;
-            }
-            per_core[sp.core].fast_commits += 1;
-            if sink.enabled() {
-                sink.emit(
-                    main_core.engine.cycle(),
-                    TraceEvent::FastCommit {
-                        loop_id: sp.loop_idx,
-                        fork_cycle: sp.fork_cycle,
-                        srb_len: sp.srb.len(),
-                    },
-                );
-            }
-            pool.push(sp);
-            return Recovered::FastCommit(want_effects);
-        }
-
-        if violated && policy.squash_on_violation() {
-            // Trash all speculative results; main re-executes normally.
-            // Tearing down the speculative thread costs the same minimum
-            // thread-management overhead as any other end-of-speculation
-            // action.
-            main_core
-                .engine
-                .advance_to(main_core.engine.cycle() + cfg.fast_commit_overhead);
-            if let Some(li) = sp.loop_idx {
-                per_loop[li].kills += 1;
-            }
-            per_core[sp.core].kills += 1;
-            // Everything in the SRB was wasted.
-            *spec_misspec += sp.srb.len() as u64;
-            if let Some(li) = sp.loop_idx {
-                per_loop[li].spec_misspec += sp.srb.len() as u64;
-            }
-            if sink.enabled() {
-                sink.emit(
-                    main_core.engine.cycle(),
-                    TraceEvent::Squash {
-                        loop_id: sp.loop_idx,
-                        fork_cycle: sp.fork_cycle,
-                        srb_len: sp.srb.len(),
-                    },
-                );
-            }
-            pool.push(sp);
-            return Recovered::Rollback;
-        }
-
-        // Replay with selective re-execution. Switching the main pipeline
-        // into replay mode costs at least as much as a commit (drain +
-        // speculation-buffer synchronization) — this is what makes the
-        // fast-commit shortcut a shortcut.
-        *replays += 1;
-        if let Some(li) = sp.loop_idx {
-            per_loop[li].replays += 1;
-        }
-        per_core[sp.core].replays += 1;
-        main_core
-            .engine
-            .advance_to(main_core.engine.cycle() + cfg.fast_commit_overhead);
-        main_core.engine.set_width(cfg.replay_width);
-
-        // Sorted violation lists for the trace (the sets drive recovery;
-        // the trace needs a deterministic order).
-        let (trace_regs, trace_addrs) = if sink.enabled() {
-            let mut addrs: Vec<u64> = sp.violated_addrs.iter().collect();
-            addrs.sort_unstable();
-            (violated_regs.iter().collect::<Vec<u32>>(), addrs)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut committed_n = 0usize;
-        let mut reexec_n = 0usize;
-
-        let mut updated = DepthRegSet::new();
-        updated.seed_level(sp.fork_level as u32, violated_regs);
-        let mut updated_addrs = AddrMembers::new();
-        for a in sp.violated_addrs.iter() {
-            updated_addrs.insert(a);
-        }
-
-        // `processed` = SRB entries fully replayed before this iteration.
-        for (processed, entry) in sp.srb.iter().enumerate() {
-            if *steps >= max_steps {
-                break;
-            }
-            // Control divergence: the correct path no longer matches the
-            // speculated one — kill and resume normal execution here.
-            if !main.at(entry.loc) {
-                *divergence_kills += 1;
-                if let Some(li) = sp.loop_idx {
-                    per_loop[li].kills += 1;
-                }
-                per_core[sp.core].kills += 1;
-                if sink.enabled() {
-                    sink.emit(
-                        main_core.engine.cycle(),
-                        TraceEvent::DivergenceKill {
-                            loop_id: sp.loop_idx,
-                            committed: processed,
-                        },
-                    );
-                }
-                break;
-            }
-            let cev = main.step(mem).expect("not halted");
-            *steps += 1;
-
-            // Misspeculation determination (the dependence checkers of §3.2
-            // plus scoreboard propagation during replay).
-            let mut missp = entry.executed != cev.executed;
-            if !missp && cev.executed {
-                for r in cev.operands(&self.dec) {
-                    if updated.contains(cev.depth, r.0) {
-                        missp = true;
-                        break;
-                    }
-                }
-                if entry.load && updated_addrs.contains(entry.addr) {
-                    missp = true;
-                }
-            }
-
-            // Timing: commit correct results directly; re-execute the rest.
-            let delta = if missp {
-                let d = main_core.issue(&cev, cache, &cfg.core);
-                *spec_misspec += 1;
-                reexec_n += 1;
-                if let Some(li) = sp.loop_idx {
-                    per_loop[li].spec_misspec += 1;
-                }
-                d
-            } else {
-                committed_n += 1;
-                main_core.commit_slot(&cev)
-            };
-            tracker.observe(&cev, delta);
-
-            // Propagate "updated" marks. A non-store entry's `val` is its
-            // destination value (0 without one), and an entry at the same
-            // position as a destination-writing step is no store.
-            if let Some(dst) = cev.dst() {
-                let converged = cfg.reg_check == RegCheckPolicy::ValueBased
-                    && cev.val == entry.val
-                    && cev.executed == entry.executed;
-                if missp && !converged {
-                    updated.insert(cev.dst_depth(), dst.0);
-                } else {
-                    updated.remove(cev.dst_depth(), dst.0);
-                }
-            }
-            if let Some(addr) = cev.addr.filter(|_| cev.is_store()) {
-                let spec_val = entry.store.then_some(entry.val);
-                if missp && spec_val != Some(cev.val) {
-                    updated_addrs.insert(addr);
-                } else {
-                    updated_addrs.remove(addr);
-                }
-            }
-            // Calls: a poisoned argument poisons the callee parameter.
-            if let DecOp::Call { args, .. } = cev.inst().op {
-                for (i, a) in self.dec.func(cev.func()).operands(args).iter().enumerate() {
-                    if updated.contains(cev.depth, a.0) {
-                        updated.insert(cev.depth + 1, i as u32);
-                    }
-                }
-            }
-        }
-
-        main_core.engine.set_width(cfg.core.issue_width);
-        if sink.enabled() {
-            sink.emit(
-                main_core.engine.cycle(),
-                TraceEvent::Replay {
-                    loop_id: sp.loop_idx,
-                    fork_cycle: sp.fork_cycle,
-                    check_cycle,
-                    srb_len: sp.srb.len(),
-                    committed: committed_n,
-                    reexecuted: reexec_n,
-                    reg_violations: trace_regs,
-                    mem_violations: trace_addrs,
-                },
-            );
-        }
-        // SSB is discarded: replay wrote corrected values to memory
-        // directly.
-        pool.push(sp);
-        Recovered::Rollback
+        let mut fabric = Fabric::new(self, arena, max_steps, sink);
+        fabric.run();
+        fabric.finish(arena)
     }
 }
 

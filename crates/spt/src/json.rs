@@ -150,6 +150,8 @@ enum ParseError {
     Trailing(usize),
     Unterminated,
     BadEscape(usize),
+    ControlChar(usize),
+    BadNumber(usize),
     TruncatedUnicode,
     BadUnicode,
     Utf8(std::str::Utf8Error),
@@ -173,6 +175,8 @@ impl std::fmt::Display for ParseError {
             ParseError::Trailing(i) => write!(f, "trailing bytes at offset {i}"),
             ParseError::Unterminated => f.write_str("unterminated string"),
             ParseError::BadEscape(i) => write!(f, "bad escape at offset {i}"),
+            ParseError::ControlChar(i) => write!(f, "raw control character at offset {i}"),
+            ParseError::BadNumber(i) => write!(f, "bad number at offset {i}"),
             ParseError::TruncatedUnicode => f.write_str("truncated \\u escape"),
             ParseError::BadUnicode => f.write_str("bad \\u escape"),
             ParseError::Utf8(e) => e.fmt(f),
@@ -308,12 +312,13 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run of plain bytes up to the next quote or
-            // backslash in one step. Both are ASCII, so the run ends on a
-            // UTF-8 boundary of the (valid) input.
+            // Copy the run of plain bytes up to the next quote, backslash
+            // or (rejected) raw control character in one step. All are
+            // ASCII, so the run ends on a UTF-8 boundary of the (valid)
+            // input.
             let run = self.s[self.i..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .ok_or(ParseError::Unterminated)?;
             let end = self.i + run;
             let plain = std::str::from_utf8(&self.s[self.i..end]).map_err(ParseError::Utf8)?;
@@ -321,9 +326,13 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
                 out.push_str(plain);
             }
             self.i = end;
-            if self.s[self.i] == b'"' {
-                self.i += 1;
-                return Ok(out);
+            match self.s[self.i] {
+                b'"' => {
+                    self.i += 1;
+                    return Ok(out);
+                }
+                b'\\' => {}
+                _ => return Err(ParseError::ControlChar(self.i)),
             }
             // A backslash: decode one escape.
             self.i += 1;
@@ -331,6 +340,8 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
                 Some(b'"') => '"',
                 Some(b'\\') => '\\',
                 Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
                 Some(b'n') => '\n',
                 Some(b'r') => '\r',
                 Some(b't') => '\t',
@@ -339,6 +350,11 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
                         .s
                         .get(self.i + 1..self.i + 5)
                         .ok_or(ParseError::TruncatedUnicode)?;
+                    // Exactly four hex digits: `from_str_radix` rejects
+                    // every other byte but a leading `+`.
+                    if hex[0] == b'+' {
+                        return Err(ParseError::BadUnicode);
+                    }
                     let hex = std::str::from_utf8(hex).map_err(ParseError::Utf8)?;
                     let code = u32::from_str_radix(hex, 16).map_err(ParseError::Int)?;
                     self.i += 4;
@@ -353,26 +369,33 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
         }
     }
 
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` (RFC 8259).
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.i;
         if self.s.get(self.i) == Some(&b'-') {
             self.i += 1;
         }
+        match self.s.get(self.i) {
+            Some(b'0') => self.i += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ if self.i == start => return Err(ParseError::NoValue(start)),
+            _ => return Err(ParseError::BadNumber(start)),
+        }
         let mut is_float = false;
-        while let Some(&b) = self.s.get(self.i) {
-            match b {
-                b'0'..=b'9' => self.i += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.i += 1;
-                }
-                _ => break,
+        if self.s.get(self.i) == Some(&b'.') {
+            is_float = true;
+            self.i += 1;
+            self.required_digits(start)?;
+        }
+        if matches!(self.s.get(self.i), Some(b'e' | b'E')) {
+            is_float = true;
+            self.i += 1;
+            if matches!(self.s.get(self.i), Some(b'+' | b'-')) {
+                self.i += 1;
             }
+            self.required_digits(start)?;
         }
         let text = std::str::from_utf8(&self.s[start..self.i]).map_err(ParseError::Utf8)?;
-        if text.is_empty() || text == "-" {
-            return Err(ParseError::NoValue(start));
-        }
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -381,6 +404,23 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
             text.parse::<i64>().map(Json::Int).map_err(ParseError::Int)
         } else {
             text.parse::<u64>().map(Json::UInt).map_err(ParseError::Int)
+        }
+    }
+
+    fn digits(&mut self) {
+        while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
+            self.i += 1;
+        }
+    }
+
+    /// One or more digits; the number starting at `start` is bad without.
+    fn required_digits(&mut self, start: usize) -> Result<(), ParseError> {
+        let from = self.i;
+        self.digits();
+        if self.i == from {
+            Err(ParseError::BadNumber(start))
+        } else {
+            Ok(())
         }
     }
 }
@@ -837,8 +877,49 @@ mod tests {
             "{\"a\":[{}]}",
             "\"\\",
             "1 2",
+            "01",
+            "\"\\b\\f\"",
+            "\"a\u{1}b\"",
+            "1.e5",
         ] {
             assert_eq!(Json::validate(text), Json::parse(text).is_ok(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn parse_follows_the_rfc_grammar() {
+        for text in [
+            "+1",
+            "01",
+            "-01",
+            ".5",
+            "1.",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "--1",
+            "\"\\u+041\"",
+            "\"\\u00g1\"",
+            "\"a\nb\"",
+            "\"a\u{1}b\"",
+            "\"\\x\"",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text:?} is not JSON");
+        }
+        for (text, want) in [
+            ("0", Json::UInt(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::UInt(10)),
+            ("-12", Json::Int(-12)),
+            ("0.5", Json::Float(0.5)),
+            ("1e5", Json::Float(1e5)),
+            ("1E-2", Json::Float(0.01)),
+            ("-2.5e+3", Json::Float(-2500.0)),
+            ("\"\\b\\f\"", Json::Str("\u{8}\u{c}".into())),
+            ("\"\\u00e9\"", Json::Str("é".into())),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), want, "{text:?}");
         }
     }
 }

@@ -7,10 +7,12 @@
 //! of `ablation_policies`, once into a `NullSink` (the quiet issue path)
 //! and once into a `RingBufferSink` (the traced one). The two full reports
 //! (cycle breakdown, cache, per-loop and per-core statistics) must be
-//! `Debug`-equal, and so must the final memory images.
+//! `Debug`-equal, and so must the final memory images. Every run that
+//! finishes also conserves speculation outcomes: each fork ends exactly
+//! once, and the per-core statistics sum to the fabric-wide counters.
 
 use spt::compiler::compile;
-use spt::sim::{simulate_baseline_in, SimArena, SptSim};
+use spt::sim::{simulate_baseline_in, PerCoreStats, SimArena, SptReport, SptSim};
 use spt::tracing::{NullSink, RingBufferSink, TraceSink};
 use spt::workloads::{suite, Scale};
 use spt::{original_annotations, spt_annotations, MachineConfig, RecoveryKind, RegCheckPolicy};
@@ -40,6 +42,27 @@ fn machines(base: &MachineConfig) -> Vec<MachineConfig> {
         ..base.clone()
     });
     ms
+}
+
+/// Every fork ends exactly once: by a fast commit, a replay (a replay cut
+/// short by control divergence also counts a kill on its core, hence the
+/// `divergence_kills` correction), a squash or a kill — both of which count
+/// as a per-core kill. And the per-core statistics partition the
+/// fabric-wide counters.
+fn assert_outcomes_conserved(r: &SptReport, ctx: &str) {
+    let per_core = |f: fn(&PerCoreStats) -> u64| r.per_core.iter().map(f).sum::<u64>();
+    assert_eq!(per_core(|c| c.threads), r.forks, "threads [{ctx}]");
+    assert_eq!(
+        per_core(|c| c.fast_commits),
+        r.fast_commits,
+        "fast commits [{ctx}]"
+    );
+    assert_eq!(per_core(|c| c.replays), r.replays, "replays [{ctx}]");
+    assert_eq!(
+        r.forks,
+        r.fast_commits + r.replays + per_core(|c| c.kills) - r.divergence_kills,
+        "every fork ends once [{ctx}]"
+    );
 }
 
 #[test]
@@ -74,7 +97,7 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
                     SptSim::new_in(arena, spt_fp, &compiled.program, m.clone(), annots.clone());
                 let (s, smem) = sim.run_in(arena, cfg.fuel, sink);
                 arena.put_decoded(spt_fp, sim.into_decoded());
-                (format!("{b:?}"), bmem, format!("{s:?}"), smem)
+                (format!("{b:?}"), bmem, s, smem)
             };
             let quiet = run(&mut quiet_arena, &mut NullSink);
             let mut ring = RingBufferSink::unbounded();
@@ -82,7 +105,14 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
             traced_events += ring.records().count();
             assert_eq!(quiet.0, traced.0, "baseline report [{ctx}]");
             assert!(quiet.1 == traced.1, "baseline memory [{ctx}]");
-            assert_eq!(quiet.2, traced.2, "SPT report [{ctx}]");
+            assert_eq!(
+                format!("{:?}", quiet.2),
+                format!("{:?}", traced.2),
+                "SPT report [{ctx}]"
+            );
+            if !quiet.2.out_of_fuel {
+                assert_outcomes_conserved(&quiet.2, &ctx);
+            }
             assert!(quiet.3 == traced.3, "SPT memory [{ctx}]");
         }
     }
