@@ -1,10 +1,10 @@
 //! The steppable interpreter.
 
-use crate::decode::{DecOp, DecodedProgram, Loc};
+use crate::decode::{DecOp, DecodedInst, DecodedProgram, Loc};
 use crate::event::EvKind;
 use crate::mem::{wrap_addr, MemView};
 use crate::step::Step;
-use spt_sir::{BlockId, FuncId, Reg, StmtRef};
+use spt_sir::{BlockId, FuncId, Reg};
 
 /// One activation record's control state. Register values live in the
 /// cursor's slab (see [`Cursor`]), not in the frame, so frames are plain
@@ -13,10 +13,9 @@ use spt_sir::{BlockId, FuncId, Reg, StmtRef};
 #[derive(Clone, Copy, Debug)]
 pub struct Frame {
     pub func: FuncId,
-    pub block: BlockId,
-    /// Index of the next statement in `block`; `== insts.len()` means the
-    /// terminator is next.
-    pub idx: usize,
+    /// Code index ([`DecodedProgram::inst`]) of the next statement or
+    /// terminator this frame executes.
+    pub pc: u32,
     /// Where the caller wants this frame's return value.
     pub ret_dst: Option<Reg>,
     /// This frame's register chunk starts at `slab[base]` (stride words,
@@ -64,9 +63,12 @@ macro_rules! write_reg {
 /// frames and register files) — that is precisely the register-context copy
 /// the SPT architecture performs at `spt_fork`.
 ///
-/// The cursor runs over a [`DecodedProgram`] — pre-flattened instruction
-/// streams with operands, latency classes and callee metadata resolved at
-/// decode time — so each step is array indexing, never tree traversal.
+/// The cursor runs over a [`DecodedProgram`] — one pre-flattened code
+/// array with operands, latency classes, issue facts and branch and callee
+/// targets resolved at decode time. Each frame carries a `pc` into that
+/// array, so fetching the next instruction is one index (`code[pc]`) and a
+/// branch, call or fork sets the `pc` from a decode-time target; stepping
+/// never walks the tree form.
 ///
 /// # Register slab
 ///
@@ -153,10 +155,11 @@ impl<'p> Cursor<'p> {
         }
     }
 
-    /// Append one frame: a zeroed stride-sized slab chunk (padding beyond
-    /// `n_regs` stays deterministically zero) and an all-dirty mask
-    /// (conservative until the next [`Cursor::clear_dirty_at`]).
-    fn push_frame(&mut self, func: FuncId, block: BlockId, ret_dst: Option<Reg>) {
+    /// Append a frame at the entry of `func`: a zeroed stride-sized slab
+    /// chunk (padding beyond `n_regs` stays deterministically zero) and an
+    /// all-dirty mask (conservative until the next
+    /// [`Cursor::clear_dirty_at`]).
+    fn push_frame(&mut self, func: FuncId) {
         let df = self.dec.func(func);
         let base = self.slab.len() as u32;
         let dbase = self.dirty.len() as u32;
@@ -165,9 +168,8 @@ impl<'p> Cursor<'p> {
             .resize(self.dirty.len() + df.dirty_words(), !0u64);
         self.frames.push(Frame {
             func,
-            block,
-            idx: 0,
-            ret_dst,
+            pc: df.entry_pc(),
+            ret_dst: None,
             base,
             dbase,
         });
@@ -183,20 +185,18 @@ impl<'p> Cursor<'p> {
     /// exactly what fresh construction would: `push_frame` zero-fills the
     /// slab chunk and all-ones-fills the dirty words it appends.
     pub fn at_entry_in(dec: &'p DecodedProgram, parts: CursorParts) -> Self {
-        let entry = dec.entry();
-        let f = dec.func(entry);
         let mut cur = Cursor::empty_in(dec, parts);
-        cur.push_frame(entry, f.entry, None);
+        cur.push_frame(dec.entry());
         cur
     }
 
     /// A cursor positioned at an arbitrary function (used by tests and by
     /// loop-region simulation).
     pub fn at_func(dec: &'p DecodedProgram, func: FuncId, args: &[i64]) -> Self {
-        let f = dec.func(func);
+        let n_params = dec.func(func).n_params() as usize;
         let mut cur = Cursor::empty(dec);
-        cur.push_frame(func, f.entry, None);
-        for (i, &a) in args.iter().enumerate().take(f.n_params as usize) {
+        cur.push_frame(func);
+        for (i, &a) in args.iter().enumerate().take(n_params) {
             cur.slab[i] = a;
         }
         cur
@@ -255,8 +255,7 @@ impl<'p> Cursor<'p> {
 
     fn repoint(&mut self, start: BlockId) {
         let top = self.frames.last_mut().expect("fork from live cursor");
-        top.block = start;
-        top.idx = 0;
+        top.pc = self.dec.func(top.func).block_pc(start);
         self.halted = false;
         self.ret_val = None;
     }
@@ -320,7 +319,7 @@ impl<'p> Cursor<'p> {
     /// long.
     pub fn regs_at(&self, level: usize) -> &[i64] {
         let fr = &self.frames[level];
-        let n = self.dec.func(fr.func).n_regs as usize;
+        let n = self.dec.func(fr.func).n_regs() as usize;
         let base = fr.base as usize;
         &self.slab[base..base + n]
     }
@@ -386,39 +385,41 @@ impl<'p> Cursor<'p> {
         }
     }
 
-    /// Current static position (for divergence comparison): the event kind
-    /// `step` would produce next.
+    /// Code index of the instruction `step` executes next (`None` once
+    /// halted).
     #[inline]
-    pub fn position(&self) -> Option<EvKind> {
+    pub fn pc(&self) -> Option<u32> {
         if self.halted {
             return None;
         }
-        let fr = self.top();
-        let df = self.dec.func(fr.func);
-        Some(if fr.idx < df.block_len(fr.block) {
-            EvKind::Inst {
-                func: fr.func,
-                sref: StmtRef::new(fr.block, fr.idx),
-            }
-        } else {
-            EvKind::Term {
-                func: fr.func,
-                block: fr.block,
-            }
-        })
+        self.frames.last().map(|fr| fr.pc)
     }
 
-    /// Whether the cursor sits exactly at `loc`, without constructing an
-    /// [`EvKind`]: three field compares. The SPT scheduler asks this once
-    /// per main-pipeline step (arrival at a start-point, whose `idx` is 0)
-    /// and once per replayed SRB entry (control divergence).
+    /// Whether the cursor's next instruction is the one at code index
+    /// `pc`: one compare. The SPT scheduler asks this once per
+    /// main-pipeline step (arrival at a start-point) and once per replayed
+    /// SRB entry (control divergence).
+    #[inline(always)]
+    pub fn at_pc(&self, pc: u32) -> bool {
+        !self.halted && self.frames.last().is_some_and(|fr| fr.pc == pc)
+    }
+
+    /// The instruction `step` executes next.
     #[inline]
-    pub fn at(&self, loc: Loc) -> bool {
-        if self.halted {
-            return false;
-        }
-        let fr = self.frames.last().expect("live cursor has a frame");
-        fr.func == loc.func && fr.block == loc.block && fr.idx == loc.idx as usize
+    pub fn next_inst(&self) -> Option<&'p DecodedInst> {
+        self.pc().map(|pc| self.dec.inst(pc))
+    }
+
+    /// Static position of the next instruction.
+    #[inline]
+    pub fn loc(&self) -> Option<Loc> {
+        self.next_inst().map(|i| i.loc)
+    }
+
+    /// Current static position: the event kind `step` would produce next.
+    #[inline]
+    pub fn position(&self) -> Option<EvKind> {
+        self.next_inst().map(|i| i.pos())
     }
 
     /// Execute one statement or terminator and describe it as a [`Step`].
@@ -439,9 +440,8 @@ impl<'p> Cursor<'p> {
         let depth = (self.frames.len() - 1) as u32;
         let fr = self.frames.last_mut().expect("live cursor has a frame");
         let (base, dbase) = (fr.base as usize, fr.dbase as usize);
-        let df = dec.func(fr.func);
-        let inst = df.inst_at(fr.block, fr.idx);
-        fr.idx += 1;
+        let inst = dec.inst(fr.pc);
+        fr.pc += 1;
         let mut st = Step::new(inst, depth);
 
         // Guard evaluation.
@@ -481,47 +481,37 @@ impl<'p> Cursor<'p> {
                 st.val = v;
                 st.addr = Some(addr);
             }
-            DecOp::Call {
-                args,
-                ret,
-                callee,
-                callee_entry,
-                callee_stride,
-            } => {
-                let args = df.operands(args);
+            DecOp::Call { callee, args, ret } => {
+                let cf = dec.func(callee);
+                let (args, stride) = (dec.operands(args), cf.stride());
                 // New frame: zeroed callee-stride chunk, args copied
                 // across the split, all-dirty mask.
                 let new_base = self.slab.len();
                 let new_dbase = self.dirty.len();
-                self.slab.resize(new_base + callee_stride as usize, 0);
+                self.slab.resize(new_base + stride, 0);
                 let (lo, hi) = self.slab.split_at_mut(new_base);
                 for (i, a) in args.iter().enumerate() {
                     hi[i] = lo[base + a.index()];
                 }
-                self.dirty
-                    .resize(new_dbase + (callee_stride as usize).div_ceil(64), !0u64);
+                self.dirty.resize(new_dbase + cf.dirty_words(), !0u64);
                 self.frames.push(Frame {
                     func: callee,
-                    block: callee_entry,
-                    idx: 0,
+                    pc: cf.entry_pc(),
                     ret_dst: ret,
                     base: new_base as u32,
                     dbase: new_dbase as u32,
                 });
             }
             DecOp::SptFork { .. } | DecOp::SptKill | DecOp::Nop { .. } => {}
-            DecOp::Jmp { target } => {
-                fr.block = target;
-                fr.idx = 0;
-            }
+            DecOp::Jmp { target_pc, .. } => fr.pc = target_pc,
             DecOp::Br {
                 cond,
-                taken,
-                not_taken,
+                taken_pc,
+                not_taken_pc,
+                ..
             } => {
                 let is_taken = self.slab[base + cond.index()] != 0;
-                fr.block = if is_taken { taken } else { not_taken };
-                fr.idx = 0;
+                fr.pc = if is_taken { taken_pc } else { not_taken_pc };
                 st.taken = is_taken;
             }
             DecOp::Ret { val } => {
@@ -556,7 +546,7 @@ impl<'p> Cursor<'p> {
 mod tests {
     use super::*;
     use crate::mem::Memory;
-    use spt_sir::{BinOp, Program, ProgramBuilder};
+    use spt_sir::{BinOp, Program, ProgramBuilder, StmtRef};
 
     fn sum_loop_program() -> Program {
         // sum = Σ i for i = 1..=5, stored to mem[0]
@@ -718,8 +708,9 @@ mod tests {
             cur.step(&mut mem);
         }
         let spec = cur.fork_speculative(BlockId(1));
-        assert_eq!(spec.top().block, BlockId(1));
-        assert_eq!(spec.top().idx, 0);
+        let at = spec.loc().unwrap();
+        assert_eq!((at.block, at.idx), (BlockId(1), 0));
+        assert_eq!(spec.pc(), Some(dec.func(at.func).block_pc(BlockId(1))));
         assert_eq!(spec.top_regs(), cur.top_regs());
         assert!(!spec.is_halted());
     }

@@ -3,7 +3,8 @@
 //! A [`Step`] describes one executed statement or terminator in two
 //! halves: the *static* half (position, latency class, timing operands,
 //! destination, extra issue slots, fork/kill, branch kind) is a reference
-//! into the [`DecodedProgram`] the cursor runs over, and only the
+//! into the [`DecodedProgram`] the cursor runs over — its issue facts
+//! decoded once there, so each accessor reads a field — and only the
 //! *dynamic* half (executed, the value moved, the memory address, the
 //! branch outcome, the call depth and a return's caller-frame
 //! destination) is copied per step. The timing models, the speculation
@@ -131,7 +132,7 @@ impl<'p> Step<'p> {
     /// set, unlike the capacity-limited [`Step::srcs`]).
     #[inline]
     pub fn operands(&self, dec: &'p DecodedProgram) -> &'p [Reg] {
-        dec.func(self.inst.loc.func).srcs(self.inst)
+        dec.srcs(self.inst)
     }
 
     /// Register written, if any: an executed statement's destination, or a
@@ -158,7 +159,7 @@ impl<'p> Step<'p> {
     /// Is the statement a store (executed or not)?
     #[inline(always)]
     pub fn is_store(&self) -> bool {
-        matches!(self.inst.op, DecOp::Store { .. })
+        self.inst.is_store()
     }
 
     /// This step with its memory access hidden from the timing model: a
@@ -172,8 +173,11 @@ impl<'p> Step<'p> {
     /// The control transfer a terminator performed.
     #[inline(always)]
     pub fn branch(&self) -> Option<Branch> {
+        if !self.inst.is_term() {
+            return None;
+        }
         match self.inst.op {
-            DecOp::Jmp { target } => Some(Branch {
+            DecOp::Jmp { target, .. } => Some(Branch {
                 conditional: false,
                 taken: true,
                 target: Some(target),
@@ -194,11 +198,20 @@ impl<'p> Step<'p> {
         }
     }
 
+    /// Was this a conditional branch? Its outcome is [`Step::taken`].
+    #[inline(always)]
+    pub fn is_cond_branch(&self) -> bool {
+        self.inst.is_cond_branch()
+    }
+
     /// `spt_fork` target, when this step executed a fork.
     #[inline(always)]
     pub fn fork(&self) -> Option<BlockId> {
+        if !(self.executed && self.inst.is_fork()) {
+            return None;
+        }
         match self.inst.op {
-            DecOp::SptFork { start } if self.executed => Some(start),
+            DecOp::SptFork { start } => Some(start),
             _ => None,
         }
     }
@@ -206,16 +219,17 @@ impl<'p> Step<'p> {
     /// True when this step executed an `spt_kill`.
     #[inline(always)]
     pub fn kill(&self) -> bool {
-        self.executed && matches!(self.inst.op, DecOp::SptKill)
+        self.executed && self.inst.is_kill()
     }
 
     /// Extra issue slots consumed (`units - 1` for an executed
     /// `Nop { units }`).
     #[inline(always)]
     pub fn extra_slots(&self) -> u32 {
-        match self.inst.op {
-            DecOp::Nop { units } if self.executed => units.saturating_sub(1),
-            _ => 0,
+        if self.executed {
+            self.inst.extra_slots()
+        } else {
+            0
         }
     }
 
@@ -235,7 +249,7 @@ impl<'p> Step<'p> {
     /// Is this a return (frame pop)?
     #[inline(always)]
     pub fn is_ret(&self) -> bool {
-        matches!(self.inst.op, DecOp::Ret { .. })
+        self.inst.is_ret()
     }
 
     /// Call-stack depth of the destination register: the step's own depth

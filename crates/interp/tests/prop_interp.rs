@@ -357,7 +357,7 @@ fn lockstep_against_reference(prog: &Program) -> Option<i64> {
         assert_regs_match(&cur, &rc, &format!("step {steps}"));
         if steps % 13 == 5 && !cur.is_halted() {
             // Fork both at the current top block: forked contexts match.
-            let blk = cur.top().block;
+            let blk = cur.loc().expect("live cursor").block;
             let fa = cur.fork_speculative(blk);
             let fb = rc.fork_speculative(blk);
             assert_regs_match(&fa, &fb, &format!("fork at step {steps}"));
@@ -690,9 +690,9 @@ proptest! {
             cur.step(&mut mem);
         }
         // Fork at the current block start: positions equal, registers equal.
-        let spec = cur.fork_speculative(cur.top().block);
+        let spec = cur.fork_speculative(cur.loc().unwrap().block);
         prop_assert_eq!(spec.top_regs(), cur.top_regs());
-        prop_assert_eq!(spec.top().idx, 0);
+        prop_assert_eq!(spec.loc().unwrap().idx, 0);
         let mut adopted = Cursor::at_entry(&dec);
         adopted.adopt(&cur);
         prop_assert_eq!(adopted.position(), cur.position());

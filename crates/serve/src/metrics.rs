@@ -86,6 +86,7 @@ pub struct ServeMetrics {
     timeouts: Arc<Counter>,
     active_connections: Arc<Gauge>,
     conn_workers: Arc<Gauge>,
+    conn_idle_workers: Arc<Gauge>,
     inflight_coalescing: Arc<Gauge>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
@@ -138,6 +139,10 @@ impl ServeMetrics {
             conn_workers: registry.gauge(
                 "spt_conn_workers",
                 "Connection workers alive in the pool (at most MAX_CONNS).",
+            ),
+            conn_idle_workers: registry.gauge(
+                "spt_conn_idle_workers",
+                "Pool workers parked with no connection handed to them.",
             ),
             inflight_coalescing: registry.gauge(
                 "spt_inflight_coalescing",
@@ -223,9 +228,10 @@ impl ServeMetrics {
         self.active_connections.dec();
     }
 
-    /// Publish the connection-worker pool's live count.
-    pub fn set_conn_workers(&self, live: usize) {
+    /// Publish the connection-worker pool's live and idle counts.
+    pub fn set_conn_workers(&self, live: usize, idle: usize) {
         self.conn_workers.set(live as i64);
+        self.conn_idle_workers.set(idle as i64);
     }
 
     pub fn coalesce_wait_start(&self) {

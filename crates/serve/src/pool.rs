@@ -64,18 +64,25 @@ impl Pool {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Publish `live` and `idle` (`spt_conn_workers`,
+    /// `spt_conn_idle_workers`); called under the lock after each change.
+    fn publish(&self, st: &State) {
+        self.metrics.set_conn_workers(st.live, st.idle);
+    }
+
     /// Give `conn` to an idle worker, or say whether to grow or refuse.
     pub(crate) fn offer(&self, conn: Conn) -> Offer {
         let mut st = self.lock();
         if st.idle > 0 {
             st.idle -= 1;
+            self.publish(&st);
             st.queue.push_back(conn);
             drop(st);
             self.wake.notify_one();
             Offer::Queued
         } else if st.live < MAX_CONNS {
             st.live += 1;
-            self.metrics.set_conn_workers(st.live);
+            self.publish(&st);
             Offer::Spawn(conn)
         } else {
             Offer::Busy(conn)
@@ -88,7 +95,11 @@ impl Pool {
     pub(crate) fn next(&self, finished: Conn) -> Option<Conn> {
         // Counted idle before the close, so a client that sees the close
         // and reconnects finds this worker rather than growing the pool.
-        self.lock().idle += 1;
+        {
+            let mut st = self.lock();
+            st.idle += 1;
+            self.publish(&st);
+        }
         drop(finished);
         let mut st = self.lock();
         loop {
@@ -97,6 +108,7 @@ impl Pool {
             }
             if st.closed {
                 st.idle -= 1;
+                self.publish(&st);
                 return None;
             }
             st = self.wake.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -107,7 +119,7 @@ impl Pool {
     pub(crate) fn retire(&self) {
         let mut st = self.lock();
         st.live -= 1;
-        self.metrics.set_conn_workers(st.live);
+        self.publish(&st);
     }
 
     /// Stop handing out connections and wake every parked worker.

@@ -6,7 +6,7 @@
 use spt::{run_experiment, ExperimentOutput, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
 use spt_serve::{client, ServeConfig, Server, MAX_CONNS, MAX_REQUEST_LINE};
 use spt_workloads::Scale;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -17,13 +17,20 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn start(cache: Option<PathBuf>) -> Server {
-    Server::start(&ServeConfig {
+fn config_for_tests() -> ServeConfig {
+    ServeConfig {
         listen: "127.0.0.1:0".into(),
-        cache_dir: cache,
+        cache_dir: None,
         workers: 1,
         read_timeout: Duration::from_secs(60),
         metrics: None,
+    }
+}
+
+fn start(cache: Option<PathBuf>) -> Server {
+    Server::start(&ServeConfig {
+        cache_dir: cache,
+        ..config_for_tests()
     })
     .expect("daemon starts")
 }
@@ -640,21 +647,54 @@ fn a_connection_past_the_cap_is_busy_and_the_pool_recovers() {
     server.shutdown();
 }
 
+/// `(spt_conn_workers, spt_conn_idle_workers)`, scraped from the HTTP
+/// metrics listener, which no pool worker serves.
+fn pool_gauges(metrics_addr: &str) -> (f64, f64) {
+    let mut stream = TcpStream::connect(metrics_addr).expect("connect metrics listener");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(
+            format!("GET /metrics HTTP/1.1\r\nHost: {metrics_addr}\r\nConnection: close\r\n\r\n")
+                .as_bytes(),
+        )
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let (_, body) = raw.split_once("\r\n\r\n").expect("HTTP head/body split");
+    let scrape = spt_metrics::parse_exposition(body).unwrap();
+    let gauge = |name: &str| scrape.get(name).expect("gauge exported").value;
+    (gauge("spt_conn_workers"), gauge("spt_conn_idle_workers"))
+}
+
 #[test]
 fn sequential_connections_reuse_their_workers() {
     // No thread per connection: 200 fresh connections, one after the
-    // other, are served by the worker that parks after each (a second can
-    // be spawned when a connection arrives before the last worker parked).
-    let server = start(None);
+    // other, are served by the one worker that parks after each. Each
+    // ping waits until every live worker is parked, so it can never
+    // arrive while the last one is still on its way back to the pool.
+    let server = Server::start(&ServeConfig {
+        metrics: Some("127.0.0.1:0".into()),
+        ..config_for_tests()
+    })
+    .expect("daemon starts");
     let addr = server.addr().to_string();
+    let metrics_addr = server.metrics_addr().expect("metrics listener").to_string();
     for _ in 0..200 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (live, idle) = pool_gauges(&metrics_addr);
+            if idle == live {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{idle} of {live} workers parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(ping(&addr).unwrap().payload.as_str(), Some("pong"));
     }
-    let workers = conn_workers(&addr);
-    assert!(
-        (1.0..=2.0).contains(&workers),
-        "{workers} workers for sequential connections"
-    );
+    let (workers, _) = pool_gauges(&metrics_addr);
+    assert_eq!(workers, 1.0, "{workers} workers for sequential connections");
     server.shutdown();
 }
 

@@ -92,6 +92,22 @@ pub(crate) struct SpecBufs {
 }
 
 impl SpecBufs {
+    /// A fork's checkout from the run's thread free list: pop a finished
+    /// thread's buffers (a reuse) or construct them (fresh), counted like
+    /// every other arena checkout.
+    pub(crate) fn checkout(free: &mut Vec<SpecBufs>) -> SpecBufs {
+        match free.pop() {
+            Some(b) => {
+                SimArena::reused();
+                b
+            }
+            None => {
+                SimArena::constructed();
+                SpecBufs::default()
+            }
+        }
+    }
+
     fn approx_bytes(&self) -> usize {
         self.cursor.approx_bytes()
             + self.ssb.approx_bytes()
@@ -227,7 +243,10 @@ impl SimArena {
     }
 
     /// The retained speculative-thread buffer sets: the SPT run's free
-    /// list, handed back with [`SimArena::put_spec_bufs_pool`].
+    /// list, handed back with [`SimArena::put_spec_bufs_pool`]. Handing
+    /// the list over counts nothing; each fork's
+    /// [`SpecBufs::checkout`] from it counts one reuse or one fresh
+    /// construction.
     pub(crate) fn take_spec_bufs_pool(&mut self) -> Vec<SpecBufs> {
         std::mem::take(&mut self.spec_bufs)
     }

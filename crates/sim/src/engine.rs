@@ -269,13 +269,11 @@ impl Engine {
         }
 
         // 6. Branch prediction.
-        if let Some(b) = ev.branch() {
-            if b.conditional {
-                self.bp_lookups += 1;
-                if !self.bp.predict_and_update(b.taken) {
-                    self.bp_mispredicts += 1;
-                    self.fetch_gate = at + 1 + cfg.bp_penalty;
-                }
+        if ev.is_cond_branch() {
+            self.bp_lookups += 1;
+            if !self.bp.predict_and_update(ev.taken) {
+                self.bp_mispredicts += 1;
+                self.fetch_gate = at + 1 + cfg.bp_penalty;
             }
         }
 

@@ -52,7 +52,7 @@ use crate::metrics::{LoopAnnotations, LoopCycleTracker, PerCoreStats, PerLoopSta
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 use crate::ssb::{SpecMem, Ssb};
-use spt_interp::{Cursor, DecOp, DecodedProgram, Loc, Memory, Step};
+use spt_interp::{Cursor, DecOp, DecodedProgram, Memory, Step};
 use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy};
 use spt_sir::{BlockId, FuncId, Program};
 use spt_trace::{NullSink, Pipe, TraceEvent, TraceSink};
@@ -140,13 +140,13 @@ impl SptReport {
 }
 
 /// One speculation-result-buffer entry: what replay reads back of a
-/// speculative step — its position (for the control-divergence check),
+/// speculative step — its code index (for the control-divergence check),
 /// whether it executed, the value it moved (destination value or stored
 /// value, as in [`Step::val`]) and its memory access. Lifetime-free, so
 /// the arena retains SRB allocations across runs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SrbEntry {
-    loc: Loc,
+    pc: u32,
     executed: bool,
     /// An executed load: `addr` is the word it read.
     load: bool,
@@ -157,16 +157,17 @@ pub(crate) struct SrbEntry {
     val: i64,
 }
 
-/// Pin the entry's size: a full 1024-entry SRB is 32 KiB per thread.
-const _: () = assert!(std::mem::size_of::<SrbEntry>() <= 32);
+/// Pin the entry's size: a full 1024-entry SRB is 24 KiB per thread.
+const _: () = assert!(std::mem::size_of::<SrbEntry>() <= 24);
 
 impl SrbEntry {
+    /// The entry of step `s`, which executed the instruction at `pc`.
     #[inline(always)]
-    fn of(s: &Step) -> Self {
+    fn of(pc: u32, s: &Step) -> Self {
         let mem = s.addr.is_some();
         let store = s.is_store();
         SrbEntry {
-            loc: s.loc(),
+            pc,
             executed: s.executed,
             load: mem && !store,
             store: mem && store,
@@ -204,9 +205,9 @@ struct SpecState<'p> {
     fork_level: usize,
     /// `frames.len()` at fork (start-point depth).
     start_depth: usize,
-    /// Static position of the start-point: the first statement (or the
+    /// Code index of the start-point: the first statement (or the
     /// terminator of an empty block) of the forked block.
-    start_pos: Loc,
+    start_pc: u32,
     /// Cached earliest main-pipeline cycle this thread's next instruction
     /// could issue (`u64::MAX` once halted). Refreshed after each of the
     /// thread's own steps (nothing else moves its cursor or engine).
@@ -224,7 +225,7 @@ struct SpecState<'p> {
 }
 
 impl<'p> SpecState<'p> {
-    /// Fork a new thread from `parent` at `start_pos` onto fabric core
+    /// Fork a new thread from `parent` at block `start` onto fabric core
     /// `core`: pop a finished thread's buffers from `free` (this run's or
     /// an earlier run's, via the arena) or construct them, then reset them
     /// once. Every reset is observationally fresh construction (the SSB
@@ -234,15 +235,16 @@ impl<'p> SpecState<'p> {
     fn acquire(
         free: &mut Vec<SpecBufs>,
         parent: &Cursor<'p>,
-        start_pos: Loc,
+        start: BlockId,
         mem_words: usize,
         core: usize,
         loop_idx: Option<usize>,
         fork_cycle: u64,
     ) -> Self {
-        let b = free.pop().unwrap_or_default();
+        let b = SpecBufs::checkout(free);
         let mut cursor = Cursor::empty_in(parent.decoded(), b.cursor);
-        parent.fork_speculative_into(start_pos.block, &mut cursor);
+        parent.fork_speculative_into(start, &mut cursor);
+        let start_pc = cursor.pc().expect("a fork is live");
         let mut st = SpecState {
             cursor,
             core,
@@ -256,7 +258,7 @@ impl<'p> SpecState<'p> {
             violated_addrs: b.violated_addrs,
             fork_level: parent.depth() - 1,
             start_depth: parent.depth(),
-            start_pos,
+            start_pc,
             gate: 0,
             gate_exact: false,
             stalled: false,
@@ -300,10 +302,11 @@ impl<'p> SpecState<'p> {
     /// The gate is computed lazily against `by` (the frozen main cycle):
     /// a speculative pipeline usually runs *ahead* of the main one, and
     /// then [`Engine::ready_floor`] alone already exceeds `by` — the
-    /// operand walk (`srcs_of` + per-register scoreboard reads) is skipped
-    /// and the floor is stored as an inexact lower bound. Scans that later
-    /// see the bound at or below their main cycle refine it first via
-    /// [`SpecState::refine_gate`], so eligibility decisions are unchanged.
+    /// operand walk (the next instruction's operands + per-register
+    /// scoreboard reads) is skipped and the floor is stored as an inexact
+    /// lower bound. Scans that later see the bound at or below their main
+    /// cycle refine it first via [`SpecState::refine_gate`], so
+    /// eligibility decisions are unchanged.
     fn refresh_gate(&mut self, eng: &Engine, by: u64) {
         if self.cursor.is_halted() {
             self.gate = u64::MAX;
@@ -332,9 +335,9 @@ impl<'p> SpecState<'p> {
     /// next own step (nothing else moves its engine or cursor).
     fn refine_gate(&mut self, eng: &Engine) {
         if !self.gate_exact {
-            if let Some(pos) = self.cursor.position() {
+            if let Some(inst) = self.cursor.next_inst() {
                 let depth = (self.cursor.depth() - 1) as u32;
-                let srcs = self.cursor.decoded().srcs_of(pos);
+                let srcs = self.cursor.decoded().srcs(inst);
                 self.gate = eng.ready_time(depth, srcs.iter().map(|r| r.0));
             }
             self.gate_exact = true;
@@ -351,14 +354,15 @@ impl<'p> SpecState<'p> {
         cfg: &MachineConfig,
         traced: bool,
     ) -> Option<(FuncId, BlockId)> {
+        let Some(pc) = self.cursor.pc() else {
+            self.stalled = true;
+            return None;
+        };
         let mut view = SpecMem {
             ssb: &mut self.ssb,
             base: mem,
         };
-        let Some(ev) = self.cursor.step(&mut view) else {
-            self.stalled = true;
-            return None;
-        };
+        let ev = self.cursor.step(&mut view).expect("a live cursor steps");
 
         // Precise live-in tracking at the fork level, with lazy fork-value
         // capture: a register this thread has not yet written still holds
@@ -413,7 +417,7 @@ impl<'p> SpecState<'p> {
             core.issue_quiet(&tev, cache, &cfg.core);
         }
 
-        self.srb.push(SrbEntry::of(&ev));
+        self.srb.push(SrbEntry::of(pc, &ev));
         // Stall on a full SRB, on a halt, or (wrong-path safety) when the
         // thread returned out of the fork frame.
         if self.srb.len() >= cfg.srb_entries
@@ -595,15 +599,10 @@ impl<'p> Fabric<'p> {
             Parent::Main => &mut self.main,
             Parent::Ring(i) => &mut self.ring[i].cursor,
         };
-        let start_pos = Loc {
-            func,
-            block: start,
-            idx: 0,
-        };
         let mut st = SpecState::acquire(
             &mut self.free,
             parent_cursor,
-            start_pos,
+            start,
             self.mem.len(),
             core,
             loop_idx,
@@ -703,7 +702,7 @@ impl<'p> Fabric<'p> {
             // Stepping is the only way to get there, so checking after
             // every step covers every park transition.
             if let [sp, nxt, ..] = &mut self.ring[i..] {
-                if sp.cursor.depth() == nxt.start_depth && sp.cursor.at(nxt.start_pos) {
+                if sp.cursor.depth() == nxt.start_depth && sp.cursor.at_pc(nxt.start_pc) {
                     sp.stalled = true;
                 }
             }
@@ -734,10 +733,10 @@ impl<'p> Fabric<'p> {
         // The oldest thread's start-point is static for the whole batch
         // (every path that changes the ring returns), so hoist it out of
         // the per-step arrival check.
-        let arrival = self.ring.first().map(|s| (s.start_pos, s.start_depth));
+        let arrival = self.ring.first().map(|s| (s.start_pc, s.start_depth));
         loop {
-            if let Some((at, depth)) = arrival {
-                if self.main.at(at) && self.main.depth() == depth {
+            if let Some((pc, depth)) = arrival {
+                if self.main.at_pc(pc) && self.main.depth() == depth {
                     self.arrive();
                     return;
                 }
@@ -999,7 +998,7 @@ impl<'p> Fabric<'p> {
             }
             // Control divergence: the correct path no longer matches the
             // speculated one — kill and resume normal execution here.
-            if !self.main.at(entry.loc) {
+            if !self.main.at_pc(entry.pc) {
                 self.n.divergence_kills += 1;
                 if let Some(li) = sp.loop_idx {
                     self.per_loop[li].kills += 1;
@@ -1067,7 +1066,7 @@ impl<'p> Fabric<'p> {
             }
             // Calls: a poisoned argument poisons the callee parameter.
             if let DecOp::Call { args, .. } = cev.inst().op {
-                for (i, a) in dec.func(cev.func()).operands(args).iter().enumerate() {
+                for (i, a) in dec.operands(args).iter().enumerate() {
                     if updated.contains(cev.depth, a.0) {
                         updated.insert(cev.depth + 1, i as u32);
                     }

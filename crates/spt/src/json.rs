@@ -346,18 +346,22 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
                 Some(b'r') => '\r',
                 Some(b't') => '\t',
                 Some(b'u') => {
-                    let hex = self
-                        .s
-                        .get(self.i + 1..self.i + 5)
-                        .ok_or(ParseError::TruncatedUnicode)?;
-                    // Exactly four hex digits: `from_str_radix` rejects
-                    // every other byte but a leading `+`.
-                    if hex[0] == b'+' {
-                        return Err(ParseError::BadUnicode);
+                    let mut code = self.hex4()?;
+                    if (0xD800..0xDC00).contains(&code) {
+                        // A high surrogate: only an escaped low surrogate
+                        // may follow, and the pair is one character
+                        // (RFC 8259 §7).
+                        if self.s.get(self.i + 1..self.i + 3) != Some(&b"\\u"[..]) {
+                            return Err(ParseError::BadUnicode);
+                        }
+                        self.i += 2;
+                        let low = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(ParseError::BadUnicode);
+                        }
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                     }
-                    let hex = std::str::from_utf8(hex).map_err(ParseError::Utf8)?;
-                    let code = u32::from_str_radix(hex, 16).map_err(ParseError::Int)?;
-                    self.i += 4;
+                    // A lone low surrogate is no character either.
                     char::from_u32(code).ok_or(ParseError::BadUnicode)?
                 }
                 _ => return Err(ParseError::BadEscape(self.i)),
@@ -369,7 +373,27 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
         }
     }
 
-    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` (RFC 8259).
+    /// The four hex digits after the `u` of a `\u` escape at `self.i`;
+    /// leaves `self.i` on the last of them.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self
+            .s
+            .get(self.i + 1..self.i + 5)
+            .ok_or(ParseError::TruncatedUnicode)?;
+        // Exactly four hex digits: `from_str_radix` rejects every other
+        // byte but a leading `+`.
+        if hex[0] == b'+' {
+            return Err(ParseError::BadUnicode);
+        }
+        let hex = std::str::from_utf8(hex).map_err(ParseError::Utf8)?;
+        let code = u32::from_str_radix(hex, 16).map_err(ParseError::Int)?;
+        self.i += 4;
+        Ok(code)
+    }
+
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` (RFC 8259). An
+    /// integer beyond `i64`/`u64` reads as the nearest `f64`, as §6
+    /// allows.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.i;
         if self.s.get(self.i) == Some(&b'-') {
@@ -396,14 +420,21 @@ impl<const BUILD: bool> Parser<'_, BUILD> {
             self.required_digits(start)?;
         }
         let text = std::str::from_utf8(&self.s[start..self.i]).map_err(ParseError::Utf8)?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(ParseError::Float)
+        // The grammar above admits only digits, so an integer parse can
+        // fail by overflow alone.
+        let int = if is_float {
+            None
         } else if text.starts_with('-') {
-            text.parse::<i64>().map(Json::Int).map_err(ParseError::Int)
+            text.parse::<i64>().ok().map(Json::Int)
         } else {
-            text.parse::<u64>().map(Json::UInt).map_err(ParseError::Int)
+            text.parse::<u64>().ok().map(Json::UInt)
+        };
+        match int {
+            Some(v) => Ok(v),
+            None => text
+                .parse::<f64>()
+                .map(Json::Float)
+                .map_err(ParseError::Float),
         }
     }
 
@@ -767,7 +798,11 @@ mod tests {
             assert_eq!(Json::parse(&j.dump()).unwrap().dump(), j.dump());
         }
         assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
-        assert!(Json::parse("-9223372036854775809").is_err());
+        // One past `i64::MIN` is still a JSON number: it reads as a float.
+        assert_eq!(
+            Json::parse("-9223372036854775809").unwrap(),
+            Json::Float(-9223372036854775809.0)
+        );
     }
 
     #[test]
@@ -862,6 +897,14 @@ mod tests {
             "\"\\u+041\"",
             "\"\\u00e9\"",
             "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\ud83d\\ude00\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ud83d\"",
+            "\"\\ud83d\\u00\"",
+            "\"\\ud83dx\"",
+            "99999999999999999999999",
+            "-9223372036854775809",
             "\"a\nb\"",
             "[1,]",
             "[,1]",
@@ -904,6 +947,10 @@ mod tests {
             "\"a\nb\"",
             "\"a\u{1}b\"",
             "\"\\x\"",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83dx\"",
         ] {
             assert!(Json::parse(text).is_err(), "{text:?} is not JSON");
         }
@@ -918,6 +965,9 @@ mod tests {
             ("-2.5e+3", Json::Float(-2500.0)),
             ("\"\\b\\f\"", Json::Str("\u{8}\u{c}".into())),
             ("\"\\u00e9\"", Json::Str("é".into())),
+            ("\"\\ud83d\\ude00\"", Json::Str("\u{1F600}".into())),
+            ("18446744073709551616", Json::Float(18446744073709551616.0)),
+            ("-9223372036854775809", Json::Float(-9223372036854775809.0)),
         ] {
             assert_eq!(Json::parse(text).unwrap(), want, "{text:?}");
         }
