@@ -261,7 +261,7 @@ fn main() {
         report.sim_cycles_per_sec()
     );
     if let Some(m) = &telemetry {
-        let expo = m.render(&sweep);
+        let expo = m.render(&sweep, None);
         match spt_metrics::validate_exposition(&expo) {
             Ok(n) => println!("[perf_bench] telemetry attached: exposition valid, {n} samples"),
             Err(e) => {

@@ -2,8 +2,8 @@
 //!
 //! Every `spt-bench` binary today pays full process startup and a cold
 //! memo cache per run, even though `spt::sweep` content-keys every phase
-//! result. This crate keeps one warm [`Sweep`] engine (backed by the
-//! on-disk [`DiskStore`]) behind a socket:
+//! result. This crate keeps one warm [`Sweep`] engine, and an optional
+//! on-disk [`DiskStore`] of whole responses, behind a socket:
 //!
 //! * **Protocol** — newline-delimited JSON over a TCP socket or a Unix
 //!   domain socket (an address containing `/` is a socket path). One
@@ -34,7 +34,9 @@
 //! * **Warm store** — full response payloads are persisted in the
 //!   [`DiskStore`] under the request fingerprint, so a repeated request
 //!   after restart, or after its memo entry was evicted, is served from
-//!   disk without simulating anything.
+//!   disk without simulating anything. This is the only disk tier: the
+//!   sweep's phase memo stays in memory, and a computed request writes
+//!   exactly one entry.
 //! * **Timeouts & shutdown** — every connection has a read timeout.
 //!   Listeners block in `accept`; a `shutdown` request, [`Server::shutdown`]
 //!   or dropping the [`Server`] sets the stop flag and wakes each listener
@@ -296,6 +298,8 @@ impl Wake {
 /// State shared by every connection worker.
 pub(crate) struct Shared {
     sweep: Sweep,
+    /// The response store under `--cache-dir`; `None` runs memory-only.
+    store: Option<DiskStore>,
     run_cfg: RunConfig,
     /// `debug_fingerprint(&run_cfg)`, the run configuration's part of every
     /// request key, hashed once at start.
@@ -344,7 +348,7 @@ impl Shared {
             .with("errors", self.errors.load(Ordering::Relaxed))
             .with("served", served)
             .with("memo_cache", self.sweep.memo_stats().to_json());
-        if let Some(st) = self.sweep.store() {
+        if let Some(st) = &self.store {
             j = j
                 .with("store", st.stats().to_json())
                 .with("store_dir", st.dir().display().to_string());
@@ -354,7 +358,7 @@ impl Shared {
 
     /// Current Prometheus exposition of the telemetry plane.
     pub(crate) fn metrics_text(&self) -> String {
-        self.metrics.render(&self.sweep)
+        self.metrics.render(&self.sweep, self.store.as_ref())
     }
 
     /// The content fingerprint of a request: its canonical wire form
@@ -396,7 +400,7 @@ impl Shared {
     /// entry's checked bytes as they are; a computed payload is dumped
     /// once, for both the memo cell and the store.
     fn compute(&self, req: &Request, key: u64) -> Result<(Arc<str>, bool), String> {
-        let store = self.sweep.store();
+        let store = self.store.as_ref();
         if let Some(payload) = store.and_then(|st| st.load_raw("response", key)) {
             return Ok((payload, true));
         }
@@ -551,17 +555,13 @@ impl Server {
             None => None,
         };
         let metrics = ServeMetrics::new();
-        let mut sweep = match &cfg.cache_dir {
-            Some(dir) => {
-                let store = Arc::new(DiskStore::open(dir)?);
-                Sweep::with_store(cfg.workers.max(1), store)
-            }
-            None => Sweep::new(cfg.workers.max(1)),
-        };
+        let store = cfg.cache_dir.as_ref().map(DiskStore::open).transpose()?;
+        let mut sweep = Sweep::new(cfg.workers.max(1));
         sweep.set_observer(metrics.sweep_observer());
         let run_cfg = RunConfig::default();
         let shared = Arc::new(Shared {
             sweep,
+            store,
             run_cfg_key: debug_fingerprint(&run_cfg),
             run_cfg,
             stop: AtomicBool::new(false),
@@ -693,7 +693,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     for t in workers {
         let _ = t.join();
     }
-    if let Some(st) = shared.sweep.store() {
+    if let Some(st) = &shared.store {
         st.flush();
     }
     drop(listener);

@@ -3,7 +3,7 @@
 //! Two layers share one [`Registry`]:
 //!
 //! * [`SweepMetrics`] — a [`PhaseObserver`] fed by the engine itself:
-//!   per-phase compute time and provenance (computed/memo/store). Also
+//!   per-phase compute time and provenance (computed/memo). Also
 //!   usable standalone (`perf_bench --metrics` attaches one to a
 //!   direct-mode sweep).
 //! * [`ServeMetrics`] — request-plane metrics: latency histograms keyed
@@ -17,7 +17,7 @@
 //! suffixes, closed label sets only).
 
 use spt::sweep::{PhaseObserver, PhaseStamp};
-use spt::Sweep;
+use spt::{DiskStore, Sweep};
 use spt_metrics::{Counter, FCounter, Family, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ impl SweepMetrics {
             ),
             phase_total: reg.counter_vec(
                 "spt_sweep_phase_total",
-                "Memoized phase lookups by provenance (computed/memo/store).",
+                "Memoized phase lookups by provenance (computed/memo).",
                 &["phase", "provenance"],
             ),
         };
@@ -250,9 +250,10 @@ impl ServeMetrics {
         self.bytes_written.add(n);
     }
 
-    /// Refresh the mirrored counters from their owners and render the
+    /// Refresh the mirrored counters from their owners — the sweep's memo
+    /// and the daemon's response store, when it has one — and render the
     /// whole registry as Prometheus text exposition.
-    pub fn render(&self, sweep: &Sweep) -> String {
+    pub fn render(&self, sweep: &Sweep, store: Option<&DiskStore>) -> String {
         let memo = sweep.memo_stats();
         for (phase, hits, misses) in [
             ("profile", memo.profile_hits, memo.profile_misses),
@@ -263,7 +264,7 @@ impl ServeMetrics {
             self.memo_hits.with(&[phase]).mirror(hits);
             self.memo_misses.with(&[phase]).mirror(misses);
         }
-        if let Some(st) = sweep.store() {
+        if let Some(st) = store {
             let stats = st.stats();
             self.store_hits.mirror(stats.hits);
             self.store_misses.mirror(stats.misses);
@@ -296,7 +297,7 @@ mod tests {
         let _ = sweep.evaluate("array_map", &prog, &cfg);
         let _ = sweep.evaluate("array_map", &prog, &cfg);
 
-        let text = metrics.render(&sweep);
+        let text = metrics.render(&sweep, None);
         validate_exposition(&text).expect("valid exposition");
         let scrape = spt_metrics::parse_exposition(&text).unwrap();
         assert_eq!(
@@ -335,7 +336,7 @@ mod tests {
         cfg.machine.cores = 4;
         let _ = sweep.evaluate("array_map", &prog, &cfg);
 
-        let text = metrics.render(&sweep);
+        let text = metrics.render(&sweep, None);
         validate_exposition(&text).expect("valid exposition");
         let scrape = spt_metrics::parse_exposition(&text).unwrap();
         let fresh = scrape.get("spt_arena_fresh_total").unwrap().value;
@@ -359,7 +360,7 @@ mod tests {
         metrics.add_bytes_read(120);
         metrics.add_bytes_written(4096);
 
-        let text = metrics.render(&Sweep::sequential());
+        let text = metrics.render(&Sweep::sequential(), None);
         validate_exposition(&text).expect("valid exposition");
         let scrape = spt_metrics::parse_exposition(&text).unwrap();
         assert_eq!(scrape.sum("spt_requests_total"), 3.0);

@@ -197,12 +197,11 @@ fn store_metrics_surface_disk_traffic() {
     let a = start_with_metrics(Some(dir.clone()));
     let cold = client::request(a.addr(), &eval_body("mcfs")).unwrap();
     assert_eq!(cold.served, "computed");
+    // One computed eval is one response lookup and one response write:
+    // the store holds whole responses only.
     let s = parse_exposition(&http_scrape(a.metrics_addr().unwrap())).unwrap();
-    assert!(
-        s.sum("spt_store_writes_total") >= 1.0,
-        "store write counted"
-    );
-    assert!(s.sum("spt_store_misses_total") >= 1.0, "cold miss counted");
+    assert_eq!(s.sum("spt_store_writes_total"), 1.0, "one write per eval");
+    assert_eq!(s.sum("spt_store_misses_total"), 1.0, "one cold miss");
     a.shutdown();
 
     // Warm daemon, same store: the hit shows up in the scrape.
@@ -210,7 +209,8 @@ fn store_metrics_surface_disk_traffic() {
     let warm = client::request(b.addr(), &eval_body("mcfs")).unwrap();
     assert_eq!(warm.served, "store");
     let s = parse_exposition(&http_scrape(b.metrics_addr().unwrap())).unwrap();
-    assert!(s.sum("spt_store_hits_total") >= 1.0, "warm hit counted");
+    assert_eq!(s.sum("spt_store_hits_total"), 1.0, "one warm hit");
+    assert_eq!(s.sum("spt_store_misses_total"), 0.0, "no warm miss");
     assert!(
         sum_where(&s, "spt_responses_total", &[("served", "store")]) >= 1.0,
         "store-served response labeled"
@@ -264,7 +264,7 @@ fn metrics_are_purely_observational() {
         "deterministic reports must be byte-identical"
     );
     // The observer really ran — this is a non-vacuous comparison.
-    let rendered = metrics.render(&observed_sweep);
+    let rendered = metrics.render(&observed_sweep, None);
     let s = parse_exposition(&rendered).unwrap();
     assert!(
         s.sum("spt_sweep_phase_total") > 0.0,

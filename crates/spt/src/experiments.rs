@@ -422,7 +422,7 @@ pub fn fig8_rows(outcomes: &[EvalOutcome]) -> Vec<Fig8Row> {
         .iter()
         .map(|o| {
             let speedups = o.loop_speedups();
-            let weights: Vec<f64> = o.baseline_loop_cycles.iter().map(|&c| c as f64).collect();
+            let weights: Vec<f64> = o.baseline.loop_cycles.iter().map(|&c| c as f64).collect();
             let wsum: f64 = weights.iter().sum();
             let avg = if wsum > 0.0 {
                 speedups

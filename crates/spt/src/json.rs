@@ -723,7 +723,7 @@ impl ToJson for crate::solution::EvalOutcome {
             .with("rejected", self.compiled.rejected.len())
             .with(
                 "baseline_loop_cycles",
-                Json::array(self.baseline_loop_cycles.clone()),
+                Json::array(self.baseline.loop_cycles.clone()),
             )
             .with("speedup", self.speedup())
             .with("semantics_ok", self.semantics_ok())

@@ -30,15 +30,14 @@ impl Default for RunConfig {
 #[derive(Clone, Debug)]
 pub struct EvalOutcome {
     pub name: String,
-    /// The sequential program on one core (the paper's reference).
+    /// The sequential program on one core (the paper's reference). Its
+    /// `loop_cycles` are the cycles attributed to each selected loop's
+    /// *original* form, aligned with `compiled.loops` order.
     pub baseline: BaselineReport,
     /// The SPT-compiled program on the two-core SPT machine.
     pub spt: SptReport,
     /// Compiler output (selected loops, rejections, profile).
     pub compiled: CompileResult,
-    /// Baseline cycles attributed to each selected loop's *original* form,
-    /// aligned with `compiled.loops` order.
-    pub baseline_loop_cycles: Vec<u64>,
 }
 
 impl EvalOutcome {
@@ -52,7 +51,8 @@ impl EvalOutcome {
 
     /// Per-selected-loop speedups (baseline loop cycles / SPT loop cycles).
     pub fn loop_speedups(&self) -> Vec<f64> {
-        self.baseline_loop_cycles
+        self.baseline
+            .loop_cycles
             .iter()
             .zip(&self.spt.per_loop)
             .map(|(&b, s)| {
@@ -143,7 +143,6 @@ pub fn evaluate_program(name: &str, prog: &Program, cfg: &RunConfig) -> EvalOutc
 
     EvalOutcome {
         name: name.to_string(),
-        baseline_loop_cycles: baseline.loop_cycles.clone(),
         baseline,
         spt,
         compiled,
@@ -229,6 +228,6 @@ mod tests {
         let prog = array_map(200, 12);
         let out = evaluate_program("array_map", &prog, &cfg());
         assert_eq!(out.loop_speedups().len(), out.compiled.loops.len());
-        assert_eq!(out.baseline_loop_cycles.len(), out.compiled.loops.len());
+        assert_eq!(out.baseline.loop_cycles.len(), out.compiled.loops.len());
     }
 }

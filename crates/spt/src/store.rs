@@ -1,11 +1,9 @@
-//! Versioned on-disk content-addressed result store.
+//! Versioned on-disk content-addressed payload store.
 //!
-//! The in-process memo cache (`spt::sweep`) already keys every pipeline
-//! phase by content fingerprints; this module extends those keys to a
-//! cache *directory* so phase results survive the process. A long-running
-//! `spt-serve` daemon (and any sweep opened with [`crate::Sweep::with_store`])
-//! answers repeated `(program, config, fuel)` requests from disk instead
-//! of re-simulating.
+//! The `spt-serve` daemon persists each whole response payload here under
+//! its request fingerprint, so a repeated request after a restart, or
+//! after its in-memory memo entry was evicted, is answered from disk
+//! instead of re-simulating. The sweep's phase memo is in-memory only.
 //!
 //! ## Entry format
 //!
@@ -13,7 +11,7 @@
 //! JSON envelope written as exactly these bytes:
 //!
 //! ```text
-//! {"spt_store_schema":5,"kind":"spt_sim","key":"00ab...","check":"3f...","payload":{...}}
+//! {"spt_store_schema":5,"kind":"response","key":"00ab...","check":"3f...","payload":{...}}
 //! ```
 //!
 //! * `spt_store_schema` — the store's schema version ([`STORE_SCHEMA`]).
@@ -34,17 +32,14 @@
 //! **Robustness contract:** a missing, truncated, non-UTF-8, misframed,
 //! version-mismatched, misnamed, checksum-failing or invalid entry is a
 //! *miss* — never a panic, never a partial result — and the next
-//! [`DiskStore::save`] for that key simply overwrites it. Writes go
+//! [`DiskStore::save_raw`] for that key simply overwrites it. Writes go
 //! through a temp file plus rename so concurrent readers of the same
 //! directory only ever observe complete entries.
 //!
-//! The store is deliberately value-agnostic: it stores [`Json`] payloads.
-//! Complete round-trip encoders for the two expensive phase results
-//! ([`BaselineReport`], [`SptReport`]) live here too; profile and compile
-//! results are cheap to recompute and stay in-memory only.
+//! The store is value-agnostic: a payload is the bytes of one
+//! [`Json::dump`], stored and served as they are.
 
 use crate::json::Json;
-use spt_sim::{BaselineReport, CycleBreakdown, PerCoreStats, PerLoopStats, SptReport};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,7 +100,7 @@ impl crate::json::ToJson for StoreStats {
 }
 
 /// A content-addressed cache directory of `fingerprint → JSON payload`
-/// entries. Cheap to clone behind an `Arc`; all methods take `&self`.
+/// entries. All methods take `&self`, so one handle serves every thread.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -148,14 +143,6 @@ impl DiskStore {
         self.dir.join(format!("{kind}-{key:016x}.json"))
     }
 
-    /// Look up the payload stored for `(kind, key)`, parsed. Any defect in
-    /// the entry reads as `None` (see [`DiskStore::load_raw`]).
-    pub fn load(&self, kind: &str, key: u64) -> Option<Json> {
-        // `load_raw` has validated the payload with the grammar `parse`
-        // uses, so this parse cannot fail.
-        Json::parse(&self.load_raw(kind, key)?).ok()
-    }
-
     /// Look up the payload stored for `(kind, key)` as the bytes on disk,
     /// without parsing them. Any defect in the entry — missing file,
     /// non-UTF-8 bytes, a header other than the one [`DiskStore::save_raw`]
@@ -191,12 +178,6 @@ impl DiskStore {
         }
     }
 
-    /// Persist `payload` as the entry for `(kind, key)`; see
-    /// [`DiskStore::save_raw`].
-    pub fn save(&self, kind: &str, key: u64, payload: &Json) {
-        self.save_raw(kind, key, &payload.dump());
-    }
-
     /// Persist `body`, a [`Json::dump`], as the entry for `(kind, key)`,
     /// overwriting any existing (possibly corrupt) entry. Write failures
     /// are swallowed — the store is a cache, not a source of truth — but
@@ -218,7 +199,7 @@ impl DiskStore {
 
     /// Flush store metadata: a `_meta.json` snapshot of the schema version
     /// and this handle's counters. Called by the daemon's graceful
-    /// shutdown; entries themselves are already durable at `save` time.
+    /// shutdown; entries themselves are already durable at `save_raw` time.
     pub fn flush(&self) {
         use crate::json::ToJson as _;
         let meta = Json::obj()
@@ -271,249 +252,6 @@ fn entry_payload<'t>(text: &'t str, kind: &str, key: u64) -> Option<&'t str> {
     (check_ok && !payload.contains(['\n', '\r']) && Json::validate(payload)).then_some(payload)
 }
 
-// ---------------------------------------------------------------------------
-// Complete round-trip encoders for the persisted phase results
-// ---------------------------------------------------------------------------
-//
-// These are distinct from the public `ToJson` impls in `crate::json`: those
-// define the *report schema* consumed by tooling (and pinned by goldens),
-// which omits fields like cache-hit counts that no figure needs. A store
-// entry must reconstruct the exact struct, so every field is encoded.
-
-fn breakdown_json(b: &CycleBreakdown) -> Json {
-    Json::obj()
-        .with("busy", b.busy)
-        .with("pipe_stall", b.pipe_stall)
-        .with("dcache_stall", b.dcache_stall)
-        .with("fetch_gate", b.stall.fetch_gate)
-        .with("operand", b.stall.operand)
-        .with("advance", b.stall.advance)
-}
-
-fn breakdown_from(j: &Json) -> Option<CycleBreakdown> {
-    let mut b = CycleBreakdown::default();
-    b.busy = j.get("busy")?.as_u64()?;
-    b.pipe_stall = j.get("pipe_stall")?.as_u64()?;
-    b.dcache_stall = j.get("dcache_stall")?.as_u64()?;
-    b.stall.fetch_gate = j.get("fetch_gate")?.as_u64()?;
-    b.stall.operand = j.get("operand")?.as_u64()?;
-    b.stall.advance = j.get("advance")?.as_u64()?;
-    Some(b)
-}
-
-fn cache_json(c: &spt_mach::CacheStats) -> Json {
-    Json::obj()
-        .with("l1_hits", c.l1_hits)
-        .with("l1_misses", c.l1_misses)
-        .with("l2_hits", c.l2_hits)
-        .with("l2_misses", c.l2_misses)
-        .with("l3_hits", c.l3_hits)
-        .with("l3_misses", c.l3_misses)
-}
-
-fn cache_from(j: &Json) -> Option<spt_mach::CacheStats> {
-    let mut c = spt_mach::CacheStats::default();
-    c.l1_hits = j.get("l1_hits")?.as_u64()?;
-    c.l1_misses = j.get("l1_misses")?.as_u64()?;
-    c.l2_hits = j.get("l2_hits")?.as_u64()?;
-    c.l2_misses = j.get("l2_misses")?.as_u64()?;
-    c.l3_hits = j.get("l3_hits")?.as_u64()?;
-    c.l3_misses = j.get("l3_misses")?.as_u64()?;
-    Some(c)
-}
-
-fn u64s_json(xs: &[u64]) -> Json {
-    Json::Array(xs.iter().map(|&x| Json::UInt(x)).collect())
-}
-
-fn u64s_from(j: &Json) -> Option<Vec<u64>> {
-    j.as_array()?.iter().map(Json::as_u64).collect()
-}
-
-fn ret_json(r: Option<i64>) -> Json {
-    r.map_or(Json::Null, Json::Int)
-}
-
-fn ret_from(j: &Json) -> Option<Option<i64>> {
-    match j {
-        Json::Null => Some(None),
-        other => other.as_i64().map(Some),
-    }
-}
-
-/// A phase result the store persists: its entry kind plus a payload
-/// encoding that round-trips exactly.
-pub(crate) trait Stored: Sized {
-    /// Entry kind, the file-name prefix of its entries.
-    const KIND: &'static str;
-    fn to_payload(&self) -> Json;
-    /// Inverse of [`Stored::to_payload`]; `None` on any missing or
-    /// mistyped field.
-    fn from_payload(j: &Json) -> Option<Self>;
-}
-
-impl Stored for BaselineReport {
-    const KIND: &'static str = "baseline";
-
-    /// Encode a [`BaselineReport`] with every field but the two always-zero
-    /// memo counters (store payload form).
-    fn to_payload(&self) -> Json {
-        Json::obj()
-            .with("cycles", self.cycles)
-            .with("instrs", self.instrs)
-            .with("breakdown", breakdown_json(&self.breakdown))
-            .with("cache", cache_json(&self.cache))
-            .with("bp_mispredicts", self.bp_mispredicts)
-            .with("bp_lookups", self.bp_lookups)
-            .with("loop_cycles", u64s_json(&self.loop_cycles))
-            .with("loop_instrs", u64s_json(&self.loop_instrs))
-            .with("ret", ret_json(self.ret))
-            .with("steps", self.steps)
-            .with("out_of_fuel", self.out_of_fuel)
-    }
-
-    /// Decode a [`BaselineReport`]; `None` on any missing or mistyped field.
-    fn from_payload(j: &Json) -> Option<Self> {
-        Some(BaselineReport {
-            cycles: j.get("cycles")?.as_u64()?,
-            instrs: j.get("instrs")?.as_u64()?,
-            breakdown: breakdown_from(j.get("breakdown")?)?,
-            cache: cache_from(j.get("cache")?)?,
-            bp_mispredicts: j.get("bp_mispredicts")?.as_u64()?,
-            bp_lookups: j.get("bp_lookups")?.as_u64()?,
-            loop_cycles: u64s_from(j.get("loop_cycles")?)?,
-            loop_instrs: u64s_from(j.get("loop_instrs")?)?,
-            ret: ret_from(j.get("ret")?)?,
-            steps: j.get("steps")?.as_u64()?,
-            out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
-            superstep_hits: 0,
-            superstep_misses: 0,
-        })
-    }
-}
-
-fn per_loop_json(l: &PerLoopStats) -> Json {
-    Json::obj()
-        .with("id", l.id)
-        .with("cycles", l.cycles)
-        .with("instrs", l.instrs)
-        .with("forks", l.forks)
-        .with("fast_commits", l.fast_commits)
-        .with("replays", l.replays)
-        .with("kills", l.kills)
-        .with("spec_instrs", l.spec_instrs)
-        .with("spec_misspec", l.spec_misspec)
-}
-
-fn per_loop_from(j: &Json) -> Option<PerLoopStats> {
-    Some(PerLoopStats {
-        id: j.get("id")?.as_u64()? as usize,
-        cycles: j.get("cycles")?.as_u64()?,
-        instrs: j.get("instrs")?.as_u64()?,
-        forks: j.get("forks")?.as_u64()?,
-        fast_commits: j.get("fast_commits")?.as_u64()?,
-        replays: j.get("replays")?.as_u64()?,
-        kills: j.get("kills")?.as_u64()?,
-        spec_instrs: j.get("spec_instrs")?.as_u64()?,
-        spec_misspec: j.get("spec_misspec")?.as_u64()?,
-    })
-}
-
-fn per_core_json(c: &PerCoreStats) -> Json {
-    Json::obj()
-        .with("core", c.core)
-        .with("instrs", c.instrs)
-        .with("threads", c.threads)
-        .with("fast_commits", c.fast_commits)
-        .with("replays", c.replays)
-        .with("kills", c.kills)
-}
-
-fn per_core_from(j: &Json) -> Option<PerCoreStats> {
-    Some(PerCoreStats {
-        core: j.get("core")?.as_u64()? as usize,
-        instrs: j.get("instrs")?.as_u64()?,
-        threads: j.get("threads")?.as_u64()?,
-        fast_commits: j.get("fast_commits")?.as_u64()?,
-        replays: j.get("replays")?.as_u64()?,
-        kills: j.get("kills")?.as_u64()?,
-    })
-}
-
-impl Stored for SptReport {
-    const KIND: &'static str = "spt_sim";
-
-    /// Encode an [`SptReport`] with every field but the two always-zero memo
-    /// counters (store payload form).
-    fn to_payload(&self) -> Json {
-        Json::obj()
-            .with("cycles", self.cycles)
-            .with("instrs", self.instrs)
-            .with("breakdown", breakdown_json(&self.breakdown))
-            .with("cache", cache_json(&self.cache))
-            .with("forks", self.forks)
-            .with("forks_ignored", self.forks_ignored)
-            .with("fast_commits", self.fast_commits)
-            .with("replays", self.replays)
-            .with("kills", self.kills)
-            .with("divergence_kills", self.divergence_kills)
-            .with("spec_instrs_checked", self.spec_instrs_checked)
-            .with("spec_instrs_discarded", self.spec_instrs_discarded)
-            .with("spec_misspec", self.spec_misspec)
-            .with(
-                "per_loop",
-                Json::Array(self.per_loop.iter().map(per_loop_json).collect()),
-            )
-            .with(
-                "per_core",
-                Json::Array(self.per_core.iter().map(per_core_json).collect()),
-            )
-            .with("bp_mispredicts", self.bp_mispredicts)
-            .with("bp_lookups", self.bp_lookups)
-            .with("ret", ret_json(self.ret))
-            .with("steps", self.steps)
-            .with("out_of_fuel", self.out_of_fuel)
-    }
-
-    /// Decode an [`SptReport`]; `None` on any missing or mistyped field.
-    fn from_payload(j: &Json) -> Option<Self> {
-        Some(SptReport {
-            cycles: j.get("cycles")?.as_u64()?,
-            instrs: j.get("instrs")?.as_u64()?,
-            breakdown: breakdown_from(j.get("breakdown")?)?,
-            cache: cache_from(j.get("cache")?)?,
-            forks: j.get("forks")?.as_u64()?,
-            forks_ignored: j.get("forks_ignored")?.as_u64()?,
-            fast_commits: j.get("fast_commits")?.as_u64()?,
-            replays: j.get("replays")?.as_u64()?,
-            kills: j.get("kills")?.as_u64()?,
-            divergence_kills: j.get("divergence_kills")?.as_u64()?,
-            spec_instrs_checked: j.get("spec_instrs_checked")?.as_u64()?,
-            spec_instrs_discarded: j.get("spec_instrs_discarded")?.as_u64()?,
-            spec_misspec: j.get("spec_misspec")?.as_u64()?,
-            per_loop: j
-                .get("per_loop")?
-                .as_array()?
-                .iter()
-                .map(per_loop_from)
-                .collect::<Option<Vec<_>>>()?,
-            per_core: j
-                .get("per_core")?
-                .as_array()?
-                .iter()
-                .map(per_core_from)
-                .collect::<Option<Vec<_>>>()?,
-            bp_mispredicts: j.get("bp_mispredicts")?.as_u64()?,
-            bp_lookups: j.get("bp_lookups")?.as_u64()?,
-            ret: ret_from(j.get("ret")?)?,
-            steps: j.get("steps")?.as_u64()?,
-            out_of_fuel: j.get("out_of_fuel")?.as_bool()?,
-            superstep_hits: 0,
-            superstep_misses: 0,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,12 +266,20 @@ mod tests {
         Json::obj().with("cycles", 123u64).with("ok", true)
     }
 
+    /// `sample_payload()` as stored and served.
+    fn sample_body() -> String {
+        sample_payload().dump()
+    }
+
     #[test]
     fn save_then_load_roundtrips() {
         let store = DiskStore::open(tmp_dir("roundtrip")).unwrap();
-        assert_eq!(store.load("spt_sim", 7), None);
-        store.save("spt_sim", 7, &sample_payload());
-        assert_eq!(store.load("spt_sim", 7), Some(sample_payload()));
+        assert_eq!(store.load_raw("response", 7), None);
+        store.save_raw("response", 7, &sample_body());
+        assert_eq!(
+            store.load_raw("response", 7).as_deref(),
+            Some(sample_body().as_str())
+        );
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.rejects, s.writes), (1, 1, 0, 1));
     }
@@ -541,16 +287,16 @@ mod tests {
     #[test]
     fn kind_and_key_must_match() {
         let store = DiskStore::open(tmp_dir("kindkey")).unwrap();
-        store.save("baseline", 9, &sample_payload());
-        assert_eq!(store.load("spt_sim", 9), None);
-        assert_eq!(store.load("baseline", 10), None);
+        store.save_raw("response", 9, &sample_body());
+        assert_eq!(store.load_raw("other", 9), None);
+        assert_eq!(store.load_raw("response", 10), None);
         // A file renamed to another key's path is rejected, not served.
         std::fs::rename(
-            store.entry_path("baseline", 9),
-            store.entry_path("baseline", 10),
+            store.entry_path("response", 9),
+            store.entry_path("response", 10),
         )
         .unwrap();
-        assert_eq!(store.load("baseline", 10), None);
+        assert_eq!(store.load_raw("response", 10), None);
         assert!(store.stats().rejects >= 1);
     }
 
@@ -569,11 +315,7 @@ mod tests {
             Json::from("a string payload"),
             Json::Array(vec![]),
         ];
-        for (kind, key) in [
-            ("response", 0u64),
-            ("spt_sim", u64::MAX),
-            ("baseline", 0xab),
-        ] {
+        for (kind, key) in [("response", 0u64), ("response", u64::MAX), ("other", 0xab)] {
             for payload in &payloads {
                 let envelope = Json::obj()
                     .with("spt_store_schema", STORE_SCHEMA)
@@ -592,25 +334,22 @@ mod tests {
     #[test]
     fn load_raw_serves_the_saved_bytes() {
         let store = DiskStore::open(tmp_dir("raw")).unwrap();
-        let body = sample_payload().dump();
+        let body = sample_body();
         store.save_raw("response", 3, &body);
-        assert_eq!(
-            store.load_raw("response", 3).as_deref(),
-            Some(body.as_str())
-        );
-        assert_eq!(store.load("response", 3), Some(sample_payload()));
+        let hit = store.load_raw("response", 3).unwrap();
+        assert_eq!(&*hit, body.as_str());
+        assert_eq!(Json::parse(&hit), Ok(sample_payload()));
         let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.rejects, s.writes), (2, 0, 0, 1));
+        assert_eq!((s.hits, s.misses, s.rejects, s.writes), (1, 0, 0, 1));
     }
 
-    /// Write `bytes` as the entry for `("baseline", 1)`, then expect a
-    /// counted reject from both readers, never a panic.
+    /// Write `bytes` as the entry for `("response", 1)`, then expect a
+    /// counted reject, never a panic.
     fn assert_rejected(store: &DiskStore, bytes: &[u8], what: &str) {
-        std::fs::write(store.entry_path("baseline", 1), bytes).unwrap();
+        std::fs::write(store.entry_path("response", 1), bytes).unwrap();
         let rejects = store.stats().rejects;
-        assert_eq!(store.load_raw("baseline", 1), None, "{what}");
-        assert_eq!(store.load("baseline", 1), None, "{what}");
-        assert_eq!(store.stats().rejects, rejects + 2, "{what}");
+        assert_eq!(store.load_raw("response", 1), None, "{what}");
+        assert_eq!(store.stats().rejects, rejects + 1, "{what}");
     }
 
     #[test]
@@ -621,7 +360,7 @@ mod tests {
             .with("xs", Json::array(vec![1u64, 22, 333]))
             .with("o", Json::obj().with("t", true).with("f", -1.5f64));
         let body = payload.dump();
-        let full = entry_bytes("baseline", 1, &body);
+        let full = entry_bytes("response", 1, &body);
         let start = full.len() - body.len() - 1;
 
         // Every truncation, the empty file included.
@@ -647,8 +386,8 @@ mod tests {
             1,
         );
         assert_rejected(&store, stale.as_bytes(), "stale schema");
-        assert_rejected(&store, entry_bytes("spt_sim", 1, &body).as_bytes(), "kind");
-        assert_rejected(&store, entry_bytes("baseline", 2, &body).as_bytes(), "key");
+        assert_rejected(&store, entry_bytes("other", 1, &body).as_bytes(), "kind");
+        assert_rejected(&store, entry_bytes("response", 2, &body).as_bytes(), "key");
         // Checksums recomputed over payloads that are not one JSON value
         // on one line.
         for bad in [
@@ -661,19 +400,22 @@ mod tests {
             "",
             "{\"s\":tru}",
         ] {
-            assert_rejected(&store, entry_bytes("baseline", 1, bad).as_bytes(), bad);
+            assert_rejected(&store, entry_bytes("response", 1, bad).as_bytes(), bad);
         }
         // Nesting past the parser's bound, with a valid checksum.
         let deep = "[".repeat(100_000);
-        assert_rejected(&store, entry_bytes("baseline", 1, &deep).as_bytes(), "deep");
+        assert_rejected(&store, entry_bytes("response", 1, &deep).as_bytes(), "deep");
 
         // Saving over a corrupt entry heals it.
-        store.save("baseline", 1, &payload);
+        store.save_raw("response", 1, &body);
         assert_eq!(
-            std::fs::read_to_string(store.entry_path("baseline", 1)).unwrap(),
+            std::fs::read_to_string(store.entry_path("response", 1)).unwrap(),
             full
         );
-        assert_eq!(store.load("baseline", 1), Some(payload));
+        assert_eq!(
+            store.load_raw("response", 1).as_deref(),
+            Some(body.as_str())
+        );
     }
 
     #[test]
@@ -686,36 +428,5 @@ mod tests {
             doc.get("spt_store_schema").and_then(Json::as_u64),
             Some(STORE_SCHEMA as u64)
         );
-    }
-
-    #[test]
-    fn report_encoders_roundtrip_exactly() {
-        use spt_workloads::kernels::array_map;
-        let prog = array_map(64, 8);
-        let cfg = spt_mach::MachineConfig::default();
-        let annots = spt_sim::LoopAnnotations::empty();
-        let base = spt_sim::simulate_baseline(&prog, &cfg.core, &annots, 10_000_000);
-        let back = BaselineReport::from_payload(&base.to_payload()).unwrap();
-        assert_eq!(back.to_payload().dump(), base.to_payload().dump());
-        assert_eq!(back.cycles, base.cycles);
-        assert_eq!(back.ret, base.ret);
-        assert_eq!(back.bp_lookups, base.bp_lookups);
-        assert_eq!(back.loop_instrs, base.loop_instrs);
-
-        let out = crate::solution::evaluate_program(
-            "array_map",
-            &prog,
-            &crate::solution::RunConfig {
-                fuel: 10_000_000,
-                ..Default::default()
-            },
-        );
-        let spt = out.spt;
-        let back = SptReport::from_payload(&spt.to_payload()).unwrap();
-        assert_eq!(back.to_payload().dump(), spt.to_payload().dump());
-        assert_eq!(back.cycles, spt.cycles);
-        assert_eq!(back.per_loop.len(), spt.per_loop.len());
-        assert_eq!(back.per_core.len(), spt.per_core.len());
-        assert_eq!(back.ret, spt.ret);
     }
 }

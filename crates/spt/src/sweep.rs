@@ -13,7 +13,9 @@
 //!   once per process for a given `(program fingerprint, config
 //!   fingerprint, fuel)` key, no matter how many experiments share it
 //!   (e.g. Figures 8 and 9 both consume the suite evaluation; the SRB
-//!   ablation shares one compile across all buffer sizes);
+//!   ablation shares one compile across all buffer sizes). The memo lives
+//!   in memory only; the `spt-serve` daemon persists whole responses in a
+//!   [`DiskStore`](crate::DiskStore) above it;
 //! * a structured-metrics layer — [`RunReport`], [`BenchRecord`],
 //!   [`PhaseTimings`], [`MemoStats`] — recording per-phase wall-clock
 //!   times and cache hit/miss counts, serializable as JSON via
@@ -28,7 +30,6 @@
 use crate::json::{Json, ToJson};
 use crate::memo::MemoTable;
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
-use crate::store::{DiskStore, Stored};
 use spt_compiler::{candidate_keys, compile_with_deps, CompileOptions, CompileResult};
 use spt_mach::{CoreConfig, MachineConfig};
 use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
@@ -56,7 +57,7 @@ use crate::store::fnv1a;
 ///
 /// Integers are fed in native byte order and lengths as `usize`, so the
 /// value depends on the host's word size and endianness. That is fine for
-/// the on-disk store, which is a per-host cache.
+/// an in-process memo key; program fingerprints never reach disk.
 pub fn program_fingerprint(prog: &Program) -> u64 {
     let mut h = Fnv1a(FNV_OFFSET);
     prog.hash(&mut h);
@@ -64,8 +65,7 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
 }
 
 /// A `Hasher` that feeds [`fnv1a`]. Unlike `std`'s `RandomState` hashers
-/// it is unseeded, so a fingerprint is the same in every process, as the
-/// persisted store keys require.
+/// it is unseeded, so a fingerprint is the same in every process.
 struct Fnv1a(u64);
 
 impl Hasher for Fnv1a {
@@ -88,18 +88,6 @@ pub fn debug_fingerprint<T: std::fmt::Debug>(x: &T) -> u64 {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Key(u64, u64, u64, u64);
 
-impl Key {
-    /// Fold the four component fingerprints into one content address, the
-    /// key form used by the on-disk store.
-    fn mix(self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for part in [self.0, self.1, self.2, self.3] {
-            h = fnv1a(h, &part.to_le_bytes());
-        }
-        h
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Memo cache
 // ---------------------------------------------------------------------------
@@ -111,17 +99,12 @@ pub struct PhaseStamp {
     pub hit: bool,
     /// Wall-clock milliseconds spent computing, 0.0 on a hit.
     pub ms: f64,
-    /// True if the value was loaded from the on-disk store rather than
-    /// computed or found in memory (`hit` is also true in that case).
-    pub from_store: bool,
 }
 
 impl PhaseStamp {
     /// Provenance label for metrics: where this phase's value came from.
     pub fn provenance(&self) -> &'static str {
-        if self.from_store {
-            "store"
-        } else if self.hit {
+        if self.hit {
             "memo"
         } else {
             "computed"
@@ -149,8 +132,7 @@ pub trait PhaseObserver: Send + Sync {
 /// entry lookup, and `get_or_init` serializes initialization per cell),
 /// plus this phase's hit/miss counters. The table keeps at most
 /// [`MEMO_CAP`](crate::MEMO_CAP) completed entries; a key evicted and
-/// looked up again is recomputed (or reloaded from the store) and counts
-/// as a miss again.
+/// looked up again is recomputed and counts as a miss again.
 struct Shard<T> {
     memo: MemoTable<Key, Arc<T>>,
     hits: AtomicU64,
@@ -169,60 +151,22 @@ impl<T> Default for Shard<T> {
 
 impl<T> Shard<T> {
     fn get_or_compute(&self, key: Key, f: impl FnOnce() -> T) -> (Arc<T>, PhaseStamp) {
-        self.get_or_load(key, || (f(), false))
-    }
-
-    /// Like [`Shard::get_or_compute`], but the initializer also reports
-    /// whether the value was *loaded* (from the on-disk store) rather than
-    /// computed. Loaded values count as memo misses in the shard counters
-    /// (this process's in-memory cache did miss) but return a `hit` stamp,
-    /// so per-record accounting — and `RunReport::total_sim_cycles`, which
-    /// only sums phases that actually simulated — stays honest.
-    fn get_or_load(&self, key: Key, f: impl FnOnce() -> (T, bool)) -> (Arc<T>, PhaseStamp) {
         let (cell, _) = self.memo.cell(key);
         let t0 = Instant::now();
         let mut computed = false;
-        let mut loaded = false;
         let v = cell
             .get_or_init(|| {
                 computed = true;
-                let (t, from_store) = f();
-                loaded = from_store;
-                Arc::new(t)
+                Arc::new(f())
             })
             .clone();
         if computed {
             self.misses.fetch_add(1, Ordering::Relaxed);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if loaded {
-                (
-                    v,
-                    PhaseStamp {
-                        hit: true,
-                        ms: 0.0,
-                        from_store: true,
-                    },
-                )
-            } else {
-                (
-                    v,
-                    PhaseStamp {
-                        hit: false,
-                        ms,
-                        from_store: false,
-                    },
-                )
-            }
+            (v, PhaseStamp { hit: false, ms })
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            (
-                v,
-                PhaseStamp {
-                    hit: true,
-                    ms: 0.0,
-                    from_store: false,
-                },
-            )
+            (v, PhaseStamp { hit: true, ms: 0.0 })
         }
     }
 }
@@ -591,13 +535,6 @@ pub struct Sweep {
     compiles: Shard<CompileResult>,
     baselines: Shard<BaselineReport>,
     spts: Shard<SptReport>,
-    /// Optional on-disk extension of the simulation-phase memo keys: when
-    /// attached, baseline/SPT results missing from the in-memory cache are
-    /// looked up in (and computed results written to) the content-addressed
-    /// store. Profile and compile results stay in-memory only — they are
-    /// cheap relative to simulation and their payloads (full programs)
-    /// would dominate the store.
-    store: Option<Arc<DiskStore>>,
     /// Optional telemetry sink notified after each phase lookup and each
     /// evaluated item. Purely observational — see [`PhaseObserver`].
     observer: Option<Arc<dyn PhaseObserver>>,
@@ -619,23 +556,8 @@ impl Sweep {
             compiles: Shard::default(),
             baselines: Shard::default(),
             spts: Shard::default(),
-            store: None,
             observer: None,
         }
-    }
-
-    /// An engine whose simulation-phase memo cache extends onto disk:
-    /// results are served from `store` across processes and persisted on
-    /// compute. This is the daemon's configuration.
-    pub fn with_store(workers: usize, store: Arc<DiskStore>) -> Sweep {
-        let mut sw = Sweep::new(workers);
-        sw.store = Some(store);
-        sw
-    }
-
-    /// The attached on-disk store, if any.
-    pub fn store(&self) -> Option<&Arc<DiskStore>> {
-        self.store.as_ref()
     }
 
     /// Attach a telemetry observer. At most one; attaching replaces any
@@ -827,26 +749,15 @@ impl Sweep {
         })
     }
 
-    /// One simulation-phase lookup: the in-memory memo, then the attached
-    /// store, then `run`, whose result the store persists.
-    fn sim_phase<T: Stored>(
+    /// One simulation-phase lookup: the memo, else `run`.
+    fn sim_phase<T>(
         &self,
         phase: &'static str,
         shard: &Shard<T>,
         key: Key,
         run: impl FnOnce() -> T,
     ) -> (Arc<T>, PhaseStamp) {
-        let (r, stamp) = shard.get_or_load(key, || {
-            let st = self.store.as_deref();
-            if let Some(r) = st.and_then(|st| T::from_payload(&st.load(T::KIND, key.mix())?)) {
-                return (r, true);
-            }
-            let r = run();
-            if let Some(st) = st {
-                st.save(T::KIND, key.mix(), &r.to_payload());
-            }
-            (r, false)
-        });
+        let (r, stamp) = shard.get_or_compute(key, run);
         self.observe_phase(phase, stamp);
         (r, stamp)
     }
@@ -873,7 +784,6 @@ impl Sweep {
 
         let outcome = EvalOutcome {
             name: name.to_string(),
-            baseline_loop_cycles: baseline.loop_cycles.clone(),
             baseline: (*baseline).clone(),
             spt: (*spt).clone(),
             compiled: (*compiled).clone(),
@@ -991,10 +901,9 @@ mod tests {
         assert_ne!(fa, tweaked(&guarded(when)), "guard vs none");
         assert_ne!(fa, tweaked(&|p| p.funcs[0].name.push('2')), "function name");
 
-        // The persisted store is keyed on this value, so it must be the same
-        // in every process and on every run: a seeded hasher would pass every
-        // check above. So would a toolchain whose std `Hash` impls feed other
-        // bytes. Changing this literal requires a `STORE_SCHEMA` bump.
+        // The fingerprint is unseeded, so it is the same in every process and
+        // on every run: a seeded hasher would pass every check above. So would
+        // a toolchain whose std `Hash` impls feed other bytes.
         assert_eq!(fa, 0x6bef_8285_ccb9_5a78);
 
         let m1 = MachineConfig::default();
@@ -1362,64 +1271,6 @@ mod tests {
                 "missing memo {phase} in {ev:?}"
             );
         }
-    }
-
-    #[test]
-    fn observer_sees_store_provenance() {
-        struct Probe(Mutex<Vec<(&'static str, &'static str)>>);
-        impl PhaseObserver for Probe {
-            fn phase_done(&self, phase: &'static str, stamp: PhaseStamp) {
-                self.0.lock().unwrap().push((phase, stamp.provenance()));
-            }
-        }
-
-        let dir = std::env::temp_dir().join(format!("spt-obs-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let st = Arc::new(DiskStore::open(&dir).unwrap());
-        let prog = array_map(80, 8);
-        let mut cfg = RunConfig::default();
-        cfg.fuel = 5_000_000;
-
-        let warm = Sweep::with_store(1, st.clone());
-        let _ = warm.evaluate("array_map", &prog, &cfg);
-
-        let probe = Arc::new(Probe(Mutex::new(Vec::new())));
-        let mut sw = Sweep::with_store(1, st);
-        sw.set_observer(probe.clone());
-        let _ = sw.evaluate("array_map", &prog, &cfg);
-        let ev = probe.0.lock().unwrap();
-        assert!(ev.contains(&("baseline_sim", "store")), "{ev:?}");
-        assert!(ev.contains(&("spt_sim", "store")), "{ev:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_store_serves_sim_phases_across_engines() {
-        let dir = std::env::temp_dir().join(format!("spt-sweep-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let st = Arc::new(DiskStore::open(&dir).unwrap());
-        let prog = array_map(80, 8);
-        let mut cfg = RunConfig::default();
-        cfg.fuel = 5_000_000;
-
-        let a = Sweep::with_store(1, st.clone());
-        let (o1, r1) = a.evaluate("array_map", &prog, &cfg);
-        assert!(!r1.baseline_hit && !r1.spt_hit);
-
-        // A fresh engine sharing the store: the simulation phases load
-        // from disk (hit stamps, nothing simulated), profile and compile
-        // recompute, and the outcome is byte-identical.
-        let b = Sweep::with_store(1, st.clone());
-        let (o2, r2) = b.evaluate("array_map", &prog, &cfg);
-        assert!(
-            r2.baseline_hit && r2.spt_hit,
-            "sim phases must come from disk"
-        );
-        assert!(!r2.compile_hit, "compile is not persisted");
-        assert_eq!(o1.to_json().dump(), o2.to_json().dump());
-        assert!(st.stats().hits >= 2);
-        assert!(st.stats().writes >= 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -583,7 +583,6 @@ impl Sweep {
 
         let outcome = EvalOutcome {
             name: name.to_string(),
-            baseline_loop_cycles: baseline.loop_cycles.clone(),
             baseline,
             spt,
             compiled,

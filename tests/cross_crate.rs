@@ -93,7 +93,7 @@ fn per_loop_stats_align_across_baseline_and_spt() {
     let prog = array_map(400, 12);
     let out = spt::evaluate_program("align", &prog, &RunConfig::default());
     assert_eq!(
-        out.baseline_loop_cycles.len(),
+        out.baseline.loop_cycles.len(),
         out.spt.per_loop.len(),
         "annotation alignment"
     );
