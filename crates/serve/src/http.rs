@@ -1,16 +1,18 @@
 //! Minimal HTTP/1.1 scrape endpoint: `GET /metrics` returns the
 //! Prometheus text exposition, nothing else is served.
 //!
-//! This is deliberately not a web server: one accept loop blocked in
-//! `accept` and woken on stop by a connection to its own address (the
-//! same [`accept_until_stop`] discipline as the main protocol listener),
-//! connections handled inline because a scrape is a render of in-memory
-//! atomics and takes microseconds, and every response closes the
-//! connection. Stock Prometheus speaks exactly this much HTTP.
+//! This is deliberately not a web server: one thread blocked in `accept`
+//! and woken on stop by a connection to its own address (the same
+//! [`accept_until_stop`] discipline as the protocol listener's leading
+//! worker), connections handled inline by that thread because a scrape
+//! is a render of in-memory atomics and takes microseconds, and every
+//! response closes the connection. Stock Prometheus speaks exactly this
+//! much HTTP.
 
 use crate::{accept_until_stop, Shared};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// Per-scrape socket timeout: generous for a scraper, short enough that
@@ -26,6 +28,7 @@ pub(crate) fn scrape_loop(listener: TcpListener, shared: &Shared) {
             // One slow scraper must not take the endpoint down with it;
             // errors just drop the connection.
             let _ = serve_scrape(stream, shared);
+            ControlFlow::<()>::Continue(())
         },
     );
 }

@@ -21,10 +21,13 @@
 //!   than [`MAX_REQUEST_LINE`] bytes is answered with
 //!   `{"ok":false,"error":"too_large"}` and the connection is closed.
 //! * **Connection workers** — connections are served by a pool of
-//!   long-lived worker threads, grown only when none is idle and capped at
-//!   [`MAX_CONNS`]; a connection past the cap is answered
-//!   `{"ok":false,"error":"busy"}` and closed. Each worker starts every
-//!   connection on an empty simulator arena, as a fresh thread would.
+//!   long-lived worker threads run as leader/followers: the one worker
+//!   blocked in `accept` serves the connection it accepts, after passing
+//!   the listener to a parked follower (or to a new worker, when none is
+//!   parked and fewer than [`MAX_CONNS`] are serving). Past the cap a
+//!   connection is answered `{"ok":false,"error":"busy"}` and closed.
+//!   Each worker starts every connection on an empty simulator arena, as
+//!   a fresh thread would.
 //! * **Coalescing** — duplicate concurrent requests share one
 //!   computation and receive byte-identical payloads (a per-request-key
 //!   `OnceLock` in a [`MemoTable`], the same at-most-once, LRU-bounded
@@ -40,9 +43,10 @@
 //! * **Timeouts & shutdown** — every connection has a read timeout.
 //!   Listeners block in `accept`; a `shutdown` request, [`Server::shutdown`]
 //!   or dropping the [`Server`] sets the stop flag and wakes each listener
-//!   with a connection to its own address, so the daemon stops at once,
-//!   drains in-flight connections, wakes and joins its parked workers, and
-//!   flushes the store.
+//!   with a connection to its own address, so the daemon stops at once:
+//!   the leading worker closes the pool, parked workers are woken, busy
+//!   ones drain their connections, and once every worker is joined the
+//!   store is flushed.
 //!
 //! * **Telemetry** — every daemon carries a [`ServeMetrics`] plane
 //!   (request latency histograms by op × provenance, connection and
@@ -54,7 +58,7 @@
 //! Served results are bit-identical to direct `spt-bench` runs by
 //! construction: both funnel through [`spt::service::run_experiment`].
 
-use pool::{Offer, Pool};
+use pool::{HandOff, Pool};
 use spt::sim::SimArena;
 use spt::sweep::debug_fingerprint;
 use spt::{
@@ -63,11 +67,12 @@ use spt::{
 use spt_workloads::BENCHMARK_NAMES;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -309,6 +314,8 @@ pub(crate) struct Shared {
     wake: Vec<Wake>,
     read_timeout: Duration,
     pool: Pool,
+    /// Every connection worker spawned, for [`Server`] to join.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Response memo + in-flight coalescing: request fingerprint → the
     /// serialized payload, computed at most once while held.
     responses: MemoTable<u64, WorkResult>,
@@ -432,7 +439,7 @@ fn work(sweep: &Sweep, run_cfg: &RunConfig, req: &Request) -> Result<Json, Strin
     }
 }
 
-/// The two socket families behind one accept loop.
+/// The two socket families behind the protocol listener.
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
@@ -536,7 +543,9 @@ pub struct Server {
     addr: String,
     metrics_addr: Option<String>,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
+    /// Shared with every connection worker, and dropped (removing a Unix
+    /// socket file) only once they are all joined and the store flushed.
+    listener: Option<Arc<Listener>>,
     metrics_thread: Option<JoinHandle<()>>,
 }
 
@@ -568,6 +577,7 @@ impl Server {
             wake,
             read_timeout: cfg.read_timeout,
             pool: Pool::new(metrics.clone()),
+            workers: Mutex::default(),
             responses: MemoTable::default(),
             served: Default::default(),
             requests: AtomicU64::new(0),
@@ -583,15 +593,19 @@ impl Server {
             }
             None => (None, None),
         };
-        let accept_shared = shared.clone();
-        let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
-        Ok(Server {
+        let listener = Arc::new(listener);
+        let server = Server {
             addr,
             metrics_addr,
             shared,
-            accept_thread: Some(accept_thread),
+            listener: Some(listener.clone()),
             metrics_thread,
-        })
+        };
+        // The first worker leads: the pool starts with the lead taken. If
+        // it cannot be spawned, dropping `server` stops the metrics
+        // listener.
+        spawn_worker(&server.shared, &listener)?;
+        Ok(server)
     }
 
     /// The actual bound address (resolves TCP port 0).
@@ -620,11 +634,24 @@ impl Server {
         drop(self); // `Drop` stops, drains and flushes.
     }
 
+    /// Join every connection worker, then flush the store and drop the
+    /// listener, then join the metrics listener. A worker records each
+    /// worker it spawns before it exits, so the list runs empty only once
+    /// every worker has been joined. The lock is released before each
+    /// join: a leader still running must be able to record a spawn.
     fn join(&mut self) {
-        for t in [self.accept_thread.take(), self.metrics_thread.take()]
-            .into_iter()
-            .flatten()
-        {
+        loop {
+            let next = lock(&self.shared.workers).pop();
+            let Some(t) = next else { break };
+            let _ = t.join();
+        }
+        if let Some(listener) = self.listener.take() {
+            if let Some(st) = &self.shared.store {
+                st.flush();
+            }
+            drop(listener);
+        }
+        if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
     }
@@ -641,62 +668,89 @@ impl Drop for Server {
 /// after every accept, check the stop flag. A stopping daemon wakes the
 /// listener with a connection of its own ([`Shared::request_stop`]), which
 /// is dropped here unserved. The only sleep is the back-off after a
-/// failed `accept`.
-pub(crate) fn accept_until_stop<C>(
+/// failed `accept`. Returns what `serve` breaks with, or `None` once the
+/// daemon stops.
+pub(crate) fn accept_until_stop<C, T>(
     shared: &Shared,
     mut accept: impl FnMut() -> std::io::Result<C>,
-    mut serve: impl FnMut(C),
-) {
+    mut serve: impl FnMut(C) -> ControlFlow<T>,
+) -> Option<T> {
     while !shared.stopping() {
         let accepted = accept();
         if shared.stopping() {
             break;
         }
         match accepted {
-            Ok(conn) => serve(conn),
+            Ok(conn) => {
+                if let ControlFlow::Break(t) = serve(conn) {
+                    return Some(t);
+                }
+            }
             Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
+    None
 }
 
-/// Accept loop: hand each connection to the worker pool until the daemon
-/// stops, then close the pool and join every worker (drain) before
-/// flushing the store.
-fn accept_loop(listener: Listener, shared: Arc<Shared>) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+/// Lock `m`, poisoned or not: nothing panics while holding these locks,
+/// and a stopping daemon must still reach every worker.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Start a connection worker that leads first.
+fn spawn_worker(shared: &Arc<Shared>, listener: &Arc<Listener>) -> std::io::Result<()> {
+    let (sh, l) = (shared.clone(), listener.clone());
+    let t = std::thread::Builder::new()
+        .name("spt-conn".into())
+        .spawn(move || worker(&sh, &l))?;
+    lock(&shared.workers).push(t);
+    Ok(())
+}
+
+/// A connection worker: lead until a connection is accepted and the lead
+/// passed on, serve that connection, park as a follower, and again, until
+/// the daemon stops. The worker that leads when it stops closes the pool.
+fn worker(shared: &Arc<Shared>, listener: &Arc<Listener>) {
+    while let Some(conn) = lead(shared, listener) {
+        // A request's own panic is answered at the request boundary
+        // (`catch_panic`); one anywhere else ends the connection, not the
+        // worker (whose slot in the pool would otherwise stay counted).
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_conn(&conn, shared)));
+        // Start the next connection on an empty arena, as a fresh thread
+        // would: a warm arena held per parked worker costs resident memory
+        // and bought no compute time (DESIGN.md §3e).
+        spt::sim::with_thread_arena(|a| *a = SimArena::new());
+        if !shared.pool.follow(conn) {
+            return;
+        }
+    }
+    shared.pool.close();
+}
+
+/// Block in `accept` as the leader until a connection is accepted and the
+/// lead handed off, and return that connection for this worker to serve;
+/// `None` once the daemon stops. A connection past the cap is refused
+/// `busy` here, and the lead kept.
+fn lead(shared: &Arc<Shared>, listener: &Arc<Listener>) -> Option<Conn> {
     accept_until_stop(
-        &shared,
+        shared,
         || listener.accept(),
-        |conn| match shared.pool.offer(conn) {
-            Offer::Queued => {}
-            Offer::Spawn(conn) => {
-                let sh = shared.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("spt-conn".into())
-                    .spawn(move || conn_worker(conn, &sh));
-                match spawned {
-                    Ok(t) => workers.push(t),
-                    // The connection went down with the closure: closed.
-                    Err(_) => shared.pool.retire(),
+        |conn| match shared.pool.hand_off() {
+            HandOff::Promoted => ControlFlow::Break(conn),
+            HandOff::Spawn => {
+                if spawn_worker(shared, listener).is_err() {
+                    shared.pool.abdicate();
                 }
+                ControlFlow::Break(conn)
             }
-            Offer::Busy(conn) => {
+            HandOff::Busy => {
                 let t0 = Instant::now();
-                respond(&shared, &conn, refuse_unread(&shared, "busy"), t0);
+                respond(shared, &conn, refuse_undecoded(shared, "busy"), t0);
+                ControlFlow::Continue(())
             }
         },
-    );
-    // Graceful drain: a busy worker observes the stop flag at its next
-    // request boundary (or its read timeout); a parked one is woken by
-    // the close. Either way it exits.
-    shared.pool.close();
-    for t in workers {
-        let _ = t.join();
-    }
-    if let Some(st) = &shared.store {
-        st.flush();
-    }
-    drop(listener);
+    )
 }
 
 /// Holds the in-flight coalescing gauge up while a request waits on
@@ -724,26 +778,6 @@ impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
         self.0.conn_closed();
     }
-}
-
-/// A pool worker: serve the connection it was spawned for, then every
-/// connection handed to it, until the pool closes.
-fn conn_worker(mut conn: Conn, shared: &Arc<Shared>) {
-    loop {
-        // A request's own panic is answered at the request boundary
-        // (`catch_panic`); one anywhere else ends the connection, not the
-        // worker (whose slot in the pool would otherwise stay counted).
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_conn(&conn, shared)));
-        // Start the next connection on an empty arena, as a fresh thread
-        // would: a warm arena held per parked worker costs resident memory
-        // and bought no compute time (DESIGN.md §3e).
-        spt::sim::with_thread_arena(|a| *a = SimArena::new());
-        match shared.pool.next(conn) {
-            Some(next) => conn = next,
-            None => break,
-        }
-    }
-    shared.pool.retire();
 }
 
 /// Serve one connection: a loop of request line → response line.
@@ -778,15 +812,13 @@ fn handle_conn(conn: &Conn, shared: &Arc<Shared>) {
         let too_large = buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
         let t0 = Instant::now();
         let reply = if too_large {
-            refuse_unread(shared, "too_large")
+            refuse_undecoded(shared, "too_large")
         } else {
-            let Ok(line) = std::str::from_utf8(&buf) else {
-                return; // not UTF-8: not a protocol client
-            };
-            if line.trim().is_empty() {
-                continue;
+            match std::str::from_utf8(&buf) {
+                Err(_) => refuse_undecoded(shared, "request line is not UTF-8"),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => handle_request(shared, line.trim()),
             }
-            handle_request(shared, line.trim())
         };
         if !respond(shared, conn, reply, t0) || too_large || shared.stopping() {
             return;
@@ -837,9 +869,11 @@ fn refuse(shared: &Shared, msg: &str) -> Reply {
     (error_line(msg), "invalid", "error")
 }
 
-/// [`refuse`] a request whose line is not read (`too_large`, `busy`); it
-/// still counts as a request. The connection is closed after the reply.
-fn refuse_unread(shared: &Shared, msg: &str) -> Reply {
+/// [`refuse`] a request whose line is not decoded (`too_large`, `busy`,
+/// not UTF-8); it still counts as a request. After `too_large` and `busy`
+/// the connection is closed, after a line that is not UTF-8 the next line
+/// is read.
+fn refuse_undecoded(shared: &Shared, msg: &str) -> Reply {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     refuse(shared, msg)
 }

@@ -138,11 +138,11 @@ impl ServeMetrics {
             ),
             conn_workers: registry.gauge(
                 "spt_conn_workers",
-                "Connection workers alive in the pool (at most MAX_CONNS).",
+                "Connection workers serving or parked, not the one in accept (at most MAX_CONNS).",
             ),
             conn_idle_workers: registry.gauge(
                 "spt_conn_idle_workers",
-                "Pool workers parked with no connection handed to them.",
+                "Connection workers parked as followers, waiting to lead.",
             ),
             inflight_coalescing: registry.gauge(
                 "spt_inflight_coalescing",

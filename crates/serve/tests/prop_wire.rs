@@ -3,7 +3,8 @@
 //! of one, a byte-mutated copy, random non-UTF-8 bytes, or a line past
 //! [`MAX_REQUEST_LINE`] — the daemon answers with at most one line, that
 //! line is a JSON object with a boolean `ok`, and a ping on a fresh
-//! connection is still answered. No request handler may panic.
+//! connection is still answered. A line that is not UTF-8 gets exactly
+//! one reply, a refusal. No request handler may panic.
 //!
 //! One daemon serves every case over a Unix socket, one connection at a
 //! time. Each case writes its bytes, half-closes the write side and reads
@@ -147,6 +148,11 @@ fn check(addr: &str, line: &[u8], too_large: bool) -> Result<(), TestCaseError> 
     );
     if too_large {
         prop_assert_eq!(lines, [r#"{"ok":false,"error":"too_large"}"#]);
+    } else if std::str::from_utf8(line).is_err() {
+        prop_assert_eq!(
+            lines,
+            [r#"{"ok":false,"error":"request line is not UTF-8"}"#]
+        );
     } else if let Some(reply_line) = lines.first() {
         let doc = Json::parse(reply_line);
         prop_assert!(

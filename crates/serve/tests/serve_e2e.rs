@@ -320,6 +320,44 @@ fn oversized_request_line_is_refused_and_daemon_stays_healthy() {
 }
 
 #[test]
+fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_kept() {
+    let server = start(None);
+    let addr = server.addr().to_string();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(b"{\"op\":\"ping\x80\"}\n{\"op\":\"ping\"}\n")
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(
+        reply.trim(),
+        r#"{"ok":false,"error":"request line is not UTF-8"}"#
+    );
+    // Like any other undecodable line, it does not end the connection.
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(
+        reply.trim(),
+        r#"{"ok":true,"served":"computed","payload":"pong"}"#
+    );
+    drop(reader);
+
+    let text = client::request(&addr, &Json::obj().with("op", "metrics")).unwrap();
+    let scrape = spt_metrics::parse_exposition(text.payload.as_str().unwrap()).unwrap();
+    assert_eq!(
+        scrape.value("spt_requests_total", &[("op", "invalid")]),
+        Some(1.0),
+        "the refusal counts as a request"
+    );
+    assert_eq!(scrape.get("spt_errors_total").unwrap().value, 1.0);
+    server.shutdown();
+}
+
+#[test]
 fn a_deeply_nested_request_is_refused_and_daemon_stays_healthy() {
     // Under the line cap, but nested far past the parser's bound: the
     // recursive parse used to overflow the worker's stack and abort the
