@@ -24,8 +24,8 @@
 //! a hard error, exit code 2):
 //!
 //! * `--scale test|small|full` (default `small`) — trade time for fidelity;
-//! * `--workers N` — sweep worker threads (default: `SPT_WORKERS` env or
-//!   available parallelism);
+//! * `--workers N` — sweep worker threads (default: available
+//!   parallelism);
 //! * `--json PATH` — also write the run's structured metrics
 //!   ([`spt::RunReport`]) as JSON to `PATH` (`-` for stdout);
 //! * `--trace PATH` — re-run the binary's workloads with tracing on and
@@ -129,7 +129,7 @@ impl Flags {
     }
 
     /// `--workers`, strictly validated; `default` when absent (`None`
-    /// means the `SPT_WORKERS` env / available-parallelism default).
+    /// means the available-parallelism default).
     pub fn workers(&self, default: Option<usize>) -> usize {
         match self.get("--workers") {
             None => default.unwrap_or_else(default_workers),

@@ -3,9 +3,10 @@
 //! [`SimArena`] owns every heap structure a simulation run needs —
 //! architectural [`Memory`], cursor register-file slabs ([`CursorParts`]),
 //! [`CacheSim`] level vectors, pipeline cores (scoreboard frame slots +
-//! predictor tables), the speculative-thread buffer pool,
-//! and a small LRU of [`DecodedProgram`]s — so a sweep worker can run
-//! many (program, config, fuel) items without reconstructing any of them.
+//! predictor tables) and the speculative-thread buffer pool — so a sweep
+//! worker can run many (program, config, fuel) items without reconstructing
+//! any of them. Decoded programs are not retained: every run decodes its
+//! own (DESIGN.md §3d).
 //! Components are *checked out* at run start (`take_*`) and returned at
 //! run end (`put_*`); every checkout either pops a retained component and
 //! resets it, or constructs a fresh one.
@@ -22,16 +23,12 @@ use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, RegSet};
 use crate::spt::SrbEntry;
 use crate::ssb::Ssb;
-use spt_interp::{CursorParts, DecodedProgram, Memory};
+use spt_interp::{CursorParts, Memory};
 use spt_mach::{CacheSim, CoreConfig};
 use spt_sir::Program;
 use spt_trace::Pipe;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Decoded programs retained per arena (the cores ∈ {2,4,8} runs of one
-/// benchmark plus a little slack for interleaved baseline items).
-const DECODE_CACHE_CAP: usize = 4;
 
 /// Components handed out from a retained allocation (reset, not rebuilt).
 static ARENA_REUSE: AtomicU64 = AtomicU64::new(0);
@@ -119,8 +116,6 @@ impl SpecBufs {
 /// Reusable simulator state for one worker thread (see module docs).
 #[derive(Default)]
 pub struct SimArena {
-    /// Decoded-program LRU, most recently used last.
-    dec: Vec<(u64, DecodedProgram)>,
     mem: Option<Memory>,
     cache: Option<CacheSim>,
     cores: Vec<PipelineCore>,
@@ -141,28 +136,6 @@ impl SimArena {
 
     fn constructed() {
         ARENA_FRESH.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A decoded program previously [`SimArena::put_decoded`] under
-    /// fingerprint `fp`, if still cached.
-    pub fn take_decoded(&mut self, fp: u64) -> Option<DecodedProgram> {
-        if let Some(i) = self.dec.iter().position(|(k, _)| *k == fp) {
-            Self::reused();
-            Some(self.dec.remove(i).1)
-        } else {
-            Self::constructed();
-            None
-        }
-    }
-
-    /// Retain a decoded program under fingerprint `fp`, dropping the least
-    /// recently used decode when the small cache is full.
-    pub fn put_decoded(&mut self, fp: u64, dec: DecodedProgram) {
-        self.dec.retain(|(k, _)| *k != fp);
-        if self.dec.len() >= DECODE_CACHE_CAP {
-            self.dec.remove(0);
-        }
-        self.dec.push((fp, dec));
     }
 
     /// Architectural memory in exactly [`Memory::for_program`]`(prog)`
@@ -257,9 +230,6 @@ impl SimArena {
 
     fn approx_retained_bytes(&self) -> u64 {
         let mut b = 0usize;
-        for (_, d) in &self.dec {
-            b += d.approx_bytes();
-        }
         if let Some(m) = &self.mem {
             b += m.approx_bytes();
         }
@@ -321,17 +291,6 @@ mod tests {
         // Shrinking program: retained memory must not leak old size or data.
         let m = a.take_mem(&p4);
         assert_eq!(m, Memory::for_program(&p4));
-    }
-
-    #[test]
-    fn decode_cache_lru_evicts_oldest() {
-        let p = tiny_prog(2);
-        let mut a = SimArena::new();
-        for fp in 0..=DECODE_CACHE_CAP as u64 {
-            a.put_decoded(fp, DecodedProgram::new(&p));
-        }
-        assert!(a.take_decoded(0).is_none(), "oldest entry evicted");
-        assert!(a.take_decoded(1).is_some());
     }
 
     #[test]

@@ -49,53 +49,32 @@ pub fn simulate_baseline(
     annots: &LoopAnnotations,
     max_steps: u64,
 ) -> BaselineReport {
-    let dec = DecodedProgram::new(prog);
     arena::with_thread_arena(|a| {
-        let (report, mem) = baseline_core(a, &dec, prog, cfg, annots, max_steps, &mut NullSink);
+        let (report, mem) = simulate_baseline_in(a, prog, cfg, annots, max_steps, &mut NullSink);
         a.put_mem(mem);
         report
     })
 }
 
-/// [`simulate_baseline`] with an explicit arena and trace sink: reuses a
-/// decoded program the arena retained under fingerprint `fp` and retires
-/// every component (decode included) back into it. The single pipeline
+/// [`simulate_baseline`] with an explicit arena and trace sink: decodes
+/// the program for this run, checks every heap component out of `arena`
+/// (reset-or-fresh) and retires it back at the end. The single pipeline
 /// emits `StallTransition` events whenever its idle-cause changes class.
 /// The final memory image is returned for differential state comparison;
 /// callers that don't need it hand it back with [`SimArena::put_mem`].
 pub fn simulate_baseline_in(
     arena: &mut SimArena,
-    fp: u64,
     prog: &Program,
     cfg: &CoreConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
     sink: &mut dyn TraceSink,
 ) -> (BaselineReport, Memory) {
-    let dec = arena
-        .take_decoded(fp)
-        .unwrap_or_else(|| DecodedProgram::new(prog));
-    let out = baseline_core(arena, &dec, prog, cfg, annots, max_steps, sink);
-    arena.put_decoded(fp, dec);
-    out
-}
-
-/// The baseline simulation loop proper: heap components are checked out of
-/// `arena` (reset-or-fresh) and retired back at the end; the final memory
-/// image is returned to the caller.
-fn baseline_core(
-    arena: &mut SimArena,
-    dec: &DecodedProgram,
-    prog: &Program,
-    cfg: &CoreConfig,
-    annots: &LoopAnnotations,
-    max_steps: u64,
-    sink: &mut dyn TraceSink,
-) -> (BaselineReport, Memory) {
+    let dec = DecodedProgram::new(prog);
     let mut core = arena.take_core(cfg, Pipe::Main);
     let mut cache = arena.take_cache(cfg);
     let mut mem = arena.take_mem(prog);
-    let mut cur = Cursor::at_entry_in(dec, arena.take_cursor_parts());
+    let mut cur = Cursor::at_entry_in(&dec, arena.take_cursor_parts());
     let mut tracker = LoopCycleTracker::new(annots);
 
     let traced = sink.enabled();

@@ -1192,6 +1192,8 @@ pub struct SptSim<'p> {
 }
 
 impl<'p> SptSim<'p> {
+    /// Decode `prog` once for this machine; every [`SptSim::run`] and
+    /// [`SptSim::run_in`] on the sim shares that decode.
     pub fn new(prog: &'p Program, cfg: MachineConfig, annots: LoopAnnotations) -> Self {
         SptSim {
             prog,
@@ -1199,33 +1201,6 @@ impl<'p> SptSim<'p> {
             cfg,
             annots,
         }
-    }
-
-    /// [`SptSim::new`] reusing a decoded program the arena retained under
-    /// fingerprint `fp` (the cores ∈ {2,4,8} runs of one benchmark share
-    /// one decode). Return the decode with [`SptSim::into_decoded`] +
-    /// [`SimArena::put_decoded`] when done.
-    pub fn new_in(
-        arena: &mut SimArena,
-        fp: u64,
-        prog: &'p Program,
-        cfg: MachineConfig,
-        annots: LoopAnnotations,
-    ) -> Self {
-        let dec = arena
-            .take_decoded(fp)
-            .unwrap_or_else(|| DecodedProgram::new(prog));
-        SptSim {
-            prog,
-            dec,
-            cfg,
-            annots,
-        }
-    }
-
-    /// Surrender the decoded program (for [`SimArena::put_decoded`]).
-    pub fn into_decoded(self) -> DecodedProgram {
-        self.dec
     }
 
     /// Run the program to completion (or until `max_steps` interpreter steps

@@ -97,7 +97,7 @@ fn measure(iters: i64) -> (u64, u64) {
         ..MachineConfig::default()
     };
     let mut arena = SimArena::new();
-    let sim = SptSim::new_in(&mut arena, 7, &prog, cfg, annots);
+    let sim = SptSim::new(&prog, cfg, annots);
 
     let before_cold = alloc_events();
     let (cold, mem) = sim.run_in(&mut arena, 5_000_000, &mut NullSink);

@@ -191,39 +191,40 @@ fn cfg(cores: usize) -> MachineConfig {
 /// on it is equality on the whole report.
 fn spt_run(
     arena: &mut SimArena,
-    fp: u64,
     prog: &Program,
     annots: &LoopAnnotations,
     cores: usize,
 ) -> (String, Vec<u8>) {
-    let sim = SptSim::new_in(arena, fp, prog, cfg(cores), annots.clone());
+    let sim = SptSim::new(prog, cfg(cores), annots.clone());
     let mut sink = StreamSink::new(Vec::new());
     let (rep, mem) = sim.run_in(arena, FUEL, &mut sink);
     arena.put_mem(mem);
-    arena.put_decoded(fp, sim.into_decoded());
     (format!("{rep:?}"), sink.into_inner())
 }
 
-fn baseline_run(arena: &mut SimArena, fp: u64, prog: &Program, annots: &LoopAnnotations) -> String {
-    let (rep, mem) =
-        simulate_baseline_in(arena, fp, prog, &cfg(1).core, annots, FUEL, &mut NullSink);
+fn baseline_run(arena: &mut SimArena, prog: &Program, annots: &LoopAnnotations) -> String {
+    let (rep, mem) = simulate_baseline_in(arena, prog, &cfg(1).core, annots, FUEL, &mut NullSink);
     arena.put_mem(mem);
     format!("{rep:?}")
 }
 
-/// Drive `items` through one warm arena and, in lockstep, each item
-/// through its own fresh arena; every pair must match exactly.
+/// Drive `items` (each labelled by an id for the failure message) through
+/// one warm arena and, in lockstep, each item through its own fresh arena;
+/// every pair must match exactly.
 fn assert_lockstep(items: &[(u64, Program, LoopAnnotations, usize)]) {
     let mut warm = SimArena::new();
-    for (fp, prog, annots, cores) in items {
-        let (fresh_rep, fresh_trace) = spt_run(&mut SimArena::new(), *fp, prog, annots, *cores);
-        let (warm_rep, warm_trace) = spt_run(&mut warm, *fp, prog, annots, *cores);
-        assert_eq!(warm_rep, fresh_rep, "SPT report diverged on fp={fp}");
-        assert_eq!(warm_trace, fresh_trace, "trace bytes diverged on fp={fp}");
+    for (id, prog, annots, cores) in items {
+        let (fresh_rep, fresh_trace) = spt_run(&mut SimArena::new(), prog, annots, *cores);
+        let (warm_rep, warm_trace) = spt_run(&mut warm, prog, annots, *cores);
+        assert_eq!(warm_rep, fresh_rep, "SPT report diverged on item {id}");
+        assert_eq!(warm_trace, fresh_trace, "trace bytes diverged on item {id}");
 
-        let fresh_base = baseline_run(&mut SimArena::new(), *fp, prog, annots);
-        let warm_base = baseline_run(&mut warm, *fp, prog, annots);
-        assert_eq!(warm_base, fresh_base, "baseline report diverged on fp={fp}");
+        let fresh_base = baseline_run(&mut SimArena::new(), prog, annots);
+        let warm_base = baseline_run(&mut warm, prog, annots);
+        assert_eq!(
+            warm_base, fresh_base,
+            "baseline report diverged on item {id}"
+        );
     }
 }
 
@@ -267,7 +268,7 @@ fn warm_arena_handles_deeper_scoreboard_and_replay_use() {
 }
 
 /// Pinned: the sweep's actual access pattern — one program swept over the
-/// core counts of the paper's scaling figure, decode reused across runs.
+/// core counts of the paper's scaling figure.
 #[test]
 fn warm_arena_core_sweep_matches_fresh() {
     let (prog, annots) = chained_store_loop(32);

@@ -59,7 +59,7 @@ fn a_warm_rerun_counts_its_fork_buffers_as_reused() {
         ..MachineConfig::default()
     };
     let mut arena = SimArena::new();
-    let sim = SptSim::new_in(&mut arena, 7, &prog, cfg, annots);
+    let sim = SptSim::new(&prog, cfg, annots);
     // Per run: memory, cache, the main cursor's buffers and one pipeline
     // core per fabric core, plus one buffer set per fork.
     let components = 3 + cores as u64;

@@ -112,10 +112,20 @@ pub struct DiskStore {
 }
 
 impl DiskStore {
-    /// Open (creating if needed) a store rooted at `dir`.
+    /// Open (creating if needed) a store rooted at `dir`, deleting the
+    /// `.tmp-*` files that [`DiskStore::save_raw`] and [`DiskStore::flush`]
+    /// leave behind when killed between write and rename. A writer in
+    /// another process that is between those two steps on the same
+    /// directory loses that one write; the store is a cache and already
+    /// tolerates failed writes.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<DiskStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        for entry in std::fs::read_dir(&dir)?.flatten() {
+            if entry.file_name().to_string_lossy().starts_with(".tmp-") {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
         Ok(DiskStore {
             dir,
             hits: AtomicU64::new(0),
@@ -415,6 +425,29 @@ mod tests {
         assert_eq!(
             store.load_raw("response", 1).as_deref(),
             Some(body.as_str())
+        );
+    }
+
+    #[test]
+    fn open_deletes_leftover_temp_files() {
+        let dir = tmp_dir("leftover");
+        let store = DiskStore::open(&dir).unwrap();
+        store.save_raw("response", 5, &sample_body());
+        drop(store);
+        let leftovers = [
+            dir.join(format!(".tmp-1-0-response-{:016x}", 5)),
+            dir.join(".tmp-meta-1"),
+        ];
+        for p in &leftovers {
+            std::fs::write(p, b"half-written").unwrap();
+        }
+        let store = DiskStore::open(&dir).unwrap();
+        for p in &leftovers {
+            assert!(!p.exists(), "{} survived open", p.display());
+        }
+        assert_eq!(
+            store.load_raw("response", 5).as_deref(),
+            Some(sample_body().as_str())
         );
     }
 

@@ -31,13 +31,11 @@ use crate::json::{Json, ToJson};
 use crate::memo::MemoTable;
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
 use spt_compiler::{candidate_keys, compile_with_deps, CompileOptions, CompileResult};
-use spt_mach::{CoreConfig, MachineConfig};
+use spt_mach::MachineConfig;
 use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
-use spt_sim::{
-    simulate_baseline_in, with_thread_arena, BaselineReport, LoopAnnotations, SptReport, SptSim,
-};
+use spt_sim::{simulate_baseline, BaselineReport, LoopAnnotations, SptReport, SptSim};
 use spt_sir::Program;
-use spt_trace::{NullSink, TraceSink};
+use spt_trace::NullSink;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -578,8 +576,7 @@ impl Sweep {
         Sweep::new(1)
     }
 
-    /// Worker count from the `SPT_WORKERS` environment variable, falling
-    /// back to the machine's available parallelism.
+    /// One worker per unit of the machine's available parallelism.
     pub fn auto() -> Sweep {
         Sweep::new(default_workers())
     }
@@ -720,10 +717,14 @@ impl Sweep {
         fuel: u64,
     ) -> (Arc<BaselineReport>, PhaseStamp) {
         let core = &machine.core;
-        let fp = program_fingerprint(prog);
-        let key = Key(fp, debug_fingerprint(core), debug_fingerprint(annots), fuel);
+        let key = Key(
+            program_fingerprint(prog),
+            debug_fingerprint(core),
+            debug_fingerprint(annots),
+            fuel,
+        );
         self.sim_phase("baseline_sim", &self.baselines, key, || {
-            run_baseline(fp, prog, core, annots, fuel, &mut NullSink)
+            simulate_baseline(prog, core, annots, fuel)
         })
     }
 
@@ -737,15 +738,14 @@ impl Sweep {
         annots: &LoopAnnotations,
         fuel: u64,
     ) -> (Arc<SptReport>, PhaseStamp) {
-        let fp = program_fingerprint(prog);
         let key = Key(
-            fp,
+            program_fingerprint(prog),
             debug_fingerprint(machine),
             debug_fingerprint(annots),
             fuel,
         );
         self.sim_phase("spt_sim", &self.spts, key, || {
-            run_spt(fp, prog, machine, annots, fuel, &mut NullSink)
+            SptSim::new(prog, machine.clone(), annots.clone()).run(fuel)
         })
     }
 
@@ -817,52 +817,8 @@ impl Sweep {
     }
 }
 
-/// One baseline simulation on this worker thread's arena. Worker threads
-/// keep one arena alive across sweep items, so the items of one benchmark
-/// share a decoded program (keyed by its content fingerprint `fp`) and all
-/// per-run heap structures are reset, not rebuilt.
-pub(crate) fn run_baseline(
-    fp: u64,
-    prog: &Program,
-    core: &CoreConfig,
-    annots: &LoopAnnotations,
-    fuel: u64,
-    sink: &mut dyn TraceSink,
-) -> BaselineReport {
-    with_thread_arena(|a| {
-        let (r, mem) = simulate_baseline_in(a, fp, prog, core, annots, fuel, sink);
-        a.put_mem(mem);
-        r
-    })
-}
-
-/// One SPT simulation on this worker thread's arena, with the same decode
-/// reuse as [`run_baseline`] (the cores ∈ {2,4,8} runs of one benchmark
-/// share one decode).
-pub(crate) fn run_spt(
-    fp: u64,
-    prog: &Program,
-    machine: &MachineConfig,
-    annots: &LoopAnnotations,
-    fuel: u64,
-    sink: &mut dyn TraceSink,
-) -> SptReport {
-    with_thread_arena(|a| {
-        let sim = SptSim::new_in(a, fp, prog, machine.clone(), annots.clone());
-        let (r, mem) = sim.run_in(a, fuel, sink);
-        a.put_mem(mem);
-        a.put_decoded(fp, sim.into_decoded());
-        r
-    })
-}
-
-/// `SPT_WORKERS` env var, else available parallelism.
+/// The machine's available parallelism (1 if it cannot be queried).
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("SPT_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -870,6 +826,7 @@ pub fn default_workers() -> usize {
 mod tests {
     use super::*;
     use crate::memo::MEMO_CAP;
+    use spt_mach::CoreConfig;
     use spt_sim::LoopAnnot;
     use spt_sir::{BinOp, BlockId, Guard, ProgramBuilder, Reg};
     use spt_workloads::kernels::array_map;

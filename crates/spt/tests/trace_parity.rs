@@ -12,11 +12,13 @@
 //! once, and the per-core statistics sum to the fabric-wide counters.
 
 use spt::compiler::compile;
-use spt::sim::{simulate_baseline_in, PerCoreStats, SimArena, SptReport, SptSim};
+use spt::sim::{
+    simulate_baseline, simulate_baseline_in, PerCoreStats, SimArena, SptReport, SptSim,
+};
 use spt::tracing::{NullSink, RingBufferSink, TraceSink};
 use spt::workloads::{suite, Scale};
+use spt::RunConfig;
 use spt::{original_annotations, spt_annotations, MachineConfig, RecoveryKind, RegCheckPolicy};
-use spt::{sweep::program_fingerprint, RunConfig};
 
 /// The SPT machines under test: each fabric width with the default
 /// policies, then the three non-default `ablation_policies` variants (the
@@ -76,27 +78,16 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
         let compiled = compile(&w.program, &cfg.compile);
         let base_annots = original_annotations(&w.program, &compiled);
         let annots = spt_annotations(&compiled);
-        let base_fp = program_fingerprint(&w.program);
-        let spt_fp = program_fingerprint(&compiled.program);
         for m in machines(&cfg.machine) {
             let ctx = format!(
                 "{} cores={} {:?}/{:?}",
                 w.name, m.cores, m.recovery, m.reg_check
             );
             let run = |arena: &mut SimArena, sink: &mut dyn TraceSink| {
-                let (b, bmem) = simulate_baseline_in(
-                    arena,
-                    base_fp,
-                    &w.program,
-                    &m.core,
-                    &base_annots,
-                    cfg.fuel,
-                    sink,
-                );
-                let sim =
-                    SptSim::new_in(arena, spt_fp, &compiled.program, m.clone(), annots.clone());
+                let (b, bmem) =
+                    simulate_baseline_in(arena, &w.program, &m.core, &base_annots, cfg.fuel, sink);
+                let sim = SptSim::new(&compiled.program, m.clone(), annots.clone());
                 let (s, smem) = sim.run_in(arena, cfg.fuel, sink);
-                arena.put_decoded(spt_fp, sim.into_decoded());
                 (format!("{b:?}"), bmem, s, smem)
             };
             let quiet = run(&mut quiet_arena, &mut NullSink);
@@ -120,4 +111,41 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
         traced_events > 1000,
         "the traced side must actually trace ({traced_events} events)"
     );
+}
+
+/// With no fork to take, the SPT machine is the baseline core: every suite
+/// benchmark's *original* program, under its `original_annotations`, runs
+/// on `SptSim` at N ∈ {2, 4, 8} without forking and reports exactly what
+/// `simulate_baseline` reports — timing, cache, predictor, per-loop
+/// attribution and architectural outcome.
+#[test]
+fn unforked_spt_runs_match_the_baseline_across_the_suite() {
+    let cfg = RunConfig::default();
+    for w in suite(Scale::Test) {
+        let compiled = compile(&w.program, &cfg.compile);
+        let annots = original_annotations(&w.program, &compiled);
+        let b = simulate_baseline(&w.program, &cfg.machine.core, &annots, cfg.fuel);
+        for cores in [2, 4, 8] {
+            let ctx = format!("{} cores={cores}", w.name);
+            let m = MachineConfig {
+                cores,
+                ..cfg.machine.clone()
+            };
+            let s = SptSim::new(&w.program, m, annots.clone()).run(cfg.fuel);
+            assert_eq!(s.forks, 0, "forks [{ctx}]");
+            assert_eq!(s.cycles, b.cycles, "cycles [{ctx}]");
+            assert_eq!(s.instrs, b.instrs, "instrs [{ctx}]");
+            assert_eq!(s.breakdown, b.breakdown, "breakdown [{ctx}]");
+            assert_eq!(s.cache, b.cache, "cache [{ctx}]");
+            assert_eq!(s.bp_mispredicts, b.bp_mispredicts, "bp_mispredicts [{ctx}]");
+            assert_eq!(s.bp_lookups, b.bp_lookups, "bp_lookups [{ctx}]");
+            let loop_cycles: Vec<u64> = s.per_loop.iter().map(|l| l.cycles).collect();
+            let loop_instrs: Vec<u64> = s.per_loop.iter().map(|l| l.instrs).collect();
+            assert_eq!(loop_cycles, b.loop_cycles, "per-loop cycles [{ctx}]");
+            assert_eq!(loop_instrs, b.loop_instrs, "per-loop instrs [{ctx}]");
+            assert_eq!(s.ret, b.ret, "ret [{ctx}]");
+            assert_eq!(s.steps, b.steps, "steps [{ctx}]");
+            assert_eq!(s.out_of_fuel, b.out_of_fuel, "out_of_fuel [{ctx}]");
+        }
+    }
 }

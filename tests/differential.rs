@@ -21,7 +21,6 @@
 //! diverges the oracle.
 
 use proptest::prelude::*;
-use spt::sweep::program_fingerprint;
 use spt::{original_annotations, spt_annotations, CompileOptions, MachineConfig};
 use spt_compiler::compile;
 use spt_interp::{run_with, Memory};
@@ -262,17 +261,8 @@ fn check_differential(body: &[Stmt], trip: u8) {
 
     // Stage 3: the baseline timing model on the original program.
     let base_annots = original_annotations(&prog, &compiled);
-    let fp = program_fingerprint(&prog);
     let (base_rep, base_mem) = with_thread_arena(|a| {
-        simulate_baseline_in(
-            a,
-            fp,
-            &prog,
-            &machine.core,
-            &base_annots,
-            FUEL,
-            &mut NullSink,
-        )
+        simulate_baseline_in(a, &prog, &machine.core, &base_annots, FUEL, &mut NullSink)
     });
     assert!(
         !base_rep.out_of_fuel,
