@@ -16,10 +16,11 @@
 //! * `--label NAME` (default `current`) — ledger entry to write; an
 //!   existing entry with the same label is replaced, others are kept;
 //! * `--out PATH` (default `BENCH_simperf.json`) — the ledger file;
-//! * `--smoke` — CI mode: force `test` scale, do not touch the ledger,
-//!   just build an entry in memory and schema-validate it. Exits
-//!   non-zero on schema violations only — there is **no** timing
-//!   threshold, so CI stays deterministic on shared runners.
+//! * `--smoke` — CI mode: force `test` scale, build an entry in memory
+//!   and schema-validate it, then schema-validate the ledger at `--out`
+//!   read-only, so a schema change is checked against the recorded
+//!   history. Exits non-zero on schema violations only — there is **no**
+//!   timing threshold, so CI stays deterministic on shared runners.
 //! * `--metrics` — attach the full `SweepMetrics` telemetry observer to
 //!   the sweep before running. Paired `--label metrics-off` /
 //!   `--label metrics-on` ledger entries quantify the observer's
@@ -35,10 +36,10 @@ use std::process::exit;
 const CORES: [usize; 3] = [2, 4, 8];
 const DEFAULT_OUT: &str = "BENCH_simperf.json";
 
-/// One ledger entry from a finished sweep. `arena` is the run's
-/// simulator-arena summary (see `arena_summary`), or `Json::Null` for
-/// entries recorded before the arena existed.
-fn entry_json(label: &str, scale: Scale, report: &RunReport, arena: Json) -> Json {
+/// One ledger entry from a finished sweep. `arena` is always null: it
+/// held the reuse counts of a simulator arena that no longer exists, and
+/// entries recorded while it did keep their objects as history.
+fn entry_json(label: &str, scale: Scale, report: &RunReport) -> Json {
     let sum = |f: fn(&spt::PhaseTimings) -> f64| -> f64 {
         report.records.iter().map(|r| f(&r.timings)).sum()
     };
@@ -66,15 +67,7 @@ fn entry_json(label: &str, scale: Scale, report: &RunReport, arena: Json) -> Jso
                 .with("hits", report.cache.hits())
                 .with("misses", report.cache.misses()),
         )
-        .with("arena", arena)
-}
-
-/// This run's simulator-arena activity: checkout reuse/fresh deltas over
-/// the sweep.
-fn arena_summary(before: spt::sim::ArenaStats, after: spt::sim::ArenaStats) -> Json {
-    Json::obj()
-        .with("reuse", after.reuse.saturating_sub(before.reuse))
-        .with("fresh", after.fresh.saturating_sub(before.fresh))
+        .with("arena", Json::Null)
 }
 
 /// Schema check for one ledger entry; returns the first problem found.
@@ -119,11 +112,11 @@ fn validate_entry(e: &Json) -> Result<(), String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("cache missing unsigned key {k:?}"))?;
     }
-    // `arena` is object-or-explicit-null: entries recorded before the
-    // simulator arena existed carry `null` (the merge backfills it), so
-    // every entry exposes the same key set.
+    // `arena` is object-or-explicit-null: only entries recorded while the
+    // simulator arena existed carry an object (the merge backfills a
+    // missing key with null), so every entry exposes the same key set.
     match e.get("arena") {
-        None => return Err("entry missing key \"arena\" (null for pre-arena entries)".into()),
+        None => return Err("entry missing key \"arena\" (null when no arena ran)".into()),
         Some(Json::Null) => {}
         Some(a) => {
             for k in ["reuse", "fresh"] {
@@ -180,6 +173,13 @@ fn validate_ledger(doc: &Json) -> Result<usize, String> {
     }
     validate_uniform_keys(entries)?;
     Ok(entries.len())
+}
+
+/// Read, parse and schema-check the ledger file at `path`.
+fn validate_ledger_file(path: &str) -> Result<usize, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    validate_ledger(&doc)
 }
 
 /// Merge `entry` into the ledger at `path`: replace the entry with the
@@ -250,9 +250,7 @@ fn main() {
     } else {
         None
     };
-    let arena_before = spt::sim::arena_stats();
     let (_, report) = sweep.fig_scale(&names, &CORES, scale, &RunConfig::default());
-    let arena = arena_summary(arena_before, spt::sim::arena_stats());
     println!("{}", report.summary());
     println!(
         "[perf_bench] {:.0} ms wall, {} sim cycles, {:.0} sim cycles/sec",
@@ -271,10 +269,10 @@ fn main() {
         }
     }
 
-    let entry = entry_json(&label, scale, &report, arena);
+    let entry = entry_json(&label, scale, &report);
     if smoke {
-        // CI: validate the schema of a fresh single-entry ledger; never
-        // touch the committed file, never gate on timing.
+        // CI: validate the schema of a fresh single-entry ledger, then of
+        // the committed one; never write either, never gate on timing.
         let doc = Json::obj()
             .with("benchmark", "simulator wall-clock: full fig_scale sweep")
             .with("entries", Json::Array(vec![entry]));
@@ -286,6 +284,13 @@ fn main() {
             Ok(n) => println!("perf_bench smoke: schema ok ({n} entry)"),
             Err(e) => {
                 eprintln!("perf_bench smoke: schema violation: {e}");
+                exit(1);
+            }
+        }
+        match validate_ledger_file(&out) {
+            Ok(n) => println!("perf_bench smoke: {out} schema ok ({n} entries)"),
+            Err(e) => {
+                eprintln!("perf_bench smoke: {out}: schema violation: {e}");
                 exit(1);
             }
         }
@@ -314,9 +319,7 @@ mod tests {
     #[test]
     fn committed_ledger_satisfies_schema() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simperf.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_simperf.json");
-        let doc = Json::parse(&text).expect("parse BENCH_simperf.json");
-        let n = validate_ledger(&doc).expect("committed ledger schema");
+        let n = validate_ledger_file(path).expect("committed ledger schema");
         assert!(n >= 1);
     }
 

@@ -26,23 +26,14 @@ pub struct Frame {
 }
 
 /// The heap buffers of a [`Cursor`], detached from any decoded program's
-/// lifetime so a `SimArena` can retain the allocations across runs
-/// (DESIGN.md §3i). Contents are meaningless between runs — only the
+/// lifetime so the SPT simulator's thread free list can hold them between
+/// speculative threads. Contents are meaningless once detached — only the
 /// capacities matter; [`Cursor::empty_in`] clears before reuse.
 #[derive(Debug, Default)]
 pub struct CursorParts {
     frames: Vec<Frame>,
     slab: Vec<i64>,
     dirty: Vec<u64>,
-}
-
-impl CursorParts {
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.frames.capacity() * std::mem::size_of::<Frame>()
-            + self.slab.capacity() * std::mem::size_of::<i64>()
-            + self.dirty.capacity() * std::mem::size_of::<u64>()
-    }
 }
 
 /// Write register `$r` of the frame with slab base `$base` / dirty base
@@ -177,15 +168,7 @@ impl<'p> Cursor<'p> {
 
     /// A cursor positioned at the program's entry function.
     pub fn at_entry(dec: &'p DecodedProgram) -> Self {
-        Cursor::at_entry_in(dec, CursorParts::default())
-    }
-
-    /// [`Cursor::at_entry`] reusing the heap buffers in `parts` — the
-    /// arena path (DESIGN.md §3i). The cleared-then-refilled buffers hold
-    /// exactly what fresh construction would: `push_frame` zero-fills the
-    /// slab chunk and all-ones-fills the dirty words it appends.
-    pub fn at_entry_in(dec: &'p DecodedProgram, parts: CursorParts) -> Self {
-        let mut cur = Cursor::empty_in(dec, parts);
+        let mut cur = Cursor::empty(dec);
         cur.push_frame(dec.entry());
         cur
     }
@@ -203,9 +186,8 @@ impl<'p> Cursor<'p> {
     }
 
     /// A frameless cursor over `dec` reusing `parts`' allocations. Callers
-    /// must position it (`push_frame` via the `at_*` constructors, or
-    /// [`Cursor::fork_speculative_into`], which overwrites every field)
-    /// before stepping it.
+    /// must position it with [`Cursor::fork_speculative_into`], which
+    /// overwrites every field, before stepping it.
     pub fn empty_in(dec: &'p DecodedProgram, mut parts: CursorParts) -> Self {
         parts.frames.clear();
         parts.slab.clear();
@@ -222,8 +204,8 @@ impl<'p> Cursor<'p> {
         }
     }
 
-    /// Detach this cursor's heap buffers for cross-run reuse. Contents are
-    /// dead once detached — only the allocations are retained.
+    /// Detach this cursor's heap buffers for reuse by a later cursor.
+    /// Contents are dead once detached — only the allocations are retained.
     pub fn into_parts(self) -> CursorParts {
         CursorParts {
             frames: self.frames,

@@ -418,8 +418,7 @@ impl<'a> DecodedFunc<'a> {
 }
 
 /// A program's decoded instruction stream. Owns every byte it needs (no
-/// borrow of the source [`Program`]), so a decoded program can outlive the
-/// tree form and be cached across runs (DESIGN.md §3i).
+/// borrow of the source [`Program`]).
 #[derive(Debug)]
 pub struct DecodedProgram {
     entry: FuncId,
@@ -503,15 +502,6 @@ impl DecodedProgram {
     #[inline]
     pub fn entry(&self) -> FuncId {
         self.entry
-    }
-
-    /// Approximate retained heap bytes of the decoded form (arena
-    /// telemetry; not exact — counts the major pools only).
-    pub fn approx_bytes(&self) -> usize {
-        self.code.len() * std::mem::size_of::<DecodedInst>()
-            + self.blocks.len() * std::mem::size_of::<BlockInfo>()
-            + self.pool.len() * std::mem::size_of::<Reg>()
-            + self.funcs.len() * std::mem::size_of::<FuncInfo>()
     }
 
     /// Largest per-function frame stride in the program (each function's

@@ -39,25 +39,11 @@ impl Memory {
         m
     }
 
-    /// Reset to exactly [`Memory::for_program`]`(prog)` state, reusing the
-    /// backing allocation (arena path, DESIGN.md §3i): clear, zero-fill to
-    /// the program's size, re-apply the data image.
-    pub fn reset_for(&mut self, prog: &Program) {
-        self.words.clear();
-        self.words.resize(prog.mem_words.max(1), 0);
-        self.apply_data(prog);
-    }
-
     fn apply_data(&mut self, prog: &Program) {
         let n = self.words.len();
         for &(addr, val) in &prog.data {
             self.words[(addr as usize) % n] = val;
         }
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<i64>()
     }
 
     pub fn len(&self) -> usize {

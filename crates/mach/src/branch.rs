@@ -27,28 +27,6 @@ impl GagPredictor {
         }
     }
 
-    /// Reset to exactly [`GagPredictor::new`]`(entries)` state, reusing the
-    /// table allocation when the normalized size matches (arena path,
-    /// DESIGN.md §3i).
-    pub fn reset(&mut self, entries: usize) {
-        let entries = entries.next_power_of_two().max(2);
-        if self.table.len() == entries {
-            self.table.fill(2);
-        } else {
-            self.table.clear();
-            self.table.resize(entries, 2);
-        }
-        self.ghr = 0;
-        self.mask = (entries - 1) as u64;
-        self.predictions = 0;
-        self.mispredictions = 0;
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.table.capacity()
-    }
-
     /// Predict the current branch, then update with the actual outcome.
     /// Returns `true` when the prediction was correct.
     pub fn predict_and_update(&mut self, taken: bool) -> bool {

@@ -39,28 +39,6 @@ impl CacheLevel {
         }
     }
 
-    /// Reset to exactly [`CacheLevel::new`]`(params)` state, reusing the
-    /// tag/LRU allocations (arena path, DESIGN.md §3i): every line invalid,
-    /// recency and counters zero.
-    pub fn reset(&mut self, params: CacheParams) {
-        let sets = params.sets();
-        let lines = sets * params.assoc;
-        self.tags.clear();
-        self.tags.resize(lines, u64::MAX);
-        self.lru.clear();
-        self.lru.resize(lines, 0);
-        self.params = params;
-        self.sets = sets;
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        (self.tags.capacity() + self.lru.capacity()) * std::mem::size_of::<u64>()
-    }
-
     fn set_and_tag(&self, byte_addr: u64) -> (usize, u64) {
         let block = byte_addr / self.params.block_bytes as u64;
         ((block as usize) % self.sets, block)
@@ -140,20 +118,6 @@ impl CacheSim {
             l3: CacheLevel::new(cfg.l3),
             mem_latency: cfg.mem_latency,
         }
-    }
-
-    /// Reset to exactly [`CacheSim::new`]`(cfg)` state, reusing every
-    /// level's allocations (arena path, DESIGN.md §3i).
-    pub fn reset(&mut self, cfg: &CoreConfig) {
-        self.l1.reset(cfg.l1d);
-        self.l2.reset(cfg.l2);
-        self.l3.reset(cfg.l3);
-        self.mem_latency = cfg.mem_latency;
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.l1.approx_bytes() + self.l2.approx_bytes() + self.l3.approx_bytes()
     }
 
     /// Access the hierarchy for the data word at `word_addr` at time `now`.

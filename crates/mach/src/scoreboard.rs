@@ -259,14 +259,6 @@ impl Scoreboard {
         self.floor
     }
 
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|f| f.slots.capacity() * std::mem::size_of::<(u32, u64, ProducerKind)>())
-            .sum::<usize>()
-    }
-
     /// Current generation of `depth`'s frame (exposed for the wrap test).
     #[doc(hidden)]
     pub fn generation(&self, depth: u32) -> Option<u32> {

@@ -179,9 +179,6 @@ struct Frame {
     store_rejects: f64,
     memo_hits: f64,
     memo_misses: f64,
-    arena_reuse: f64,
-    arena_fresh: f64,
-    arena_retained: f64,
     served: Vec<(String, f64)>,
     phase_ms: Vec<(String, f64)>,
     latency: Vec<(f64, f64)>,
@@ -206,9 +203,6 @@ impl Frame {
             store_rejects: g("spt_store_rejects_total"),
             memo_hits: scrape.sum("spt_memo_hits_total"),
             memo_misses: scrape.sum("spt_memo_misses_total"),
-            arena_reuse: g("spt_arena_reuse_total"),
-            arena_fresh: g("spt_arena_fresh_total"),
-            arena_retained: g("spt_arena_retained_bytes"),
             served: scrape
                 .samples
                 .iter()
@@ -315,13 +309,6 @@ fn render(addr: &str, frame: &Frame, prev: Option<&Frame>, n: u64) -> String {
         fmt_pct(hit_pct(frame.memo_hits, frame.memo_misses)),
         frame.memo_hits,
         frame.memo_misses
-    ));
-    out.push_str(&format!(
-        "  arena      reuse {}   reuse {:.0}, fresh {:.0}, retained {:.1} KB\n",
-        fmt_pct(hit_pct(frame.arena_reuse, frame.arena_fresh)),
-        frame.arena_reuse,
-        frame.arena_fresh,
-        frame.arena_retained / 1024.0
     ));
 
     out.push_str("  phases     ");

@@ -26,8 +26,8 @@
 //!   the listener to a parked follower (or to a new worker, when none is
 //!   parked and fewer than [`MAX_CONNS`] are serving). Past the cap a
 //!   connection is answered `{"ok":false,"error":"busy"}` and closed.
-//!   Each worker starts every connection on an empty simulator arena, as
-//!   a fresh thread would.
+//!   A worker keeps no simulator state between requests: every run
+//!   builds its own.
 //! * **Coalescing** — duplicate concurrent requests share one
 //!   computation and receive byte-identical payloads (a per-request-key
 //!   `OnceLock` in a [`MemoTable`], the same at-most-once, LRU-bounded
@@ -59,7 +59,6 @@
 //! construction: both funnel through [`spt::service::run_experiment`].
 
 use pool::{HandOff, Pool};
-use spt::sim::SimArena;
 use spt::sweep::debug_fingerprint;
 use spt::{
     run_experiment, DiskStore, ExperimentRequest, Json, MemoTable, RunConfig, Sweep, ToJson,
@@ -717,10 +716,6 @@ fn worker(shared: &Arc<Shared>, listener: &Arc<Listener>) {
         // (`catch_panic`); one anywhere else ends the connection, not the
         // worker (whose slot in the pool would otherwise stay counted).
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_conn(&conn, shared)));
-        // Start the next connection on an empty arena, as a fresh thread
-        // would: a warm arena held per parked worker costs resident memory
-        // and bought no compute time (DESIGN.md §3e).
-        spt::sim::with_thread_arena(|a| *a = SimArena::new());
         if !shared.pool.follow(conn) {
             return;
         }

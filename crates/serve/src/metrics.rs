@@ -97,10 +97,6 @@ pub struct ServeMetrics {
     store_writes: Arc<Counter>,
     memo_hits: Arc<Family<Counter>>,
     memo_misses: Arc<Family<Counter>>,
-    // Simulator-arena mirrors (process-global counters owned by spt-sim).
-    arena_reuse: Arc<Counter>,
-    arena_fresh: Arc<Counter>,
-    arena_retained: Arc<Gauge>,
 }
 
 impl ServeMetrics {
@@ -175,18 +171,6 @@ impl ServeMetrics {
                 "spt_memo_misses_total",
                 "In-memory memo cache misses, by phase.",
                 &["phase"],
-            ),
-            arena_reuse: registry.counter(
-                "spt_arena_reuse_total",
-                "Simulator-arena component checkouts served from retained state.",
-            ),
-            arena_fresh: registry.counter(
-                "spt_arena_fresh_total",
-                "Simulator-arena component checkouts that built fresh state.",
-            ),
-            arena_retained: registry.gauge(
-                "spt_arena_retained_bytes",
-                "Approximate bytes of simulator state retained by warm arenas.",
             ),
             registry,
             sweep,
@@ -271,10 +255,6 @@ impl ServeMetrics {
             self.store_rejects.mirror(stats.rejects);
             self.store_writes.mirror(stats.writes);
         }
-        let arena = spt::sim::arena_stats();
-        self.arena_reuse.mirror(arena.reuse);
-        self.arena_fresh.mirror(arena.fresh);
-        self.arena_retained.set(arena.retained_bytes as i64);
         self.registry.render()
     }
 }
@@ -320,31 +300,6 @@ mod tests {
             scrape.value("spt_memo_hits_total", &[("phase", "compile")]),
             Some(memo.compile_hits as f64)
         );
-    }
-
-    #[test]
-    fn arena_mirrors_populate_after_sweep_runs() {
-        let metrics = ServeMetrics::new();
-        let mut sweep = Sweep::sequential();
-        sweep.set_observer(metrics.sweep_observer());
-        let prog = array_map(100, 8);
-        let mut cfg = RunConfig::default();
-        cfg.fuel = 5_000_000;
-        let _ = sweep.evaluate("array_map", &prog, &cfg);
-        // A different machine shape misses the memo, so the simulators
-        // run again — this time on warm thread-local arenas.
-        cfg.machine.cores = 4;
-        let _ = sweep.evaluate("array_map", &prog, &cfg);
-
-        let text = metrics.render(&sweep, None);
-        validate_exposition(&text).expect("valid exposition");
-        let scrape = spt_metrics::parse_exposition(&text).unwrap();
-        let fresh = scrape.get("spt_arena_fresh_total").unwrap().value;
-        let reuse = scrape.get("spt_arena_reuse_total").unwrap().value;
-        let retained = scrape.get("spt_arena_retained_bytes").unwrap().value;
-        assert!(fresh > 0.0, "first run must build fresh components");
-        assert!(reuse > 0.0, "second run must reuse retained components");
-        assert!(retained > 0.0, "warm arenas must report retained bytes");
     }
 
     #[test]

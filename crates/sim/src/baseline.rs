@@ -1,11 +1,11 @@
 //! Baseline single-core simulation: the optimized sequential program on one
 //! Itanium2-like in-order core (the paper's reference configuration).
 
-use crate::arena::{self, SimArena};
 use crate::engine::CycleBreakdown;
 use crate::metrics::{LoopAnnotations, LoopCycleTracker};
+use crate::pipeline::PipelineCore;
 use spt_interp::{Cursor, DecodedProgram, Memory};
-use spt_mach::{CacheStats, CoreConfig};
+use spt_mach::{CacheSim, CacheStats, CoreConfig};
 use spt_sir::Program;
 use spt_trace::{NullSink, Pipe, TraceSink};
 
@@ -41,29 +41,21 @@ impl BaselineReport {
     }
 }
 
-/// Simulate the sequential program on one core, on this thread's
-/// [`SimArena`].
+/// Simulate the sequential program on one core.
 pub fn simulate_baseline(
     prog: &Program,
     cfg: &CoreConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
 ) -> BaselineReport {
-    arena::with_thread_arena(|a| {
-        let (report, mem) = simulate_baseline_in(a, prog, cfg, annots, max_steps, &mut NullSink);
-        a.put_mem(mem);
-        report
-    })
+    simulate_baseline_in(prog, cfg, annots, max_steps, &mut NullSink).0
 }
 
-/// [`simulate_baseline`] with an explicit arena and trace sink: decodes
-/// the program for this run, checks every heap component out of `arena`
-/// (reset-or-fresh) and retires it back at the end. The single pipeline
+/// [`simulate_baseline`] with a trace sink: decodes the program and builds
+/// the core, cache, memory and cursor for this run. The single pipeline
 /// emits `StallTransition` events whenever its idle-cause changes class.
-/// The final memory image is returned for differential state comparison;
-/// callers that don't need it hand it back with [`SimArena::put_mem`].
+/// The final memory image is returned for differential state comparison.
 pub fn simulate_baseline_in(
-    arena: &mut SimArena,
     prog: &Program,
     cfg: &CoreConfig,
     annots: &LoopAnnotations,
@@ -71,10 +63,10 @@ pub fn simulate_baseline_in(
     sink: &mut dyn TraceSink,
 ) -> (BaselineReport, Memory) {
     let dec = DecodedProgram::new(prog);
-    let mut core = arena.take_core(cfg, Pipe::Main);
-    let mut cache = arena.take_cache(cfg);
-    let mut mem = arena.take_mem(prog);
-    let mut cur = Cursor::at_entry_in(&dec, arena.take_cursor_parts());
+    let mut core = PipelineCore::new(cfg, Pipe::Main);
+    let mut cache = CacheSim::new(cfg);
+    let mut mem = Memory::for_program(prog);
+    let mut cur = Cursor::at_entry(&dec);
     let mut tracker = LoopCycleTracker::new(annots);
 
     let traced = sink.enabled();
@@ -105,11 +97,6 @@ pub fn simulate_baseline_in(
         superstep_hits: 0,
         superstep_misses: 0,
     };
-
-    arena.put_cursor_parts(cur.into_parts());
-    arena.put_core(core);
-    arena.put_cache(cache);
-    arena.publish_retained();
     (report, mem)
 }
 

@@ -96,30 +96,6 @@ impl Engine {
         }
     }
 
-    /// Reset to exactly [`Engine::new`]`(cfg)` state, reusing the
-    /// scoreboard frame slots and predictor table (arena path, DESIGN.md
-    /// §3i). `reset_all(0)` leaves the scoreboard observationally fresh:
-    /// stale entries are dead behind the generation stamps it bumps.
-    pub fn reset(&mut self, cfg: &CoreConfig) {
-        self.cycle = 0;
-        self.slots_used = 0;
-        self.width = cfg.issue_width;
-        self.fetch_gate = 0;
-        self.sb.reset_all(0);
-        self.bp.reset(cfg.bp_entries);
-        self.last_busy_cycle = u64::MAX;
-        self.started = false;
-        self.breakdown = CycleBreakdown::default();
-        self.instrs = 0;
-        self.bp_lookups = 0;
-        self.bp_mispredicts = 0;
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.sb.approx_bytes() + self.bp.approx_bytes()
-    }
-
     pub fn cycle(&self) -> u64 {
         self.cycle
     }

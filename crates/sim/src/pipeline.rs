@@ -34,20 +34,6 @@ impl PipelineCore {
         }
     }
 
-    /// Reset to exactly [`PipelineCore::new`]`(cfg, pipe)` state, reusing
-    /// the engine's heap allocations (arena path, DESIGN.md §3i).
-    pub fn reset(&mut self, cfg: &CoreConfig, pipe: Pipe) {
-        self.engine.reset(cfg);
-        self.pipe = pipe;
-        self.last_stall = None;
-        self.pending = None;
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.engine.approx_bytes()
-    }
-
     /// Issue one step; returns the cycle delta it cost. The before/after
     /// breakdown is remembered for a later [`PipelineCore::note_stall`].
     #[inline(always)]

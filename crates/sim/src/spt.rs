@@ -46,13 +46,12 @@
 //! (a speculative pipeline catching up), `arrive` (the check, then commit,
 //! squash or replay), `kill_ring` and `finish` (the report).
 
-use crate::arena::{self, SimArena, SpecBufs};
 use crate::engine::{CycleBreakdown, Engine};
 use crate::metrics::{LoopAnnotations, LoopCycleTracker, PerCoreStats, PerLoopStats};
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 use crate::ssb::{SpecMem, Ssb};
-use spt_interp::{Cursor, DecOp, DecodedProgram, Memory, Step};
+use spt_interp::{Cursor, CursorParts, DecOp, DecodedProgram, Memory, Step};
 use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy};
 use spt_sir::{BlockId, FuncId, Program};
 use spt_trace::{NullSink, Pipe, TraceEvent, TraceSink};
@@ -142,10 +141,9 @@ impl SptReport {
 /// One speculation-result-buffer entry: what replay reads back of a
 /// speculative step — its code index (for the control-divergence check),
 /// whether it executed, the value it moved (destination value or stored
-/// value, as in [`Step::val`]) and its memory access. Lifetime-free, so
-/// the arena retains SRB allocations across runs.
+/// value, as in [`Step::val`]) and its memory access.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct SrbEntry {
+struct SrbEntry {
     pc: u32,
     executed: bool,
     /// An executed load: `addr` is the word it read.
@@ -175,6 +173,23 @@ impl SrbEntry {
             val: s.val,
         }
     }
+}
+
+/// The heap buffers of one finished speculative thread, detached from the
+/// decoded-program borrow so the run's thread free list can hold them.
+/// Contents are dead; [`SpecState::acquire`] clears every field before
+/// reuse.
+#[derive(Default)]
+struct SpecBufs {
+    cursor: CursorParts,
+    ssb: Ssb,
+    lab: AddrMembers,
+    srb: Vec<SrbEntry>,
+    live_in_reads: RegSet,
+    live_in_vals: Vec<(u32, i64)>,
+    spec_written: RegSet,
+    post_fork_writes: RegSet,
+    violated_addrs: AddrList,
 }
 
 /// State of one live speculative thread.
@@ -226,12 +241,12 @@ struct SpecState<'p> {
 
 impl<'p> SpecState<'p> {
     /// Fork a new thread from `parent` at block `start` onto fabric core
-    /// `core`: pop a finished thread's buffers from `free` (this run's or
-    /// an earlier run's, via the arena) or construct them, then reset them
-    /// once. Every reset is observationally fresh construction (the SSB
-    /// grows to this run's memory: new slots carry stamp 0, old stamps are
-    /// dead behind the epoch bump), so the hot fork path reuses register
-    /// files, store-buffer slots and stamp tables instead of allocating.
+    /// `core`: pop a finished thread's buffers from `free` or construct
+    /// them, then reset them once. Every reset is observationally fresh
+    /// construction (the SSB grows to this run's memory: new slots carry
+    /// stamp 0, old stamps are dead behind the epoch bump), so the hot
+    /// fork path reuses register files, store-buffer slots and stamp
+    /// tables instead of allocating.
     fn acquire(
         free: &mut Vec<SpecBufs>,
         parent: &Cursor<'p>,
@@ -241,7 +256,7 @@ impl<'p> SpecState<'p> {
         loop_idx: Option<usize>,
         fork_cycle: u64,
     ) -> Self {
-        let b = SpecBufs::checkout(free);
+        let b = free.pop().unwrap_or_default();
         let mut cursor = Cursor::empty_in(parent.decoded(), b.cursor);
         parent.fork_speculative_into(start, &mut cursor);
         let start_pc = cursor.pc().expect("a fork is live");
@@ -481,8 +496,8 @@ struct Fabric<'p> {
     /// starts past them; `arrive` rolls it back by one and `kill_ring`
     /// to zero.
     lead: usize,
-    /// The one thread free list: the buffers of every finished thread,
-    /// this run's and (through the arena) earlier runs'.
+    /// The one thread free list: the buffers of every thread this run has
+    /// finished. Empty at the start of each run.
     free: Vec<SpecBufs>,
     /// Scratch for the fork-level registers a fast-committed thread (or
     /// the main thread during its lifetime) wrote, refilled per commit
@@ -497,13 +512,8 @@ struct Fabric<'p> {
 }
 
 impl<'p> Fabric<'p> {
-    /// Check every heap component out of `arena` (reset-or-fresh).
-    fn new(
-        sim: &'p SptSim<'_>,
-        arena: &mut SimArena,
-        max_steps: u64,
-        sink: &'p mut dyn TraceSink,
-    ) -> Self {
+    /// Build every component of one run.
+    fn new(sim: &'p SptSim<'_>, max_steps: u64, sink: &'p mut dyn TraceSink) -> Self {
         let cfg = &sim.cfg;
         let cores = cfg.cores.max(2);
         Fabric {
@@ -512,16 +522,16 @@ impl<'p> Fabric<'p> {
             traced: sink.enabled(),
             sink,
             max_steps,
-            mem: arena.take_mem(sim.prog),
-            cache: arena.take_cache(&cfg.core),
-            main: Cursor::at_entry_in(&sim.dec, arena.take_cursor_parts()),
-            main_core: arena.take_core(&cfg.core, Pipe::Main),
+            mem: Memory::for_program(sim.prog),
+            cache: CacheSim::new(&cfg.core),
+            main: Cursor::at_entry(&sim.dec),
+            main_core: PipelineCore::new(&cfg.core, Pipe::Main),
             spec_cores: (1..cores)
-                .map(|_| arena.take_core(&cfg.core, Pipe::Spec))
+                .map(|_| PipelineCore::new(&cfg.core, Pipe::Spec))
                 .collect(),
             ring: Vec::new(),
             lead: 0,
-            free: arena.take_spec_bufs_pool(),
+            free: Vec::new(),
             committed_writes: Vec::new(),
             tracker: LoopCycleTracker::new(&sim.annots),
             per_loop: sim
@@ -1120,10 +1130,9 @@ impl<'p> Fabric<'p> {
         self.lead = 0;
     }
 
-    /// Build the report, then retire every reusable component into
-    /// `arena`. The final architectural memory is returned rather than
-    /// retired (see [`SptSim::run_in`]).
-    fn finish(mut self, arena: &mut SimArena) -> (SptReport, Memory) {
+    /// Build the report; the final architectural memory is returned with
+    /// it (see [`SptSim::run_in`]).
+    fn finish(mut self) -> (SptReport, Memory) {
         self.tracker.fold_into(&mut self.per_loop);
         self.per_core[0].instrs = self.main_core.engine.instrs();
         for (stats, core) in self.per_core[1..].iter_mut().zip(&self.spec_cores) {
@@ -1168,16 +1177,6 @@ impl<'p> Fabric<'p> {
             superstep_hits: 0,
             superstep_misses: 0,
         };
-        self.free
-            .extend(self.ring.into_iter().map(SpecState::into_bufs));
-        arena.put_spec_bufs_pool(self.free);
-        arena.put_cursor_parts(self.main.into_parts());
-        arena.put_core(self.main_core);
-        for c in self.spec_cores {
-            arena.put_core(c);
-        }
-        arena.put_cache(self.cache);
-        arena.publish_retained();
         (report, self.mem)
     }
 }
@@ -1204,31 +1203,20 @@ impl<'p> SptSim<'p> {
     }
 
     /// Run the program to completion (or until `max_steps` interpreter steps
-    /// across all pipelines) on this thread's [`SimArena`].
+    /// across all pipelines).
     pub fn run(&self, max_steps: u64) -> SptReport {
-        arena::with_thread_arena(|a| {
-            let (report, mem) = self.run_in(a, max_steps, &mut NullSink);
-            a.put_mem(mem);
-            report
-        })
+        self.run_in(max_steps, &mut NullSink).0
     }
 
-    /// The simulation loop proper: check every heap component out of
-    /// `arena` (reset-or-fresh), run with `sink` receiving one event per
-    /// observable speculation action, retire the components back. The
-    /// final architectural memory image is returned rather than retired,
-    /// so differential tests can compare the committed state against a
-    /// sequential interpretation word for word; callers that don't need
-    /// it hand it back with [`SimArena::put_mem`].
-    pub fn run_in(
-        &self,
-        arena: &mut SimArena,
-        max_steps: u64,
-        sink: &mut dyn TraceSink,
-    ) -> (SptReport, Memory) {
-        let mut fabric = Fabric::new(self, arena, max_steps, sink);
+    /// The simulation loop proper: build this run's memory, cache, cores
+    /// and cursor, then run with `sink` receiving one event per observable
+    /// speculation action. The final architectural memory image is
+    /// returned so differential tests can compare the committed state
+    /// against a sequential interpretation word for word.
+    pub fn run_in(&self, max_steps: u64, sink: &mut dyn TraceSink) -> (SptReport, Memory) {
+        let mut fabric = Fabric::new(self, max_steps, sink);
         fabric.run();
-        fabric.finish(arena)
+        fabric.finish()
     }
 }
 
@@ -1588,7 +1576,7 @@ mod tests {
             let sim = SptSim::new(&prog, MachineConfig::default(), annots);
             let rep = sim.run(FUEL);
             let mut sink = spt_trace::RingBufferSink::unbounded();
-            let rep_t = sim.run_in(&mut SimArena::new(), FUEL, &mut sink).0;
+            let rep_t = sim.run_in(FUEL, &mut sink).0;
             // Tracing must not perturb timing or results.
             assert_eq!(rep.cycles, rep_t.cycles);
             assert_eq!(rep.instrs, rep_t.instrs);
@@ -1609,7 +1597,7 @@ mod tests {
         let (prog, annots) = serial_loop(40, 6);
         let sim = SptSim::new(&prog, MachineConfig::default(), annots);
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let rep = sim.run_in(&mut SimArena::new(), FUEL, &mut sink).0;
+        let rep = sim.run_in(FUEL, &mut sink).0;
         assert!(rep.replays > 0);
         let fold = spt_trace::fold(sink.records());
         let l = &fold.per_loop[0];
@@ -1641,7 +1629,7 @@ mod tests {
         let (seq, seq_mem) = run(&prog, FUEL);
         for cores in [2usize, 3, 4, 8] {
             let sim = SptSim::new(&prog, cfg_with_cores(cores), annots.clone());
-            let (rep, mem) = sim.run_in(&mut SimArena::new(), FUEL, &mut NullSink);
+            let (rep, mem) = sim.run_in(FUEL, &mut NullSink);
             assert!(!rep.out_of_fuel, "cores={cores}");
             assert_eq!(rep.ret, seq.ret, "cores={cores}");
             for a in 0..54 {
@@ -1688,7 +1676,7 @@ mod tests {
         let (prog, annots) = parallel_loop(80, 8);
         let sim = SptSim::new(&prog, cfg_with_cores(4), annots);
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let rep = sim.run_in(&mut SimArena::new(), FUEL, &mut sink).0;
+        let rep = sim.run_in(FUEL, &mut sink).0;
         let ring_forks = sink
             .records()
             .filter(|r| matches!(r.ev, TraceEvent::RingFork { .. }))
@@ -1806,7 +1794,7 @@ mod tests {
             let (seq, seq_mem) = spt_interp::run_with(prog, FUEL, |_| {});
             for (cores, want) in [2usize, 4, 8].into_iter().zip(pinned) {
                 let sim = SptSim::new(prog, cfg_with_cores(cores), annots.clone());
-                let (r, mem) = sim.run_in(&mut SimArena::new(), FUEL, &mut NullSink);
+                let (r, mem) = sim.run_in(FUEL, &mut NullSink);
                 let ctx = format!("{name} @ {cores} cores");
                 assert_eq!(r.ret, seq.ret, "{ctx}: ret");
                 assert_eq!(mem, seq_mem, "{ctx}: final memory");

@@ -108,21 +108,15 @@ impl Ssb {
     }
 
     /// Grow the slot array to cover a memory of `words` words (never
-    /// shrinks). Combined with [`Ssb::clear`], this makes a pooled buffer
-    /// observationally equal to [`Ssb::with_words`]`(words)`: new slots
-    /// carry stamp 0 (never live) and old slots' stamps are dead behind the
-    /// epoch bump (arena path, DESIGN.md §3i).
+    /// shrinks). Combined with [`Ssb::clear`], this makes a buffer reused
+    /// from the SPT run's thread free list observationally equal to
+    /// [`Ssb::with_words`]`(words)`: new slots carry stamp 0 (never live)
+    /// and old slots' stamps are dead behind the epoch bump.
     #[inline]
     pub fn ensure_words(&mut self, words: usize) {
         if self.slots.len() < words {
             self.slots.resize(words, (0, 0));
         }
-    }
-
-    /// Approximate retained heap bytes (arena telemetry).
-    pub fn approx_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<(u32, i64)>()
-            + self.log.capacity() * std::mem::size_of::<(u64, i64)>()
     }
 
     /// Discard all buffered stores: one epoch bump. On epoch wrap the slot

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use spt_interp::run;
 use spt_mach::{MachineConfig, RecoveryKind, RegCheckPolicy};
-use spt_sim::{with_thread_arena, LoopAnnot, LoopAnnotations, SptSim};
+use spt_sim::{LoopAnnot, LoopAnnotations, SptSim};
 use spt_sir::{BinOp, BlockId, Program, ProgramBuilder, Reg};
 use spt_trace::NullSink;
 
@@ -267,7 +267,7 @@ proptest! {
             let mut m = MachineConfig::default();
             m.cores = cores;
             let sim = SptSim::new(&prog, m, annots.clone());
-            let (rep, mem) = with_thread_arena(|a| sim.run_in(a, FUEL, &mut NullSink));
+            let (rep, mem) = sim.run_in(FUEL, &mut NullSink);
             prop_assert!(!rep.out_of_fuel, "cores={}", cores);
             prop_assert_eq!(rep.ret, seq.ret, "cores={}", cores);
             for a in 0..MEM as u64 {

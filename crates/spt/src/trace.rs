@@ -22,8 +22,7 @@ use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunCon
 use crate::sweep::program_fingerprint;
 use crate::sweep::{BenchRecord, PhaseStamp, RunReport, Sweep};
 use spt_compiler::compile_with_deps;
-use spt_interp::Memory;
-use spt_sim::{simulate_baseline_in, with_thread_arena, SimArena, SptSim};
+use spt_sim::{simulate_baseline_in, SptSim};
 use spt_sir::Program;
 use spt_trace::{
     fold, Histogram, LoopHistograms, Pipe, RingBufferSink, TraceEvent, TraceFold, TraceRecord,
@@ -534,16 +533,6 @@ pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
 // Traced pipeline
 // ---------------------------------------------------------------------------
 
-/// Run one traced simulation on this worker thread's arena, handing its
-/// final memory image back to the arena.
-fn on_thread_arena<R>(run: impl FnOnce(&mut SimArena) -> (R, Memory)) -> R {
-    with_thread_arena(|a| {
-        let (r, mem) = run(a);
-        a.put_mem(mem);
-        r
-    })
-}
-
 impl Sweep {
     /// Run the full evaluation pipeline for one program with tracing on,
     /// capturing every event. The program and dependence profiles go
@@ -569,25 +558,15 @@ impl Sweep {
         let base_annots = original_annotations(prog, &compiled);
         let mut bsink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let baseline = on_thread_arena(|a| {
-            simulate_baseline_in(
-                a,
-                prog,
-                &cfg.machine.core,
-                &base_annots,
-                cfg.fuel,
-                &mut bsink,
-            )
-        });
+        let (baseline, _) =
+            simulate_baseline_in(prog, &cfg.machine.core, &base_annots, cfg.fuel, &mut bsink);
         let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let annots = spt_annotations(&compiled);
         let mut ssink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let spt = on_thread_arena(|a| {
-            SptSim::new(&compiled.program, cfg.machine.clone(), annots)
-                .run_in(a, cfg.fuel, &mut ssink)
-        });
+        let (spt, _) = SptSim::new(&compiled.program, cfg.machine.clone(), annots)
+            .run_in(cfg.fuel, &mut ssink);
         let spt_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let outcome = EvalOutcome {

@@ -12,9 +12,7 @@
 //! once, and the per-core statistics sum to the fabric-wide counters.
 
 use spt::compiler::compile;
-use spt::sim::{
-    simulate_baseline, simulate_baseline_in, PerCoreStats, SimArena, SptReport, SptSim,
-};
+use spt::sim::{simulate_baseline, simulate_baseline_in, PerCoreStats, SptReport, SptSim};
 use spt::tracing::{NullSink, RingBufferSink, TraceSink};
 use spt::workloads::{suite, Scale};
 use spt::RunConfig;
@@ -70,9 +68,6 @@ fn assert_outcomes_conserved(r: &SptReport, ctx: &str) {
 #[test]
 fn traced_and_untraced_runs_report_identically_across_the_suite() {
     let cfg = RunConfig::default();
-    // One warm arena per side, as a sweep worker would keep.
-    let mut quiet_arena = SimArena::new();
-    let mut traced_arena = SimArena::new();
     let mut traced_events = 0usize;
     for w in suite(Scale::Test) {
         let compiled = compile(&w.program, &cfg.compile);
@@ -83,16 +78,16 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
                 "{} cores={} {:?}/{:?}",
                 w.name, m.cores, m.recovery, m.reg_check
             );
-            let run = |arena: &mut SimArena, sink: &mut dyn TraceSink| {
+            let run = |sink: &mut dyn TraceSink| {
                 let (b, bmem) =
-                    simulate_baseline_in(arena, &w.program, &m.core, &base_annots, cfg.fuel, sink);
+                    simulate_baseline_in(&w.program, &m.core, &base_annots, cfg.fuel, sink);
                 let sim = SptSim::new(&compiled.program, m.clone(), annots.clone());
-                let (s, smem) = sim.run_in(arena, cfg.fuel, sink);
+                let (s, smem) = sim.run_in(cfg.fuel, sink);
                 (format!("{b:?}"), bmem, s, smem)
             };
-            let quiet = run(&mut quiet_arena, &mut NullSink);
+            let quiet = run(&mut NullSink);
             let mut ring = RingBufferSink::unbounded();
-            let traced = run(&mut traced_arena, &mut ring);
+            let traced = run(&mut ring);
             traced_events += ring.records().count();
             assert_eq!(quiet.0, traced.0, "baseline report [{ctx}]");
             assert!(quiet.1 == traced.1, "baseline memory [{ctx}]");

@@ -24,9 +24,9 @@ use proptest::prelude::*;
 use spt::{original_annotations, spt_annotations, CompileOptions, MachineConfig};
 use spt_compiler::compile;
 use spt_interp::{run_with, Memory};
-use spt_sim::{simulate_baseline_in, with_thread_arena, SptReport, SptSim};
+use spt_sim::{simulate_baseline_in, SptSim};
 use spt_sir::{BinOp, Program, ProgramBuilder, Reg};
-use spt_trace::{NullSink, TraceSink};
+use spt_trace::NullSink;
 
 const FUEL: u64 = 2_000_000;
 const N_REGS: u32 = 5;
@@ -148,11 +148,6 @@ fn lenient_opts() -> CompileOptions {
     o
 }
 
-/// One SPT run on this thread's warm arena, keeping the final memory.
-fn run_spt(sim: &SptSim, sink: &mut dyn TraceSink) -> (SptReport, Memory) {
-    with_thread_arena(|a| sim.run_in(a, FUEL, sink))
-}
-
 fn words(mem: &Memory) -> Vec<i64> {
     (0..mem.len() as u64).map(|a| mem.peek(a)).collect()
 }
@@ -207,7 +202,7 @@ fn check_differential(body: &[Stmt], trip: u8) {
         let mut m = machine.clone();
         m.cores = cores;
         let sim = SptSim::new(&compiled.program, m, annots.clone());
-        let (spt_rep, spt_mem) = run_spt(&sim, &mut NullSink);
+        let (spt_rep, spt_mem) = sim.run_in(FUEL, &mut NullSink);
         assert!(
             !spt_rep.out_of_fuel,
             "SPT simulation must terminate (cores={cores}) [{ctx}]"
@@ -230,7 +225,7 @@ fn check_differential(body: &[Stmt], trip: u8) {
     let sim = SptSim::new(&compiled.program, machine.clone(), annots.clone());
     let untraced = sim.run(FUEL);
     let mut sink_a = spt_trace::RingBufferSink::unbounded();
-    let (traced, _) = run_spt(&sim, &mut sink_a);
+    let (traced, _) = sim.run_in(FUEL, &mut sink_a);
     assert_eq!(
         traced.cycles, untraced.cycles,
         "tracing perturbed timing [{ctx}]"
@@ -246,7 +241,7 @@ fn check_differential(body: &[Stmt], trip: u8) {
     );
     assert_eq!(traced.spec_misspec, untraced.spec_misspec, "[{ctx}]");
     let mut sink_b = spt_trace::RingBufferSink::unbounded();
-    let _ = run_spt(&sim, &mut sink_b);
+    let _ = sim.run_in(FUEL, &mut sink_b);
     let bytes_a: String = sink_a.records().map(spt_trace::jsonl).collect();
     let bytes_b: String = sink_b.records().map(spt_trace::jsonl).collect();
     assert_eq!(
@@ -261,9 +256,8 @@ fn check_differential(body: &[Stmt], trip: u8) {
 
     // Stage 3: the baseline timing model on the original program.
     let base_annots = original_annotations(&prog, &compiled);
-    let (base_rep, base_mem) = with_thread_arena(|a| {
-        simulate_baseline_in(a, &prog, &machine.core, &base_annots, FUEL, &mut NullSink)
-    });
+    let (base_rep, base_mem) =
+        simulate_baseline_in(&prog, &machine.core, &base_annots, FUEL, &mut NullSink);
     assert!(
         !base_rep.out_of_fuel,
         "baseline simulation must terminate [{ctx}]"
