@@ -4,7 +4,9 @@
 //! (minus the machine-dependent metrics footer). The test regenerates all
 //! of them through one shared [`Sweep`] — the same engine the binaries use,
 //! so the memo cache is exercised across experiments — and diffs against
-//! the checked-in files.
+//! the checked-in files. One golden is no binary's output:
+//! `work_counts.txt` pins the simulator's deterministic work (interpreter
+//! steps per pipeline, scheduler scans) over the `fig_scale` runs.
 //!
 //! To refresh after an intentional output change:
 //!
@@ -19,7 +21,7 @@ use spt::report::{
 };
 use spt::store::fnv1a;
 use spt::trace::chrome_trace;
-use spt::{MachineConfig, RunConfig, Sweep};
+use spt::{spt_annotations, MachineConfig, RunConfig, Sweep};
 use spt_compiler::candidate_keys;
 use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
 use spt_workloads::kernels::svp_loop;
@@ -117,6 +119,10 @@ fn results_match_goldens() {
         "fig_scale.txt",
         &render_fig_scale(&cores, &scale_data),
     ));
+    stale.extend(check(
+        "work_counts.txt",
+        &render_work_counts(&sweep, &cores, &cfg),
+    ));
 
     // Observability goldens: the spt-explain report and the Chrome trace
     // export for one benchmark. Both are pure functions of cycle-stamped
@@ -137,6 +143,51 @@ fn results_match_goldens() {
         "stale goldens: {stale:?} — refresh with \
          `UPDATE_GOLDENS=1 cargo test -p spt-bench --test goldens`"
     );
+}
+
+/// The speculation fabric's work in the `fig_scale` runs above: per suite
+/// benchmark and core count, the interpreter steps of the main pipeline,
+/// the speculative pipelines and the replay walks, and the scheduler's
+/// searches of the ring, then the column totals. Every item is the same
+/// memoized SPT run `fig_scale` made. Unlike wall-clock time these counts
+/// are exact, so a change to the simulator's work shows here first.
+fn render_work_counts(sweep: &Sweep, cores: &[usize], cfg: &RunConfig) -> String {
+    let mut out = format!(
+        "{:<8} {:>5} {:>10} {:>10} {:>10} {:>10}\n",
+        "bench", "cores", "main", "spec", "replay", "scans"
+    );
+    let mut total = [0u64; 4];
+    for w in spt_workloads::suite(Scale::Test) {
+        for &n in cores {
+            let mut copts = cfg.compile.clone();
+            copts.cost.cores = n;
+            let machine = MachineConfig {
+                cores: n,
+                ..cfg.machine.clone()
+            };
+            let (compiled, _, _) = sweep.compile(&w.program, &copts);
+            let annots = spt_annotations(&compiled);
+            let (r, _) = sweep.spt_sim(&compiled.program, &machine, &annots, cfg.fuel);
+            let row = [
+                r.steps - r.spec_steps - r.replay_steps,
+                r.spec_steps,
+                r.replay_steps,
+                r.scans,
+            ];
+            out.push_str(&format!(
+                "{:<8} {n:>5} {:>10} {:>10} {:>10} {:>10}\n",
+                w.name, row[0], row[1], row[2], row[3]
+            ));
+            for (t, v) in total.iter_mut().zip(row) {
+                *t += v;
+            }
+        }
+    }
+    out.push_str(&format!(
+        "{:<8} {:>5} {:>10} {:>10} {:>10} {:>10}\n",
+        "total", "", total[0], total[1], total[2], total[3]
+    ));
+    out
 }
 
 /// `m` with its keys in order, so its `Debug` rendering is deterministic.

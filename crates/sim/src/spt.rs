@@ -89,7 +89,15 @@ pub struct SptReport {
     pub bp_mispredicts: u64,
     pub bp_lookups: u64,
     pub ret: Option<i64>,
+    /// Interpreter steps over all pipelines: the main pipeline's own,
+    /// `spec_steps` and `replay_steps`.
     pub steps: u64,
+    /// Of `steps`: those the speculative pipelines took.
+    pub spec_steps: u64,
+    /// Of `steps`: those the main pipeline took walking an SRB in replay.
+    pub replay_steps: u64,
+    /// Searches of the ring for a speculative thread that may step.
+    pub scans: u64,
     pub out_of_fuel: bool,
     /// Always 0: the block memo is gone, but the benchmark crate reads it.
     pub superstep_hits: u64,
@@ -458,6 +466,9 @@ enum Parent {
 #[derive(Default)]
 struct Counters {
     steps: u64,
+    spec_steps: u64,
+    replay_steps: u64,
+    scans: u64,
     forks: u64,
     forks_ignored: u64,
     fast_commits: u64,
@@ -637,6 +648,7 @@ impl<'p> Fabric<'p> {
     /// running ahead of wall-clock), and keep stepping it while it stays
     /// eligible. Returns whether a thread stepped.
     fn step_ready_thread(&mut self) -> bool {
+        self.n.scans += 1;
         let main_cycle = self.main_core.engine.cycle();
         while self.lead < self.ring.len() && self.ring[self.lead].stalled {
             self.lead += 1;
@@ -680,6 +692,7 @@ impl<'p> Fabric<'p> {
         // `i`'s own park/stall/gate conditions can change.
         loop {
             self.n.steps += 1;
+            self.n.spec_steps += 1;
             let sp = &mut self.ring[i];
             let core = &mut self.spec_cores[sp.core - 1];
             let fork_req = sp.step(core, &mut self.cache, &mut self.mem, self.cfg, self.traced);
@@ -1027,6 +1040,7 @@ impl<'p> Fabric<'p> {
             }
             let cev = self.main.step(&mut self.mem).expect("not halted");
             self.n.steps += 1;
+            self.n.replay_steps += 1;
 
             // Misspeculation determination (the dependence checkers of §3.2
             // plus scoreboard propagation during replay).
@@ -1140,6 +1154,9 @@ impl<'p> Fabric<'p> {
         }
         let Counters {
             steps,
+            spec_steps,
+            replay_steps,
+            scans,
             forks,
             forks_ignored,
             fast_commits,
@@ -1173,6 +1190,9 @@ impl<'p> Fabric<'p> {
             bp_lookups: eng.bp_lookups(),
             ret: self.main.return_value(),
             steps,
+            spec_steps,
+            replay_steps,
+            scans,
             out_of_fuel: !self.main.is_halted() && steps >= self.max_steps,
             superstep_hits: 0,
             superstep_misses: 0,

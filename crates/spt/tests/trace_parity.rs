@@ -108,6 +108,58 @@ fn traced_and_untraced_runs_report_identically_across_the_suite() {
     );
 }
 
+/// Every interpreter step is one issue on the pipeline that took it, and
+/// lands in exactly one place: across the suite at N ∈ {2, 4, 8} and SRB
+/// sizes {1, 2, default}, the main pipeline issues its own steps plus the
+/// replay walks, the speculative pipelines issue exactly `spec_steps`, and
+/// every speculative step fills one SRB entry that is later checked or
+/// discarded. A speculative pipeline stalls on a full SRB, so no thread
+/// takes more steps than the SRB holds.
+#[test]
+fn step_counters_are_conserved_and_respect_the_srb_capacity() {
+    let cfg = RunConfig::default();
+    for w in suite(Scale::Test) {
+        let compiled = compile(&w.program, &cfg.compile);
+        let annots = spt_annotations(&compiled);
+        for cores in [2, 4, 8] {
+            for srb_entries in [1, 2, cfg.machine.srb_entries] {
+                let ctx = format!("{} cores={cores} srb={srb_entries}", w.name);
+                let m = MachineConfig {
+                    cores,
+                    srb_entries,
+                    ..cfg.machine.clone()
+                };
+                let r = SptSim::new(&compiled.program, m, annots.clone()).run(cfg.fuel);
+                assert!(!r.out_of_fuel, "out of fuel [{ctx}]");
+                let main_steps = r.steps - r.spec_steps - r.replay_steps;
+                let spec_instrs: u64 = r.per_core[1..].iter().map(|c| c.instrs).sum();
+                let threads: u64 = r.per_core.iter().map(|c| c.threads).sum();
+                assert_eq!(
+                    r.per_core[0].instrs,
+                    main_steps + r.replay_steps,
+                    "main-pipeline issues [{ctx}]"
+                );
+                assert_eq!(spec_instrs, r.spec_steps, "speculative issues [{ctx}]");
+                assert_eq!(r.steps, r.per_core[0].instrs + spec_instrs, "steps [{ctx}]");
+                assert_eq!(
+                    r.spec_steps,
+                    r.spec_instrs_checked + r.spec_instrs_discarded,
+                    "every speculative step fills one SRB entry [{ctx}]"
+                );
+                assert!(
+                    r.replay_steps <= r.spec_instrs_checked,
+                    "a replay walks only checked entries [{ctx}]"
+                );
+                assert!(
+                    r.spec_steps <= threads * srb_entries as u64,
+                    "SRB capacity [{ctx}]: {} steps, {threads} threads",
+                    r.spec_steps
+                );
+            }
+        }
+    }
+}
+
 /// With no fork to take, the SPT machine is the baseline core: every suite
 /// benchmark's *original* program, under its `original_annotations`, runs
 /// on `SptSim` at N ∈ {2, 4, 8} without forking and reports exactly what
