@@ -35,12 +35,6 @@ struct FrameSlots {
     /// `baseline_gen == gen`.
     baseline: u64,
     baseline_gen: u32,
-    /// Running maximum of every `set` cycle this generation, live iff
-    /// `max_gen == gen`. An upper bound on any register's readiness, so
-    /// `max_ready <= t` proves *every* operand of the frame is ready by
-    /// `t` without walking an operand list.
-    max_ready: u64,
-    max_gen: u32,
 }
 
 impl FrameSlots {
@@ -50,8 +44,6 @@ impl FrameSlots {
             gen: 1,
             baseline: 0,
             baseline_gen: 0,
-            max_ready: 0,
-            max_gen: 0,
         }
     }
 
@@ -70,10 +62,6 @@ impl FrameSlots {
             self.slots.resize(r + 1, (0, 0, ProducerKind::Other));
         }
         self.slots[r] = (self.gen, cycle, kind);
-        if self.max_gen != self.gen || cycle > self.max_ready {
-            self.max_ready = cycle;
-            self.max_gen = self.gen;
-        }
     }
 
     /// Drop all register entries and the baseline: one generation bump.
@@ -86,7 +74,6 @@ impl FrameSlots {
                 .iter_mut()
                 .for_each(|s| *s = (0, 0, ProducerKind::Other));
             self.baseline_gen = 0;
-            self.max_gen = 0;
             self.gen = 1;
         }
     }
@@ -193,25 +180,6 @@ impl Scoreboard {
         ready
     }
 
-    /// Upper bound on [`Scoreboard::ready_at`] over *every* register of
-    /// `depth`'s frame: the floor, the frame baseline, and the running
-    /// maximum of all `set_ready` cycles this generation. When this is at
-    /// or below `t`, any instruction of the frame has its operands ready
-    /// by `t` — no operand walk needed to prove eligibility.
-    #[inline]
-    pub fn frame_ready_bound(&self, depth: u32) -> u64 {
-        let mut b = self.floor;
-        if let Some(f) = self.frames.get(depth as usize) {
-            if f.baseline_gen == f.gen && f.baseline > b {
-                b = f.baseline;
-            }
-            if f.max_gen == f.gen && f.max_ready > b {
-                b = f.max_ready;
-            }
-        }
-        b
-    }
-
     /// A new frame is entered at `depth`: its registers are fresh, written
     /// together by the call's argument copy at `cycle`.
     pub fn enter_frame(&mut self, depth: u32, cycle: u64) {
@@ -233,17 +201,6 @@ impl Scoreboard {
             f.clear();
         }
         self.floor = cycle;
-    }
-
-    /// Earliest cycle at which *any* register of `depth` can be read
-    /// (frame-entry baseline).
-    #[inline]
-    pub fn frame_baseline(&self, depth: u32) -> u64 {
-        self.frames
-            .get(depth as usize)
-            .filter(|f| f.baseline_gen == f.gen)
-            .map(|f| f.baseline)
-            .unwrap_or(self.floor)
     }
 
     /// Drop state for frames deeper than `depth` (after returns). The frame
@@ -298,7 +255,7 @@ mod tests {
         sb.enter_frame(1, 12);
         // Old per-register info gone; baseline is the call time.
         assert_eq!(sb.ready_at(1, 0), (0, ProducerKind::Other));
-        assert_eq!(sb.frame_baseline(1), 12);
+        assert_eq!(sb.operands_ready_time(1, []), 12);
     }
 
     #[test]
@@ -332,9 +289,9 @@ mod tests {
         let mut sb = Scoreboard::new();
         sb.reset_all(40);
         sb.enter_frame(2, 40); // not later than the floor: no baseline entry
-        assert_eq!(sb.frame_baseline(2), 40);
+        assert_eq!(sb.operands_ready_time(2, []), 40);
         sb.reset_all(60); // floor moves; stale baseline must not resurface
-        assert_eq!(sb.frame_baseline(2), 60);
+        assert_eq!(sb.operands_ready_time(2, []), 60);
     }
 
     #[test]
@@ -357,15 +314,15 @@ mod tests {
     }
 
     #[test]
-    fn generation_wrap_drops_frame_baseline() {
+    fn generation_wrap_drops_the_entry_baseline() {
         let mut sb = Scoreboard::new();
         sb.enter_frame(2, 30); // baseline stamped with the current gen
-        assert_eq!(sb.frame_baseline(2), 30);
+        assert_eq!(sb.operands_ready_time(2, []), 30);
         sb.force_generation(2, u32::MAX);
         sb.truncate_below(1); // clears depth 2, wrapping its counter
         assert_eq!(sb.generation(2), Some(1));
         assert_eq!(
-            sb.frame_baseline(2),
+            sb.operands_ready_time(2, []),
             0,
             "stale baseline must not resurface after the wrap"
         );
@@ -378,7 +335,7 @@ mod tests {
         sb.enter_frame(0, 7);
         sb.enter_frame(0, 0); // clears again, baseline not re-armed
         assert_eq!(sb.ready_at(0, 1), (0, ProducerKind::Other));
-        assert_eq!(sb.frame_baseline(0), 0);
+        assert_eq!(sb.operands_ready_time(0, []), 0);
         sb.set_ready(0, 1, 9, ProducerKind::Other);
         assert_eq!(sb.ready_at(0, 1), (9, ProducerKind::Other));
     }

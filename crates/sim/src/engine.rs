@@ -134,9 +134,11 @@ impl Engine {
     }
 
     /// Earliest cycle at which an instruction at `depth` reading `regs`
-    /// could issue, without issuing anything. Used by the SPT scheduler to
-    /// model a *stalled* speculative pipeline: a speculative instruction
-    /// whose operands are not ready yet has not issued, so an arriving main
+    /// could issue, without issuing anything: the cycle counter, the fetch
+    /// gate and the operands' readiness. The SPT scheduler computes a
+    /// speculative thread's gate with it once per step, which models a
+    /// *stalled* speculative pipeline: a speculative instruction whose
+    /// operands are not ready yet has not issued, so an arriving main
     /// thread does not wait for it.
     pub fn ready_time(&self, depth: u32, regs: impl IntoIterator<Item = u32>) -> u64 {
         // `operands_ready_time` folds in the frame baseline and the floor,
@@ -144,26 +146,6 @@ impl Engine {
         self.cycle
             .max(self.fetch_gate)
             .max(self.sb.operands_ready_time(depth, regs))
-    }
-
-    /// Upper bound of [`Engine::ready_time`] over *any* instruction at
-    /// `depth`: cycle counter, fetch gate, and the scoreboard's whole-frame
-    /// readiness bound. At or below `t`, the exact gate of the next
-    /// instruction is provably ≤ `t` without its operand list.
-    pub fn ready_bound(&self, depth: u32) -> u64 {
-        self.cycle
-            .max(self.fetch_gate)
-            .max(self.sb.frame_ready_bound(depth))
-    }
-
-    /// Lower bound of [`Engine::ready_time`] that needs no operand list:
-    /// the cycle counter, fetch gate and frame baseline alone. Lets the
-    /// SPT scheduler prove "cannot issue by cycle `t`" without walking the
-    /// next instruction's source registers.
-    pub fn ready_floor(&self, depth: u32) -> u64 {
-        self.cycle
-            .max(self.fetch_gate)
-            .max(self.sb.frame_baseline(depth))
     }
 
     /// Idle cycles between now and `t`, excluding the current cycle if an

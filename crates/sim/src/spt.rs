@@ -231,16 +231,12 @@ struct SpecState<'p> {
     /// Code index of the start-point: the first statement (or the
     /// terminator of an empty block) of the forked block.
     start_pc: u32,
-    /// Cached earliest main-pipeline cycle this thread's next instruction
-    /// could issue (`u64::MAX` once halted). Refreshed after each of the
-    /// thread's own steps (nothing else moves its cursor or engine).
-    /// When `gate_exact` is false this is only a *lower bound* (engine
-    /// cycle / fetch gate / frame baseline, no operand walk) — still
-    /// sufficient to prove ineligibility whenever it exceeds the main
-    /// cycle; [`SpecState::refine_gate`] upgrades it on demand.
+    /// The cycle at which this thread's next instruction can issue, or
+    /// `u64::MAX` when it cannot step: it halted, its SRB is full, it
+    /// returned out of its fork frame, or it is parked at its successor's
+    /// start-point. Set at spawn and after each of the thread's own steps
+    /// (nothing else moves its cursor or engine), and by the park check.
     gate: u64,
-    gate_exact: bool,
-    stalled: bool,
     /// Annotated loop this fork belongs to, if known.
     loop_idx: Option<usize>,
     /// Cycle at which the fork issued (trace attribution).
@@ -283,8 +279,6 @@ impl<'p> SpecState<'p> {
             start_depth: parent.depth(),
             start_pc,
             gate: 0,
-            gate_exact: false,
-            stalled: false,
             loop_idx,
             fork_cycle,
         };
@@ -315,60 +309,22 @@ impl<'p> SpecState<'p> {
         }
     }
 
-    /// Recompute the cached gate: the earliest cycle the next instruction
-    /// could issue on this thread's own engine (`ready_time` is ≥ the
-    /// engine's cycle, so one cached value subsumes the old `eng.cycle()
-    /// ≤ main && ready ≤ main` pair). Only this thread's own steps change
-    /// it — each thread owns its core's engine — so this runs once per
-    /// step instead of once per scheduler scan.
-    ///
-    /// The gate is computed lazily against `by` (the frozen main cycle):
-    /// a speculative pipeline usually runs *ahead* of the main one, and
-    /// then [`Engine::ready_floor`] alone already exceeds `by` — the
-    /// operand walk (the next instruction's operands + per-register
-    /// scoreboard reads) is skipped and the floor is stored as an inexact
-    /// lower bound. Scans that later see the bound at or below their main
-    /// cycle refine it first via [`SpecState::refine_gate`], so
-    /// eligibility decisions are unchanged.
-    fn refresh_gate(&mut self, eng: &Engine, by: u64) {
-        if self.cursor.is_halted() {
-            self.gate = u64::MAX;
-            self.gate_exact = true;
-            return;
-        }
-        let depth = (self.cursor.depth() - 1) as u32;
-        let floor = eng.ready_floor(depth);
-        if floor > by || eng.ready_bound(depth) <= by {
-            // Either the thread is provably not ready by `by`, or every
-            // register of the frame is provably ready by then (so the
-            // exact gate is ≤ `by` too and the thread stays eligible
-            // without the operand walk). The floor stands in as the usual
-            // inexact lower bound; the next scan refines it before
-            // trusting the value.
-            self.gate = floor;
-            self.gate_exact = false;
-        } else {
-            self.gate_exact = false;
-            self.refine_gate(eng);
-        }
-    }
-
-    /// Upgrade a lazily-computed gate lower bound to the exact issue
-    /// cycle. A no-op once exact; exactness persists until the thread's
-    /// next own step (nothing else moves its engine or cursor).
-    fn refine_gate(&mut self, eng: &Engine) {
-        if !self.gate_exact {
-            if let Some(inst) = self.cursor.next_inst() {
+    /// Set the gate to the cycle the next instruction can issue on `eng`,
+    /// this thread's own core's engine (`u64::MAX` once halted).
+    fn refresh_gate(&mut self, eng: &Engine) {
+        self.gate = match self.cursor.next_inst() {
+            Some(inst) => {
                 let depth = (self.cursor.depth() - 1) as u32;
                 let srcs = self.cursor.decoded().srcs(inst);
-                self.gate = eng.ready_time(depth, srcs.iter().map(|r| r.0));
+                eng.ready_time(depth, srcs.iter().map(|r| r.0))
             }
-            self.gate_exact = true;
-        }
+            None => u64::MAX,
+        };
     }
 
-    /// One speculative-pipeline step. Returns the fork request (`spt_fork`
-    /// function and start block) if this step executed one.
+    /// One speculative-pipeline step, which also sets the gate for the
+    /// next one. Returns the fork request (`spt_fork` function and start
+    /// block) if this step executed one.
     fn step(
         &mut self,
         core: &mut PipelineCore,
@@ -377,10 +333,7 @@ impl<'p> SpecState<'p> {
         cfg: &MachineConfig,
         traced: bool,
     ) -> Option<(FuncId, BlockId)> {
-        let Some(pc) = self.cursor.pc() else {
-            self.stalled = true;
-            return None;
-        };
+        let pc = self.cursor.pc().expect("a halted thread never steps");
         let mut view = SpecMem {
             ssb: &mut self.ssb,
             base: mem,
@@ -441,13 +394,12 @@ impl<'p> SpecState<'p> {
         }
 
         self.srb.push(SrbEntry::of(pc, &ev));
-        // Stall on a full SRB, on a halt, or (wrong-path safety) when the
-        // thread returned out of the fork frame.
-        if self.srb.len() >= cfg.srb_entries
-            || self.cursor.depth() <= self.fork_level
-            || self.cursor.is_halted()
-        {
-            self.stalled = true;
+        // Stall on a full SRB or (wrong-path safety) when the thread
+        // returned out of the fork frame; a halt stalls it through the gate.
+        if self.srb.len() >= cfg.srb_entries || self.cursor.depth() <= self.fork_level {
+            self.gate = u64::MAX;
+        } else {
+            self.refresh_gate(&core.engine);
         }
         ev.fork().map(|start| (ev.func(), start))
     }
@@ -502,11 +454,6 @@ struct Fabric<'p> {
     spec_cores: Vec<PipelineCore>,
     /// Live speculative threads, oldest (next to be checked) first.
     ring: Vec<SpecState<'p>>,
-    /// Count of leading ring threads known parked. A parked thread stays
-    /// parked until it leaves the ring (arrival or kill), so the scan
-    /// starts past them; `arrive` rolls it back by one and `kill_ring`
-    /// to zero.
-    lead: usize,
     /// The one thread free list: the buffers of every thread this run has
     /// finished. Empty at the start of each run.
     free: Vec<SpecBufs>,
@@ -541,7 +488,6 @@ impl<'p> Fabric<'p> {
                 .map(|_| PipelineCore::new(&cfg.core, Pipe::Spec))
                 .collect(),
             ring: Vec::new(),
-            lead: 0,
             free: Vec::new(),
             committed_writes: Vec::new(),
             tracker: LoopCycleTracker::new(&sim.annots),
@@ -635,10 +581,7 @@ impl<'p> Fabric<'p> {
         // exactly what the dirty-filtered value check relies on. A ring
         // parent's mask reaches the main cursor through its commit adopt.
         parent_cursor.clear_dirty_at(st.fork_level);
-        st.refresh_gate(
-            &self.spec_cores[core - 1].engine,
-            self.main_core.engine.cycle(),
-        );
+        st.refresh_gate(&self.spec_cores[core - 1].engine);
         self.ring.push(st);
     }
 
@@ -650,38 +593,11 @@ impl<'p> Fabric<'p> {
     fn step_ready_thread(&mut self) -> bool {
         self.n.scans += 1;
         let main_cycle = self.main_core.engine.cycle();
-        while self.lead < self.ring.len() && self.ring[self.lead].stalled {
-            self.lead += 1;
-        }
-        let mut step_idx = None;
-        for (i, sp) in self.ring.iter_mut().enumerate().skip(self.lead) {
-            // No park check here: a thread can only reach its successor's
-            // start-point by stepping, and the batch loop checks after
-            // every step (the successor's identity is fixed at its fork,
-            // which the same batch also covers), so the scan would never
-            // see an unparked thread at it.
-            if !sp.stalled && sp.gate <= main_cycle {
-                // A lazily-bounded gate at or below the main cycle proves
-                // nothing yet. The frame-level readiness bound usually
-                // settles it without the operand walk: when every register
-                // of the frame is ready by the main cycle, so is the next
-                // instruction's operand set (the gate stays an inexact
-                // lower bound). Otherwise refine to the exact issue cycle
-                // before committing.
-                let eng = &self.spec_cores[sp.core - 1].engine;
-                let eligible = sp.gate_exact
-                    || eng.ready_bound((sp.cursor.depth() - 1) as u32) <= main_cycle
-                    || {
-                        sp.refine_gate(eng);
-                        sp.gate <= main_cycle
-                    };
-                if eligible {
-                    step_idx = Some(i);
-                    break;
-                }
-            }
-        }
-        let Some(i) = step_idx else {
+        // No park check here: a thread can only reach its successor's
+        // start-point by stepping, and the batch loop checks after every
+        // step (the successor's identity is fixed at its fork, which the
+        // same batch also covers).
+        let Some(i) = self.ring.iter().position(|t| t.gate <= main_cycle) else {
             return false;
         };
         // Batch: keep stepping thread `i` while it stays eligible. Every
@@ -689,7 +605,7 @@ impl<'p> Fabric<'p> {
         // only `i` steps (each thread owns its core's engine, successors'
         // start-points are static and the main pipeline is idle here), so
         // re-scanning the prefix between steps is pure overhead; only
-        // `i`'s own park/stall/gate conditions can change.
+        // `i`'s own gate can change.
         loop {
             self.n.steps += 1;
             self.n.spec_steps += 1;
@@ -708,7 +624,6 @@ impl<'p> Fabric<'p> {
                 }
                 core.note_stall(self.sink);
             }
-            sp.refresh_gate(&core.engine, main_cycle);
             // A speculative thread's own `spt_fork`: the youngest thread
             // spawns the next iteration on a free ring core; with no free
             // core (always, at N=2) it is dropped silently.
@@ -726,11 +641,10 @@ impl<'p> Fabric<'p> {
             // every step covers every park transition.
             if let [sp, nxt, ..] = &mut self.ring[i..] {
                 if sp.cursor.depth() == nxt.start_depth && sp.cursor.at_pc(nxt.start_pc) {
-                    sp.stalled = true;
+                    sp.gate = u64::MAX;
                 }
             }
-            let sp = &self.ring[i];
-            if sp.stalled || sp.gate > main_cycle {
+            if self.ring[i].gate > main_cycle {
                 break;
             }
         }
@@ -742,17 +656,9 @@ impl<'p> Fabric<'p> {
     /// could become eligible again.
     fn step_main(&mut self) {
         // No speculative thread can become eligible before `next_gate`:
-        // gates, stall flags and park inputs change only when a
-        // speculative thread steps, and none steps while the main pipeline
-        // runs. Inexact gates are lower bounds of the true issue cycle, so
-        // the minimum is still a sound batching horizon (worst case: an
-        // early rescan that refines them).
-        let next_gate = self.ring[self.lead..]
-            .iter()
-            .filter(|s| !s.stalled)
-            .map(|s| s.gate)
-            .min()
-            .unwrap_or(u64::MAX);
+        // gates change only when a speculative thread steps, and none
+        // steps while the main pipeline runs.
+        let next_gate = self.ring.iter().map(|s| s.gate).min().unwrap_or(u64::MAX);
         // The oldest thread's start-point is static for the whole batch
         // (every path that changes the ring returns), so hoist it out of
         // the per-step arrival check.
@@ -847,7 +753,6 @@ impl<'p> Fabric<'p> {
     /// state the downstream ring forked from, so it kills the ring.
     fn arrive(&mut self) {
         let sp = self.ring.remove(0);
-        self.lead = self.lead.saturating_sub(1);
         self.n.spec_instrs_checked += sp.srb.len() as u64;
         if let Some(li) = sp.loop_idx {
             self.per_loop[li].spec_instrs += sp.srb.len() as u64;
@@ -1141,7 +1046,6 @@ impl<'p> Fabric<'p> {
             }
             self.free.push(sp.into_bufs());
         }
-        self.lead = 0;
     }
 
     /// Build the report; the final architectural memory is returned with
