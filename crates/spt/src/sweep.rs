@@ -49,26 +49,80 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 use crate::store::fnv1a;
 
-/// Content fingerprint of a program: FNV-1a over its derived `Hash`, which
-/// visits every function, block, statement, the data image and the memory
-/// size, without rendering or allocating anything.
+/// Content fingerprint of a program: a [`WordHasher`] over its derived
+/// `Hash`, which visits every function, block, statement, the data image
+/// and the memory size, without rendering or allocating anything.
 ///
 /// Integers are fed in native byte order and lengths as `usize`, so the
 /// value depends on the host's word size and endianness. That is fine for
 /// an in-process memo key; program fingerprints never reach disk.
 pub fn program_fingerprint(prog: &Program) -> u64 {
-    let mut h = Fnv1a(FNV_OFFSET);
+    let mut h = WordHasher(FNV_OFFSET);
     prog.hash(&mut h);
     h.0
 }
 
-/// A `Hasher` that feeds [`fnv1a`]. Unlike `std`'s `RandomState` hashers
-/// it is unseeded, so a fingerprint is the same in every process.
-struct Fnv1a(u64);
+/// A `Hasher` that folds each written integer as one 64-bit word (the
+/// signed `write_i*` forward to these by default), and byte strings eight
+/// bytes at a time, through a full-avalanche mix:
+/// `h = fmix64(h ^ word)`. A derived `Hash` writes mostly integers, which
+/// byte-at-a-time FNV-1a would cost one multiply per byte. Unlike `std`'s
+/// `RandomState` hashers it is unseeded, so a fingerprint is the same in
+/// every process.
+struct WordHasher(u64);
 
-impl Hasher for Fnv1a {
+/// MurmurHash3's 64-bit finalizer: a bijection in which every input bit
+/// flips each output bit with probability close to one half.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+impl WordHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = fmix64(self.0 ^ word);
+    }
+}
+
+impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a(self.0, bytes);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.fold(u64::from_ne_bytes(w.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // At most 7 bytes: the top byte carries the tail's length, so
+            // tails that differ only in trailing zeros fold apart.
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            last[7] = tail.len() as u8;
+            self.fold(u64::from_ne_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.fold(i.into());
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.fold(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.fold(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.fold(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.fold(i as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -653,10 +707,20 @@ impl Sweep {
 
     /// Profile a program (memoized on program content + fuel).
     pub fn profile(&self, prog: &Program, fuel: u64) -> (Arc<ProgramProfile>, PhaseStamp) {
-        let key = Key(program_fingerprint(prog), fuel, 0, 0);
+        self.profile_fp(prog, program_fingerprint(prog), fuel)
+    }
+
+    /// [`Sweep::profile`] of `prog` whose content fingerprint `fp` the
+    /// caller already holds.
+    pub(crate) fn profile_fp(
+        &self,
+        prog: &Program,
+        fp: u64,
+        fuel: u64,
+    ) -> (Arc<ProgramProfile>, PhaseStamp) {
         let (p, stamp) = self
             .profiles
-            .get_or_compute(key, || profile_program(prog, fuel));
+            .get_or_compute(Key(fp, fuel, 0, 0), || profile_program(prog, fuel));
         self.observe_phase("profile", stamp);
         (p, stamp)
     }
@@ -673,8 +737,8 @@ impl Sweep {
         prog: &Program,
         opts: &CompileOptions,
     ) -> (Arc<CompileResult>, PhaseStamp, PhaseStamp) {
-        let (profile, pstamp) = self.profile(prog, opts.profile_fuel);
         let fp = program_fingerprint(prog);
+        let (profile, pstamp) = self.profile_fp(prog, fp, opts.profile_fuel);
         let key = Key(fp, debug_fingerprint(opts), 0, 0);
         let (res, cstamp) = self.compiles.get_or_compute(key, || {
             let deps = self.dep_profile(prog, fp, opts, &profile);
@@ -861,7 +925,7 @@ mod tests {
         // The fingerprint is unseeded, so it is the same in every process and
         // on every run: a seeded hasher would pass every check above. So would
         // a toolchain whose std `Hash` impls feed other bytes.
-        assert_eq!(fa, 0x6bef_8285_ccb9_5a78);
+        assert_eq!(fa, 0xcc68_390f_5c22_fc6c);
 
         let m1 = MachineConfig::default();
         let mut m2 = MachineConfig::default();

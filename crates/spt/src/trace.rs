@@ -546,8 +546,8 @@ impl Sweep {
         prog: &Program,
         cfg: &RunConfig,
     ) -> (TraceRun, BenchRecord) {
-        let (profile, pstamp) = self.profile(prog, cfg.compile.profile_fuel);
         let fp = program_fingerprint(prog);
+        let (profile, pstamp) = self.profile_fp(prog, fp, cfg.compile.profile_fuel);
 
         let mut csink = RingBufferSink::unbounded();
         let t = Instant::now();
