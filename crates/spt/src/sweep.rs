@@ -49,7 +49,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 use crate::store::fnv1a;
 
-/// Content fingerprint of a program: a [`WordHasher`] over its derived
+/// Content fingerprint of a program: a `WordHasher` over its derived
 /// `Hash`, which visits every function, block, statement, the data image
 /// and the memory size, without rendering or allocating anything.
 ///
@@ -62,9 +62,9 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
     h.0
 }
 
-/// A `Hasher` that folds each written integer as one 64-bit word (the
-/// signed `write_i*` forward to these by default), and byte strings eight
-/// bytes at a time, through a full-avalanche mix:
+/// A `Hasher` that folds each `u8`, `u32`, `u64` and `usize` write (and
+/// their signed forms, which forward to them) as one 64-bit word, and
+/// other writes eight bytes at a time, through a full-avalanche mix:
 /// `h = fmix64(h ^ word)`. A derived `Hash` writes mostly integers, which
 /// byte-at-a-time FNV-1a would cost one multiply per byte. Unlike `std`'s
 /// `RandomState` hashers it is unseeded, so a fingerprint is the same in
@@ -106,10 +106,6 @@ impl Hasher for WordHasher {
     }
 
     fn write_u8(&mut self, i: u8) {
-        self.fold(i.into());
-    }
-
-    fn write_u16(&mut self, i: u16) {
         self.fold(i.into());
     }
 
